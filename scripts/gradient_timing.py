@@ -40,7 +40,7 @@ def main():
     for depth in args.depths:
         opts = SolveOptions(iterations=depth, fixed_point_iters=64)
         t0 = time.perf_counter()
-        T, _, _ = _bfgs_kernel(sc, T0, opts)
+        T, _, _, _ = _bfgs_kernel(sc, T0, opts)
         solve_ms = 1e3 * (time.perf_counter() - t0)
 
         for spec, Tb in zip(specs[:5], T[:5]):  # warm-up

@@ -15,7 +15,6 @@ import numpy as np
 from .batching import (
     BatchScene,
     clamped_segments,
-    embed_batch,
     gradient_batch,
     path_length_batch,
     stack_params,
@@ -26,7 +25,7 @@ from .errors import (
     NotAllPlanes,
     SingularHessian,
 )
-from .geometry import PathSpec, SurfaceKind, check_params, params_from_points
+from .geometry import PathSpec, SurfaceKind, check_params
 from .solver import Precision, SolveOptions, SolveReport, _bfgs_kernel, init_params
 
 PARALLEL_TOL = 1e-12
@@ -222,7 +221,7 @@ def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
         fixed_point_iters=REFERENCE_FP_ITERS,
         precision=Precision.DOUBLE,
     )
-    T, _, _ = _bfgs_kernel(sc, T0, opts)
+    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
     polish_opts = SolveOptions(iterations=1, precision=Precision.DOUBLE)
     converged = _converged_mask(sc, T)
     for _ in range(REFERENCE_POLISH_ITERS):

@@ -60,6 +60,10 @@ class BatchScene:
             self.end.astype(dtype),
         )
 
+    def take(self, idx) -> "BatchScene":
+        """The members selected by an index array or boolean mask."""
+        return BatchScene(self.basis[idx], self.anchor[idx], self.start[idx], self.end[idx])
+
     def active_mask(self) -> np.ndarray:
         """(B, n, 2) mask of coordinates whose basis column is nonzero."""
         return np.linalg.norm(self.basis, axis=2) > 0.0

@@ -29,7 +29,7 @@ from .baselines import (
     _newton_kernel,
 )
 from .batching import BatchScene, embed_batch, stack_params
-from .errors import FermatPathError
+from .errors import FermatPathError, NoConvergence
 from .geometry import PathSpec, Surface, SurfaceKind, make_edge, make_plane
 from .implicit_diff import grad_length_wrt_params, vjp_solution
 from .objective import gradient
@@ -330,7 +330,7 @@ def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
     opts = SolveOptions(
         iterations=config.iterations, fixed_point_iters=fp, precision=config.precision
     )
-    T, _, _ = _bfgs_kernel(sc, T0, opts)
+    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
     return _interaction_points(sc, T), fp
 
 
@@ -349,7 +349,12 @@ def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
         )
         sc = BatchScene.from_specs(specs)
         T0 = stack_params(specs, [init_params(s) for s in specs])
-        truth_T, _ = reference_solve_batch(specs, list(T0))
+        truth_T, converged = reference_solve_batch(specs, list(T0))
+        if not np.all(converged):
+            raise NoConvergence(
+                f"reference solve missed its tolerance on {np.count_nonzero(~converged)}"
+                f" of {len(specs)} scenes at n={n}"
+            )
         truth_pts = _interaction_points(sc, truth_T)
         cells[n] = (sc, T0, truth_pts)
 
@@ -390,7 +395,7 @@ def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
 
 @dataclass(frozen=True)
 class GradCheckReport:
-    count: int
+    count: int  # instances checked; fewer than requested fails the check
     vjp_max_rel_error: float
     envelope_max_rel_error: float
     tolerance: float
@@ -474,6 +479,9 @@ def grad_check(
 
     All finite-difference re-solves for a batch of instances run as one
     reference solve, which amortizes the per-iteration kernel overhead.
+    An instance whose reference solve misses its tolerance cannot be
+    checked; the report counts only the instances checked and fails when
+    any was left out.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -490,12 +498,13 @@ def grad_check(
         for c in coords_by_i[i]:
             perturbed.append(_perturbed_spec(specs[i], c, +h))
             perturbed.append(_perturbed_spec(specs[i], c, -h))
-    Tp, conv_p = reference_solve_batch(perturbed)
-    if not np.all(conv_p):
-        raise FermatPathError("oracle re-solve failed to converge")
+    if live:
+        Tp, conv_p = reference_solve_batch(perturbed)
+        if not np.all(conv_p):
+            raise FermatPathError("oracle re-solve failed to converge")
 
-    vjp_max = 0.0
-    env_max = 0.0
+    # With nothing checked there is no error to report.
+    vjp_max = env_max = 0.0 if live else float("nan")
     pos = 0
     for i in live:
         spec, Tstar, v = specs[i], Tstars[i], vs[i]
@@ -519,9 +528,9 @@ def grad_check(
         env_max = max(env_max, float(gap))
         grad_length_wrt_params(spec, Tstar, debug_check=True)
     return GradCheckReport(
-        count=count,
+        count=len(live),
         vjp_max_rel_error=vjp_max,
         envelope_max_rel_error=env_max,
         tolerance=tolerance,
-        passed=vjp_max <= tolerance and env_max <= 1e-6,
+        passed=len(live) == count and vjp_max <= tolerance and env_max <= 1e-6,
     )

@@ -24,6 +24,7 @@ from .solver import Precision, SolveOptions, bfgs_solve, init_params
 
 USAGE_ERROR = 1
 SOLVE_ERROR = 2
+CHECK_FAILED = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +110,11 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"fermatpath bench: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    records = run_bench(config)
+    try:
+        records = run_bench(config)
+    except FermatPathError as exc:
+        print(f"fermatpath bench: {exc}", file=sys.stderr)
+        return SOLVE_ERROR
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_records(records, fh)
@@ -151,11 +156,11 @@ def _cmd_grad_check(args) -> int:
     report = grad_check(args.seed, args.n, args.kinds, args.count)
     status = "PASS" if report.passed else "FAIL"
     print(
-        f"{status}: {report.count} scenes, "
+        f"{status}: {report.count} of {args.count} scenes checked, "
         f"max VJP rel error {report.vjp_max_rel_error:.3e} (tol {report.tolerance:g}), "
         f"max envelope rel error {report.envelope_max_rel_error:.3e}"
     )
-    return 0
+    return 0 if report.passed else CHECK_FAILED
 
 
 def _cmd_gen(args) -> int:

@@ -1,7 +1,12 @@
 """Batch BFGS path solver with fixed-point step sizes.
 
 The solver runs a fixed number of iterations for every path in a batch,
-with no data-dependent early exit, so execution is uniform across a batch.
+and its results equal that fixed schedule's bitwise. In a batch, a member
+whose step no longer moves it, or a step-size iteration that no longer
+changes any step size, is at an exact fixed point, so it is no longer
+computed. A single-path solve (`bfgs_solve`) runs the whole schedule, so
+its cost is the same for every scene of a given size; its early stop is
+the explicit `grad_tol`.
 The step size along each quasi-Newton direction comes from a fixed-point
 iteration on the exact one-dimensional optimality condition, warm-started
 at zero. The scalar entry point is the batch kernel applied to a batch of
@@ -20,10 +25,8 @@ from .batching import (
     BatchScene,
     checked_segments,
     clamped_segments,
-    embed_batch,
     gradient_batch,
     path_length_batch,
-    segment_norms,
     stack_params,
 )
 from .errors import DegenerateSegment, ZeroDirection
@@ -81,11 +84,14 @@ def init_params(spec: PathSpec) -> np.ndarray:
     return T
 
 
-def _fixed_point_alpha(sc: BatchScene, s, norms, P, iters: int, eps):
+def _fixed_point_alpha(
+    sc: BatchScene, s, norms, P, iters: int, eps, stop_when_still: bool = True
+):
     """Batched fixed-point step size; returns (alpha, zero_direction_mask).
 
     `s`/`norms` are the current segments; zero-direction paths get alpha 0 so
-    batch control flow stays uniform.
+    batch control flow stays uniform. With `stop_when_still` the loop ends
+    once no step size changes; the result is the same either way.
     """
     dtype = s.dtype
     B, n = P.shape[0], P.shape[1]
@@ -108,7 +114,12 @@ def _fixed_point_alpha(sc: BatchScene, s, norms, P, iters: int, eps):
         num = np.einsum("bk->b", c / den)
         dsum = np.einsum("bk->b", a2 / den)
         new = -num / np.where(zero, np.ones_like(dsum), dsum)
-        alpha = np.where(zero | ~np.isfinite(new), alpha, new)
+        new = np.where(zero | ~np.isfinite(new), alpha, new)
+        # Given s and dAp the update depends on alpha alone, so once no
+        # alpha changes, every further iteration would repeat this one.
+        if stop_when_still and new.tobytes() == alpha.tobytes():
+            break
+        alpha = new
     return alpha, zero
 
 
@@ -143,40 +154,59 @@ def line_search_alpha(spec: PathSpec, T, P, alpha0: float = 0.0, k: int = 1) -> 
     return float(alpha[0])
 
 
-def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, return_state=False):
-    """Run the fixed-iteration batch BFGS loop; returns (T, grad, traces).
+def _bfgs_kernel(
+    sc: BatchScene, T0: np.ndarray, opts: SolveOptions, skip_fixed_points: bool = True
+):
+    """Run the batch BFGS schedule; returns (T, grad, traces, iterations).
 
-    With return_state=True the inverse-Hessian approximations are appended
-    to the return tuple (used by diagnostics and tests).
+    A member whose step leaves T bitwise unchanged is at a fixed point of
+    its whole state (T, g, H): g is recomputed at the same T, so y = 0, the
+    curvature gate keeps H, and every later iteration repeats exactly. With
+    `skip_fixed_points`, such members are written out and dropped from the
+    working batch, and step-size loops end once no step size changes; no
+    member's arithmetic depends on which others share the batch, so every
+    result equals the full schedule's either way. `iterations` is
+    opts.iterations unless the scalar-mode grad_tol stop ended the schedule
+    early.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
     T = np.ascontiguousarray(T0, dtype=dtype)
     B, n = T.shape[0], T.shape[1]
     m = 2 * n
-    eps = sc.seg_epsilon()
-    traces = [[] for _ in range(B)] if opts.record_trace else None
 
     if n == 0:
-        empty = np.zeros((B, 0, 2), dtype=dtype)
-        if return_state:
-            return T, empty, traces, np.zeros((B, 0, 0), dtype=dtype)
-        return T, empty, traces
+        traces = [[] for _ in range(B)] if opts.record_trace else None
+        return T, np.zeros((B, 0, 2), dtype=dtype), traces, opts.iterations
 
     checked_segments(sc, T)  # reject degenerate starting points loudly
+    eps = sc.seg_epsilon()
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     g = gradient_batch(sc, T).reshape(B, m)
     curv_tol = dtype(1e-12)
+    live = np.arange(B)  # batch index of each working member
+    bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
+    T_out, g_out = np.empty_like(T), np.empty_like(g)
+    iterations = opts.iterations
+    if opts.record_trace:
+        # (L, |g|) of every member after each iteration; retired members
+        # keep their last values, as the full schedule would record.
+        row = np.empty((2, B))
+        hist = np.empty((iterations, 2, B))
 
     for it in range(opts.iterations):
+        k = live.size
         p = -np.einsum("bij,bj->bi", H, g)
         _, s_cur, norms = clamped_segments(sc, T)
         alpha, _ = _fixed_point_alpha(
-            sc, s_cur, norms, p.reshape(B, n, 2), opts.fixed_point_iters, eps
+            sc, s_cur, norms, p.reshape(k, n, 2), opts.fixed_point_iters, eps,
+            stop_when_still=skip_fixed_points,
         )
         step = alpha[:, None] * p
-        T = T + step.reshape(B, n, 2)
-        g_new = gradient_batch(sc, T).reshape(B, m)
+        T_new = T + step.reshape(k, n, 2)
+        moved = np.any(T_new.view(bits) != T.view(bits), axis=(1, 2))
+        T = T_new
+        g_new = gradient_batch(sc, T).reshape(k, m)
         y = g_new - g
         sy = np.einsum("bi,bi->b", step, y)
         s_norm = np.sqrt(np.einsum("bi,bi->b", step, step))
@@ -186,13 +216,18 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, return_stat
         with np.errstate(over="ignore", invalid="ignore"):
             Hy = np.einsum("bij,bj->bi", H, y)
             yHy = np.einsum("bi,bi->b", y, Hy)
+            # H - rho (sHy + sHy^T) + (rho^2 yHy + rho) ss^T, evaluated in
+            # the same order but in place, so that at most three (B, m, m)
+            # arrays are alive at once.
             sHy = np.einsum("bi,bj->bij", step, Hy)
+            H_new = sHy + np.swapaxes(sHy, 1, 2)
+            del sHy
+            np.multiply(rho[:, None, None], H_new, out=H_new)
+            np.subtract(H, H_new, out=H_new)
             ssT = np.einsum("bi,bj->bij", step, step)
-            H_new = (
-                H
-                - rho[:, None, None] * (sHy + np.swapaxes(sHy, 1, 2))
-                + (rho * rho * yHy + rho)[:, None, None] * ssT
-            )
+            np.multiply((rho * rho * yHy + rho)[:, None, None], ssT, out=ssT)
+            H_new += ssT
+            del ssT
         # Near-zero curvature can overflow the rank-two terms in single
         # precision; treat those updates as skipped.
         ok = ok & np.all(np.isfinite(H_new), axis=(1, 2))
@@ -200,22 +235,40 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, return_stat
         g = g_new
 
         if opts.record_trace:
-            lengths = path_length_batch(sc, T)
-            gnorms = np.sqrt(np.einsum("bi,bi->b", g, g))
-            for b in range(B):
-                traces[b].append((it, float(lengths[b]), float(gnorms[b])))
+            row[0, live] = path_length_batch(sc, T)
+            row[1, live] = np.sqrt(np.einsum("bi,bi->b", g, g))
+            hist[it] = row
 
         if opts.grad_tol is not None and B == 1:
             lengths = path_length_batch(sc, T)
             if float(np.linalg.norm(g[0])) < opts.grad_tol * (1.0 + float(lengths[0])):
+                iterations = it + 1
                 break
 
-    if return_state:
-        return T, g.reshape(B, n, 2), traces, H
-    return T, g.reshape(B, n, 2), traces
+        if skip_fixed_points and not moved.all():
+            done = ~moved
+            T_out[live[done]] = T[done]
+            g_out[live[done]] = g[done]
+            live, T, g, H, eps = live[moved], T[moved], g[moved], H[moved], eps[moved]
+            sc = sc.take(moved)
+            if live.size == 0:
+                if opts.record_trace:
+                    hist[it + 1 :] = row
+                break
+
+    T_out[live] = T
+    g_out[live] = g
+    traces = None
+    if opts.record_trace:
+        rows = hist[:iterations]
+        traces = [
+            list(zip(range(iterations), lengths, gnorms))
+            for lengths, gnorms in zip(rows[:, 0].T.tolist(), rows[:, 1].T.tolist())
+        ]
+    return T_out, g_out.reshape(B, n, 2), traces, iterations
 
 
-def _reports_from_state(sc: BatchScene, T, g, traces, opts) -> list[SolveReport]:
+def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveReport]:
     lengths = path_length_batch(sc.astype(T.dtype), T)
     gnorms = np.linalg.norm(g.reshape(T.shape[0], -1), axis=1)
     out = []
@@ -225,7 +278,7 @@ def _reports_from_state(sc: BatchScene, T, g, traces, opts) -> list[SolveReport]
                 solution=np.asarray(T[b], dtype=float),
                 final_length=float(lengths[b]),
                 final_grad_norm=float(gnorms[b]),
-                iterations=opts.iterations,
+                iterations=iterations,
                 trace=traces[b] if traces is not None else None,
             )
         )
@@ -233,11 +286,17 @@ def _reports_from_state(sc: BatchScene, T, g, traces, opts) -> list[SolveReport]
 
 
 def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Minimize path length from T0; runs exactly opts.iterations updates."""
+    """Minimize path length from T0 over opts.iterations updates.
+
+    Every update is computed, also after the path stops moving, so the cost
+    depends on the scene's size only. With opts.grad_tol the schedule stops
+    at the first iteration that meets it, and the report counts the
+    iterations actually run.
+    """
     T0 = check_params(spec, T0)
     sc = BatchScene.from_specs([spec])
-    T, g, traces = _bfgs_kernel(sc, T0[None], opts)
-    return _reports_from_state(sc, T, g, traces, opts)[0]
+    T, g, traces, iterations = _bfgs_kernel(sc, T0[None], opts, skip_fixed_points=False)
+    return _reports_from_state(sc, T, g, traces, iterations)[0]
 
 
 def batch_solve(
@@ -248,5 +307,5 @@ def batch_solve(
         raise ValueError("grad_tol is a scalar-mode option; batches run fixed iterations")
     sc = BatchScene.from_specs(specs)
     T0 = stack_params(specs, T0s)
-    T, g, traces = _bfgs_kernel(sc, T0, opts)
-    return _reports_from_state(sc, T, g, traces, opts)
+    T, g, traces, iterations = _bfgs_kernel(sc, T0, opts)
+    return _reports_from_state(sc, T, g, traces, iterations)

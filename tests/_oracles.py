@@ -3,12 +3,16 @@
 Everything here is deliberately implemented from first principles (finite
 differences, golden-section search, a standalone d=1 solver) rather than
 reusing library internals, so tests compare two independent computations.
+The one exception is `fixed_schedule_bfgs`, the batch BFGS kernel as a
+plain fixed schedule, which must share the library's arithmetic to serve
+as a bitwise reference.
 """
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from fermatpath import PathSpec, Surface, init_params, path_length
+from fermatpath.batching import clamped_segments, gradient_batch, path_length_batch
 from fermatpath.objective import gradient
 
 
@@ -163,3 +167,74 @@ def reduced_edge_bfgs(sc, T0r, iters: int, fp_iters: int) -> np.ndarray:
         H = np.where(ok[:, None, None], Hn, H)
         g = g_new
     return T
+
+
+def fixed_schedule_bfgs(sc, T0, opts):
+    """The batch BFGS kernel with no early exit of any kind.
+
+    Every member runs all opts.iterations iterations and every step size
+    all opts.fixed_point_iters fixed-point iterations, with the library's
+    update rules. Returns (T, g, traces, still_at): still_at[b] is the
+    first iteration whose step left member b's parameters bitwise
+    unchanged, or -1 if none did.
+    """
+    dtype = opts.precision.dtype
+    sc = sc.astype(dtype)
+    T = np.array(T0, dtype=dtype)
+    B, n = T.shape[0], T.shape[1]
+    m = 2 * n
+    eps = sc.seg_epsilon()
+    bits = f"u{T.itemsize}"
+    H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
+    g = gradient_batch(sc, T).reshape(B, m)
+    traces = [[] for _ in range(B)]
+    still_at = np.full(B, -1)
+    for it in range(opts.iterations):
+        p = -np.einsum("bij,bj->bi", H, g)
+        _, s, _ = clamped_segments(sc, T)
+        w = np.einsum("bnij,bnj->bni", sc.basis, p.reshape(B, n, 2))
+        pad = np.zeros((B, 1, 3), dtype=dtype)
+        wp = np.concatenate([pad, w, pad], axis=1)
+        dAp = wp[:, 1:] - wp[:, :-1]
+        a2 = np.einsum("bki,bki->bk", dAp, dAp)
+        c = np.einsum("bki,bki->bk", dAp, s)
+        zero = np.einsum("bk->b", a2) <= np.finfo(dtype).tiny
+        alpha = np.zeros(B, dtype=dtype)
+        for _ in range(opts.fixed_point_iters):
+            seg = s + alpha[:, None, None] * dAp
+            den = np.maximum(np.sqrt(np.einsum("bki,bki->bk", seg, seg)), eps[:, None])
+            num = np.einsum("bk->b", c / den)
+            dsum = np.einsum("bk->b", a2 / den)
+            new = -num / np.where(zero, np.ones_like(dsum), dsum)
+            alpha = np.where(zero | ~np.isfinite(new), alpha, new)
+        step = alpha[:, None] * p
+        T_new = T + step.reshape(B, n, 2)
+        still = np.all(T_new.view(bits) == T.view(bits), axis=(1, 2))
+        still_at = np.where((still_at < 0) & still, it, still_at)
+        T = T_new
+        g_new = gradient_batch(sc, T).reshape(B, m)
+        y = g_new - g
+        sy = np.einsum("bi,bi->b", step, y)
+        sn = np.sqrt(np.einsum("bi,bi->b", step, step))
+        yn = np.sqrt(np.einsum("bi,bi->b", y, y))
+        ok = sy > dtype(1e-12) * sn * yn
+        rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Hy = np.einsum("bij,bj->bi", H, y)
+            yHy = np.einsum("bi,bi->b", y, Hy)
+            sHy = np.einsum("bi,bj->bij", step, Hy)
+            ssT = np.einsum("bi,bj->bij", step, step)
+            Hn = (
+                H
+                - rho[:, None, None] * (sHy + np.swapaxes(sHy, 1, 2))
+                + (rho * rho * yHy + rho)[:, None, None] * ssT
+            )
+        ok = ok & np.all(np.isfinite(Hn), axis=(1, 2))
+        H = np.where(ok[:, None, None], Hn, H)
+        g = g_new
+        if opts.record_trace:
+            lengths = path_length_batch(sc, T)
+            gnorms = np.sqrt(np.einsum("bi,bi->b", g, g))
+            for b in range(B):
+                traces[b].append((it, float(lengths[b]), float(gnorms[b])))
+    return T, g.reshape(B, n, 2), traces if opts.record_trace else None, still_at

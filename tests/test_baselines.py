@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatpath import (
     Kinds,
@@ -127,3 +129,29 @@ class TestReference:
         T1 = reference_solve(spec)
         T2 = reference_solve(spec, T1)
         assert np.allclose(T1, T2, atol=1e-10)
+
+
+BATCH = 4
+
+
+class TestReferenceBatchProperties:
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 4),
+        kinds=st.sampled_from(list(Kinds)),
+        order=st.permutations(range(BATCH)),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_permuting_members_permutes_results(self, seed, n, kinds, order):
+        specs = gen_scenes(seed, n, kinds, BATCH)
+        T, conv = reference_solve_batch(specs)
+        Tp, convp = reference_solve_batch([specs[i] for i in order])
+        assert np.array_equal(Tp, T[order])
+        assert np.array_equal(convp, conv[order])
+        # A batch of one is the scalar solve, and equals its member above.
+        b = order[0]
+        T1, conv1 = reference_solve_batch([specs[b]])
+        assert np.array_equal(T1[0], T[b])
+        assert conv1[0] == conv[b]
+        if conv[b]:
+            assert np.array_equal(reference_solve(specs[b]), T[b])

@@ -10,6 +10,7 @@ import pytest
 from fermatpath import (
     BenchConfig,
     Kinds,
+    NoConvergence,
     SurfaceKind,
     gen_scenes,
     grad_check,
@@ -19,8 +20,26 @@ from fermatpath import (
     save_scenes,
     write_records,
 )
-from fermatpath.bench import BenchRecord, CSV_HEADER
+from fermatpath import bench, cli
+from fermatpath.bench import BenchRecord, CSV_HEADER, GradCheckReport
 from fermatpath.cli import main
+
+
+def _reference_missing(monkeypatch, members):
+    """Make the first reference solve report `members` as unconverged."""
+    real = bench.reference_solve_batch
+    calls = []
+
+    def reference_solve_batch(specs, T0s=None):
+        T, converged = real(specs, T0s)
+        if not calls:
+            converged = converged.copy()
+            converged[members] = False
+        calls.append(len(specs))
+        return T, converged
+
+    monkeypatch.setattr(bench, "reference_solve_batch", reference_solve_batch)
+    return calls
 
 
 class TestGenScenes:
@@ -114,12 +133,35 @@ class TestRunBench:
             assert r.wall_time_ms > 0.0
             assert r.mean_error >= 0.0
 
+    def test_unconverged_reference_raises(self, monkeypatch):
+        _reference_missing(monkeypatch, [1])
+        config = BenchConfig(
+            seed=1, batch=3, n_range=(1,), kinds=Kinds.MIXED, solvers=("ours",), iterations=5
+        )
+        with pytest.raises(NoConvergence):
+            run_bench(config, timing_reps=1)
+
 
 class TestGradCheck:
     def test_smoke(self):
         report = grad_check(2, 1, Kinds.MIXED, 2)
+        assert report.count == 2
         assert report.passed
         assert report.vjp_max_rel_error <= report.tolerance
+
+    def test_dropped_instance_fails(self, monkeypatch):
+        _reference_missing(monkeypatch, [0])
+        report = grad_check(2, 1, Kinds.MIXED, 2)
+        assert report.count == 1
+        assert report.vjp_max_rel_error <= report.tolerance
+        assert not report.passed
+
+    def test_nothing_checked_fails(self, monkeypatch):
+        calls = _reference_missing(monkeypatch, slice(None))
+        report = grad_check(2, 1, Kinds.MIXED, 2)
+        assert report.count == 0
+        assert not report.passed
+        assert calls == [2]  # no re-solve of an empty batch
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
@@ -168,6 +210,25 @@ class TestCli:
         )
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_grad_check_failure_exit_code(self, monkeypatch):
+        report = GradCheckReport(
+            count=1, vjp_max_rel_error=0.0, envelope_max_rel_error=0.0,
+            tolerance=1e-3, passed=False,
+        )
+        monkeypatch.setattr(cli, "grad_check", lambda *args: report)
+        code, out, _ = _run_cli(["grad-check", "--n", "1", "--count", "2"])
+        assert code == 3
+        assert out.startswith("FAIL: 1 of 2 scenes checked")
+
+    def test_bench_reference_failure_exit_code(self, monkeypatch):
+        _reference_missing(monkeypatch, [0])
+        code, _, err = _run_cli(
+            ["bench", "--seed", "1", "--batch", "2", "--n", "1", "--solvers", "ours",
+             "--iterations", "5"]
+        )
+        assert code == 2
+        assert "reference solve missed its tolerance" in err
 
     def test_usage_error_exit_code(self):
         code, _, _ = _run_cli(["bench", "--precision", "half"])

@@ -19,10 +19,11 @@ from fermatpath import (
     path_length,
 )
 from fermatpath.batching import BatchScene, gradient_batch
+from fermatpath import solver as solver_module
 from fermatpath.solver import _bfgs_kernel
 from fermatpath.objective import gradient
 
-from _oracles import golden_alpha, perturb_params
+from _oracles import fixed_schedule_bfgs, golden_alpha, perturb_params
 
 
 def _v_spec():
@@ -118,6 +119,14 @@ class TestSolver:
         )
         assert len(rep.trace) < 100
 
+    def test_grad_tol_reports_iterations_run(self):
+        rep = bfgs_solve(
+            _v_spec(),
+            np.array([[0.5, 1.5]]),
+            SolveOptions(iterations=100, fixed_point_iters=64, record_trace=True, grad_tol=1e-10),
+        )
+        assert rep.iterations == len(rep.trace) < 100
+
     def test_batch_rejects_grad_tol(self):
         specs = gen_scenes(1, 2, Kinds.MIXED, 3)
         with pytest.raises(ValueError):
@@ -162,3 +171,74 @@ class TestSolver:
             rep = bfgs_solve(spec, T0, SolveOptions(iterations=100, fixed_point_iters=64))
             assert rep.final_length <= path_length(spec, T0) + 1e-12
             assert rep.final_grad_norm < 1e-6
+
+
+def _half_warm_batch(kinds, n, B=12):
+    """Half the members start from init_params, half at a converged solution.
+
+    The warm half reaches an exact fixed point within a few iterations and
+    retires; most of the cold half keeps moving for the whole schedule.
+    """
+    specs = gen_scenes(41, n, kinds, B)
+    T0s = [init_params(s) for s in specs]
+    warm = batch_solve(specs[B // 2 :], T0s[B // 2 :], SolveOptions(iterations=200, fixed_point_iters=64))
+    T0s[B // 2 :] = [r.solution for r in warm]
+    return BatchScene.from_specs(specs), np.stack(T0s)
+
+
+def _assert_kernel_matches_fixed_schedule(sc, T0, opts):
+    T, g, traces, iterations = _bfgs_kernel(sc, T0, opts)
+    T_ref, g_ref, traces_ref, still_at = fixed_schedule_bfgs(sc, T0, opts)
+    bits = f"u{T.itemsize}"
+    assert np.array_equal(T.view(bits), T_ref.view(bits))
+    assert np.array_equal(g.view(bits), g_ref.view(bits))
+    assert traces == traces_ref
+    assert iterations == opts.iterations
+    return still_at
+
+
+class TestFixedPointExits:
+    """Retiring members and ending the step-size loop change no result bit."""
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("precision", list(Precision))
+    @pytest.mark.parametrize("fp", [1, 64])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_kernel_matches_fixed_schedule(self, kinds, n, fp, precision, record_trace):
+        sc, T0 = _half_warm_batch(kinds, n)
+        opts = SolveOptions(
+            iterations=40, fixed_point_iters=fp, precision=precision, record_trace=record_trace
+        )
+        still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
+        assert np.any(still_at >= 0)  # the retirement path ran
+
+    def test_retiring_and_running_members_in_one_batch(self):
+        sc, T0 = _half_warm_batch(Kinds.MIXED, 8)
+        opts = SolveOptions(iterations=40, fixed_point_iters=1, record_trace=True)
+        still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
+        assert np.any(still_at >= 0) and np.any(still_at < 0)
+
+    def test_all_members_retire_before_the_schedule_ends(self):
+        sc, T0 = _half_warm_batch(Kinds.REFLECTIONS, 2)
+        opts = SolveOptions(iterations=300, fixed_point_iters=64, record_trace=True)
+        still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
+        assert np.all((still_at >= 0) & (still_at < 299))
+
+    def test_single_path_solve_computes_the_whole_schedule(self, monkeypatch):
+        _, T0 = _half_warm_batch(Kinds.REFLECTIONS, 2)
+        spec = gen_scenes(41, 2, Kinds.REFLECTIONS, 12)[-1]  # a warm member
+        sc = BatchScene.from_specs([spec])
+        opts = SolveOptions(iterations=300, fixed_point_iters=64)
+        calls = []
+        real = solver_module.gradient_batch
+        monkeypatch.setattr(
+            solver_module, "gradient_batch", lambda *a: calls.append(1) or real(*a)
+        )
+        T, _, _, _ = _bfgs_kernel(sc, T0[-1:], opts)
+        assert len(calls) < opts.iterations  # the batch kernel retires it
+        calls.clear()
+        rep = bfgs_solve(spec, T0[-1], opts)
+        assert len(calls) == opts.iterations + 1  # the start plus one per update
+        assert np.array_equal(rep.solution.view("u8"), T[0].view("u8"))
+        assert rep.iterations == opts.iterations
