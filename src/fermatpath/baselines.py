@@ -14,8 +14,8 @@ import numpy as np
 
 from .batching import (
     BatchScene,
-    clamped_segments,
     gradient_batch,
+    hessian_batch,
     path_length_batch,
     stack_params,
 )
@@ -26,7 +26,14 @@ from .errors import (
     SingularHessian,
 )
 from .geometry import PathSpec, SurfaceKind, check_params
-from .solver import Precision, SolveOptions, SolveReport, _bfgs_kernel, init_params
+from .solver import (
+    Precision,
+    SolveOptions,
+    SolveReport,
+    _bfgs_kernel,
+    _reports_from_state,
+    init_params,
+)
 
 PARALLEL_TOL = 1e-12
 REFERENCE_GRAD_TOL = 1e-12
@@ -76,7 +83,7 @@ def image_method(spec: PathSpec) -> np.ndarray:
         raise NotAllPlanes("image method handles planar reflections only")
     if spec.n == 0:
         return np.zeros((0, 3))
-    return image_points_batch(BatchScene.from_specs([spec]))[0]
+    return image_points_batch(BatchScene.of(spec))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +112,9 @@ def gradient_descent(
 ) -> SolveReport:
     """Fixed-step gradient descent baseline (step from the initial gradient)."""
     T0 = check_params(spec, T0)
-    sc = BatchScene.from_specs([spec])
+    sc = BatchScene.of(spec)
     T, g = _gd_kernel(sc, T0[None], opts)
-    return _finish_report(sc, T, g, opts)
-
-
-def _finish_report(sc: BatchScene, T, g, opts) -> SolveReport:
-    length = float(path_length_batch(sc.astype(T.dtype), T)[0])
-    return SolveReport(
-        solution=np.asarray(T[0], dtype=float),
-        final_length=length,
-        final_grad_norm=float(np.linalg.norm(g[0])),
-        iterations=opts.iterations,
-    )
+    return _reports_from_state(sc, T, g, None, opts.iterations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +122,6 @@ def _finish_report(sc: BatchScene, T, g, opts) -> SolveReport:
 
 NEWTON_DAMPING = 1e-10
 NEWTON_MAX_HALVINGS = 20
-
-
-def hessian_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
-    """(B, 2n, 2n) Hessian of path length for every batch member."""
-    _, s, norms = clamped_segments(sc, T)
-    B, n = T.shape[0], T.shape[1]
-    u = s / norms[..., None]
-    eye = np.eye(3, dtype=s.dtype)
-    M = (eye[None, None] - np.einsum("bki,bkj->bkij", u, u)) / norms[..., None, None]
-    A = sc.basis
-    H = np.zeros((B, 2 * n, 2 * n), dtype=s.dtype)
-    for i in range(n):
-        di = np.einsum(
-            "bri,brs,bsj->bij", A[:, i], M[:, i] + M[:, i + 1], A[:, i]
-        )
-        H[:, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = di
-        if i + 1 < n:
-            off = -np.einsum("bri,brs,bsj->bij", A[:, i], M[:, i + 1], A[:, i + 1])
-            H[:, 2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
-            H[:, 2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.swapaxes(off, 1, 2)
-    return H
 
 
 def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, max_iters=None, frozen=None):
@@ -195,9 +171,9 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, max_iters=None, froze
 def newton_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Damped Newton on active coordinates with step halving."""
     T0 = check_params(spec, T0)
-    sc = BatchScene.from_specs([spec])
+    sc = BatchScene.of(spec)
     T, g = _newton_kernel(sc, T0[None], opts)
-    return _finish_report(sc, T, g, opts)
+    return _reports_from_state(sc, T, g, None, opts.iterations)[0]
 
 
 # ---------------------------------------------------------------------------

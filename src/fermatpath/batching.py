@@ -1,9 +1,12 @@
 """Stacked-array view of many path specs sharing the same interaction count.
 
 The batch layout mirrors the single-path types: basis (B, n, 3, 2),
-anchor (B, n, 3), start/end (B, 3). All batched kernels operate on these
-arrays with einsum contractions whose reduction order does not depend on
-the batch size, so a batch of one reproduces the scalar path bitwise.
+anchor (B, n, 3), start/end (B, 3). This module holds the one
+implementation of the path length, its gradient and its Hessian. The
+scalar functions in `objective` call them on a batch of one that views a
+spec's arrays (`BatchScene.of`). The kernels use einsum contractions whose
+reduction order does not depend on the batch size, so each member of a
+batch equals its own batch of one bitwise.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonUniformBatch, ShapeMismatch
+from .errors import DegenerateSegment, NonUniformBatch, ShapeMismatch
 from .geometry import PathSpec
 
 
@@ -36,6 +39,13 @@ class BatchScene:
             anchor=np.stack([s.anchor_tensor for s in specs]),
             start=np.stack([s.start for s in specs]),
             end=np.stack([s.end for s in specs]),
+        )
+
+    @classmethod
+    def of(cls, spec: PathSpec) -> "BatchScene":
+        """A batch of one that views the spec's read-only arrays, without copying."""
+        return cls(
+            spec.basis_tensor[None], spec.anchor_tensor[None], spec.start[None], spec.end[None]
         )
 
     @property
@@ -96,21 +106,8 @@ def segment_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.sqrt(np.einsum("bki,bki->bk", s, s))
 
 
-def gradient_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
-    """(B, n, 2) path-length gradient with clamped segment norms.
-
-    Clamping keeps batch control flow uniform when a path degenerates
-    mid-iteration; such paths surface as unconverged, never as exceptions.
-    """
-    _, s, norms = clamped_segments(sc, T)
-    u = s / norms[..., None]
-    q = u[:, :-1] - u[:, 1:]
-    return np.einsum("bnij,bni->bnj", sc.basis, q)
-
-
 def checked_segments(sc: BatchScene, T: np.ndarray):
-    from .errors import DegenerateSegment
-
+    """Points, segments and norms; raises DegenerateSegment below the floor."""
     x = embed_batch(sc, T)
     s, norms = segment_norms(x)
     if np.any(norms <= sc.seg_epsilon()[:, None]):
@@ -119,12 +116,62 @@ def checked_segments(sc: BatchScene, T: np.ndarray):
 
 
 def clamped_segments(sc: BatchScene, T: np.ndarray):
+    """Points, segments and norms, with the norms clamped up to the floor.
+
+    Clamping keeps batch control flow uniform when a path degenerates
+    mid-iteration; such paths surface as unconverged, never as exceptions.
+    """
     x = embed_batch(sc, T)
     s, norms = segment_norms(x)
     return x, s, np.maximum(norms, sc.seg_epsilon()[:, None])
 
 
 def path_length_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
+    """(B,) total Euclidean length of each embedded path."""
     x = embed_batch(sc, T)
     _, norms = segment_norms(x)
     return np.einsum("bk->b", norms)
+
+
+def gradient_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(B, n, 2) path-length gradient A_i^T (u_{i-1} - u_i) from the segments."""
+    u = s / norms[..., None]
+    q = u[:, :-1] - u[:, 1:]  # u_{i-1} - u_i at interior point i
+    return np.einsum("bnij,bni->bnj", sc.basis, q)
+
+
+def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(B, 2n, 2n) exact Hessian from the segments: block-tridiagonal, symmetric PSD.
+
+    Segment k runs into interior point k; with M_k = (I - u_k u_k^T) / |s_k|,
+    diagonal block i is A_i^T (M_i + M_{i+1}) A_i and the block right of it
+    is -A_i^T M_{i+1} A_{i+1}.
+    """
+    B, n = s.shape[0], s.shape[1] - 1
+    u = s / norms[..., None]
+    eye = np.eye(3, dtype=s.dtype)
+    M = (eye[None, None] - np.einsum("bki,bkj->bkij", u, u)) / norms[..., None, None]
+    A = sc.basis
+    H = np.zeros((B, 2 * n, 2 * n), dtype=s.dtype)
+    for i in range(n):
+        di = np.einsum(
+            "bri,brs,bsj->bij", A[:, i], M[:, i] + M[:, i + 1], A[:, i]
+        )
+        H[:, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = di
+        if i + 1 < n:
+            off = -np.einsum("bri,brs,bsj->bij", A[:, i], M[:, i + 1], A[:, i + 1])
+            H[:, 2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
+            H[:, 2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.swapaxes(off, 1, 2)
+    return H
+
+
+def gradient_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
+    """(B, n, 2) path-length gradient with clamped segment norms."""
+    _, s, norms = clamped_segments(sc, T)
+    return gradient_from_segments(sc, s, norms)
+
+
+def hessian_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
+    """(B, 2n, 2n) path-length Hessian with clamped segment norms."""
+    _, s, norms = clamped_segments(sc, T)
+    return hessian_from_segments(sc, s, norms)

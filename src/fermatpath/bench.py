@@ -29,10 +29,10 @@ from .baselines import (
     _newton_kernel,
 )
 from .batching import BatchScene, embed_batch, stack_params
-from .errors import FermatPathError, NoConvergence
+from .errors import NoConvergence
 from .geometry import PathSpec, Surface, SurfaceKind, make_edge, make_plane
 from .implicit_diff import grad_length_wrt_params, vjp_solution
-from .objective import gradient
+from .objective import gradient, length_param_gradient
 from .solver import Precision, SolveOptions, _bfgs_kernel, init_params
 
 
@@ -335,7 +335,10 @@ def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
 
 
 def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
-    """Run the error-vs-time benchmark and return one record per (solver, n)."""
+    """Run the error-vs-time benchmark and return one record per (solver, n).
+
+    A solver's FermatPathError propagates to the caller.
+    """
     cells = {}
     for n in config.n_range:
         specs = gen_scenes(
@@ -362,17 +365,14 @@ def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
     for solver in config.solvers:
         for n in config.n_range:
             sc, T0, truth_pts = cells[n]
-            try:
-                pts, fp = _run_solver(solver, sc, T0, config)  # warm-up + result
-                times = []
-                for _ in range(timing_reps):
-                    t0 = time.perf_counter()
-                    _run_solver(solver, sc, T0, config)
-                    times.append(time.perf_counter() - t0)
-                err = float(np.mean(np.linalg.norm(pts - truth_pts, axis=2)))
-                wall_ms = 1e3 * float(np.median(times))
-            except FermatPathError:
-                err, wall_ms, fp = float("nan"), float("nan"), 0
+            pts, fp = _run_solver(solver, sc, T0, config)  # warm-up + result
+            times = []
+            for _ in range(timing_reps):
+                t0 = time.perf_counter()
+                _run_solver(solver, sc, T0, config)
+                times.append(time.perf_counter() - t0)
+            err = float(np.mean(np.linalg.norm(pts - truth_pts, axis=2)))
+            wall_ms = 1e3 * float(np.median(times))
             records.append(
                 BenchRecord(
                     solver=solver,
@@ -454,22 +454,41 @@ def _scene_grad_entry(sg, coord) -> float:
     return float(sg.basis[coord[1], coord[2], coord[3]])
 
 
-def fd_resolve_vjp(spec: PathSpec, v, h: float = 1e-5) -> np.ndarray:
-    """Oracle: v^T dT*/d(theta) by re-solving at theta +/- h per coordinate."""
-    coords = _feasible_coords(spec)
-    perturbed = []
-    for c in coords:
-        perturbed.append(_perturbed_spec(spec, c, +h))
-        perturbed.append(_perturbed_spec(spec, c, -h))
+def _fd_resolve_vjps(specs: Sequence[PathSpec], vs, h: float) -> list[np.ndarray]:
+    """v^T dT*/d(theta) per spec, by central differences of reference re-solves.
+
+    Every perturbed scene of every spec is re-solved in one batch; the
+    entries follow `_feasible_coords` of each spec.
+    """
+    coords = [_feasible_coords(spec) for spec in specs]
+    perturbed = [
+        _perturbed_spec(spec, c, sign * h)
+        for spec, cs in zip(specs, coords)
+        for c in cs
+        for sign in (+1, -1)
+    ]
     T, converged = reference_solve_batch(perturbed)
     if not np.all(converged):
-        raise FermatPathError("oracle re-solve failed to converge")
-    v = np.asarray(v, dtype=float)
-    out = np.empty(len(coords))
-    for j in range(len(coords)):
-        dT = (T[2 * j] - T[2 * j + 1]) / (2.0 * h)
-        out[j] = float(np.sum(v * dT))
+        raise NoConvergence(
+            f"oracle re-solve missed its tolerance on {np.count_nonzero(~converged)}"
+            f" of {len(perturbed)} perturbed scenes"
+        )
+    out = []
+    pos = 0
+    for v, cs in zip(vs, coords):
+        v = np.asarray(v, dtype=float)
+        fd = np.empty(len(cs))
+        for j in range(len(cs)):
+            dT = (T[pos] - T[pos + 1]) / (2.0 * h)
+            fd[j] = float(np.sum(v * dT))
+            pos += 2
+        out.append(fd)
     return out
+
+
+def fd_resolve_vjp(spec: PathSpec, v, h: float = 1e-5) -> np.ndarray:
+    """Oracle: v^T dT*/d(theta) by re-solving at theta +/- h per coordinate."""
+    return _fd_resolve_vjps([spec], [v], h)[0]
 
 
 def grad_check(
@@ -488,38 +507,19 @@ def grad_check(
     specs = gen_scenes(seed, n, kinds, count)
     Tstars, converged = reference_solve_batch(specs)
     rng = np.random.default_rng([int(seed), 0xD1FF])
-    h = 1e-5
 
     live = [i for i in range(count) if converged[i]]
-    vs = {i: rng.normal(size=(n, 2)) * specs[i].active_mask for i in live}
-    coords_by_i = {i: _feasible_coords(specs[i]) for i in live}
-    perturbed = []
-    for i in live:
-        for c in coords_by_i[i]:
-            perturbed.append(_perturbed_spec(specs[i], c, +h))
-            perturbed.append(_perturbed_spec(specs[i], c, -h))
-    if live:
-        Tp, conv_p = reference_solve_batch(perturbed)
-        if not np.all(conv_p):
-            raise FermatPathError("oracle re-solve failed to converge")
+    vs = [rng.normal(size=(n, 2)) * specs[i].active_mask for i in live]
+    fds = _fd_resolve_vjps([specs[i] for i in live], vs, 1e-5) if live else []
 
     # With nothing checked there is no error to report.
     vjp_max = env_max = 0.0 if live else float("nan")
-    pos = 0
-    for i in live:
-        spec, Tstar, v = specs[i], Tstars[i], vs[i]
+    for i, v, fd in zip(live, vs, fds):
+        spec, Tstar = specs[i], Tstars[i]
         sg = vjp_solution(spec, Tstar, v)
-        coords = coords_by_i[i]
-        analytic = np.array([_scene_grad_entry(sg, c) for c in coords])
-        fd = np.empty(len(coords))
-        for j in range(len(coords)):
-            dT = (Tp[pos] - Tp[pos + 1]) / (2.0 * h)
-            fd[j] = float(np.sum(v * dT))
-            pos += 2
+        analytic = np.array([_scene_grad_entry(sg, c) for c in _feasible_coords(spec)])
         rel = float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-30))
         vjp_max = max(vjp_max, rel)
-
-        from .objective import length_param_gradient
 
         partial = length_param_gradient(spec, Tstar)
         g = gradient(spec, Tstar)

@@ -109,6 +109,14 @@ class PathSpec:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "surfaces", surfaces)
+        # Stacked once; every derivative reads these read-only arrays.
+        n = len(surfaces)
+        basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
+        anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
+        active = np.linalg.norm(basis, axis=1) > 0.0  # each surface's `active`
+        for name, a in (("_basis", basis), ("_anchor", anchor), ("_active", active)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -116,24 +124,18 @@ class PathSpec:
 
     @property
     def basis_tensor(self) -> np.ndarray:
-        """(n, 3, 2) stack of basis matrices."""
-        if self.n == 0:
-            return np.zeros((0, 3, 2))
-        return np.stack([s.basis for s in self.surfaces])
+        """(n, 3, 2) stack of basis matrices, read-only."""
+        return self._basis
 
     @property
     def anchor_tensor(self) -> np.ndarray:
-        """(n, 3) stack of anchors."""
-        if self.n == 0:
-            return np.zeros((0, 3))
-        return np.stack([s.anchor for s in self.surfaces])
+        """(n, 3) stack of anchors, read-only."""
+        return self._anchor
 
     @property
     def active_mask(self) -> np.ndarray:
-        """(n, 2) boolean mask of non-inert parametric coordinates."""
-        if self.n == 0:
-            return np.zeros((0, 2), dtype=bool)
-        return np.stack([s.active for s in self.surfaces])
+        """(n, 2) read-only boolean mask of non-inert parametric coordinates."""
+        return self._active
 
     @property
     def scene_scale(self) -> float:

@@ -3,8 +3,12 @@
 All derivatives are closed-form. With segments s_i = x_{i+1} - x_i and unit
 directions u_i = s_i / |s_i|, the parametric gradient row is
 A_i^T (u_{i-1} - u_i) and the Hessian is block-tridiagonal with
-P_i = I - u_i u_i^T appearing in every block. The forms are validated
-against finite differences in the test suite.
+P_i = I - u_i u_i^T appearing in every block. The path length, gradient and
+Hessian have one implementation, in `batching`; each scalar call here runs
+it on a batch of one that views the spec's arrays, so it equals the batched
+kernel bitwise. Unlike the batched kernels, which clamp, the scalar calls
+raise DegenerateSegment when consecutive path points (nearly) coincide. The
+forms are validated against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -13,55 +17,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment
-from .geometry import PathSpec, check_params, embed
+from .batching import (
+    BatchScene,
+    checked_segments,
+    gradient_from_segments,
+    hessian_from_segments,
+    path_length_batch,
+)
+from .geometry import PathSpec, check_params
 
 
-def seg_epsilon(spec: PathSpec) -> float:
-    """Segment-norm floor below which unit directions are refused."""
-    return 1e-12 * (1.0 + spec.scene_scale)
-
-
-def _segments(spec: PathSpec, T):
-    pts = embed(spec, T)
-    s = np.diff(pts, axis=0)  # (n+1, 3)
-    norms = np.linalg.norm(s, axis=1)
-    if np.any(norms <= seg_epsilon(spec)):
-        raise DegenerateSegment("consecutive path points (nearly) coincide")
-    return pts, s, norms
+def _checked(spec: PathSpec, T):
+    """(batch of one, T, segments (n+1, 3), norms (n+1,)); refuses degenerate paths."""
+    T = check_params(spec, T)
+    sc = BatchScene.of(spec)
+    _, s, norms = checked_segments(sc, T[None])
+    return sc, T, s, norms
 
 
 def path_length(spec: PathSpec, T) -> float:
     """Total Euclidean length of the embedded path."""
-    pts = embed(spec, T)
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    T = check_params(spec, T)
+    return float(path_length_batch(BatchScene.of(spec), T[None])[0])
 
 
 def gradient(spec: PathSpec, T) -> np.ndarray:
     """Gradient of path_length w.r.t. the n x 2 parameters."""
-    _, s, norms = _segments(spec, T)
-    u = s / norms[:, None]
-    q = u[:-1] - u[1:]  # (n, 3): u_{i-1} - u_i at interior point i
-    return np.einsum("nij,ni->nj", spec.basis_tensor, q)
+    sc, _, s, norms = _checked(spec, T)
+    return gradient_from_segments(sc, s, norms)[0]
 
 
 def hessian(spec: PathSpec, T) -> np.ndarray:
     """Exact 2n x 2n Hessian of path_length (block-tridiagonal, symmetric PSD)."""
-    _, s, norms = _segments(spec, T)
-    n = spec.n
-    u = s / norms[:, None]
-    # P_i / |s_i| for every segment
-    M = (np.eye(3)[None] - np.einsum("ki,kj->kij", u, u)) / norms[:, None, None]
-    A = spec.basis_tensor
-    H = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        di = A[i].T @ (M[i] + M[i + 1]) @ A[i]
-        H[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = di
-        if i + 1 < n:
-            off = -A[i].T @ M[i + 1] @ A[i + 1]
-            H[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
-            H[2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = off.T
-    return H
+    sc, _, s, norms = _checked(spec, T)
+    return hessian_from_segments(sc, s, norms)[0]
 
 
 @dataclass(frozen=True)
@@ -88,9 +77,8 @@ class SceneGradient:
 
 def length_param_gradient(spec: PathSpec, T) -> SceneGradient:
     """Partial derivative of path_length w.r.t. scene parameters at fixed T."""
-    T = check_params(spec, T)
-    _, s, norms = _segments(spec, T)
-    u = s / norms[:, None]
+    _, T, s, norms = _checked(spec, T)
+    u = s[0] / norms[0][:, None]
     q = u[:-1] - u[1:]  # dL/dx_i at interior points
     basis_grad = np.einsum("ni,nj->nij", q, T)
     return SceneGradient(
@@ -106,9 +94,9 @@ def param_vjp(spec: PathSpec, T, u) -> SceneGradient:
     phi = sum_i uhat_i . (dx_{i+1} - dx_i) with dx_i = A_i u_i; differentiate
     phi w.r.t. theta.
     """
-    T = check_params(spec, T)
+    _, T, s, norms = _checked(spec, T)
     u = check_params(spec, u)  # same shape contract as params
-    _, s, norms = _segments(spec, T)
+    s, norms = s[0], norms[0]
     uhat = s / norms[:, None]
     n = spec.n
     A = spec.basis_tensor

@@ -84,14 +84,14 @@ def init_params(spec: PathSpec) -> np.ndarray:
     return T
 
 
-def _fixed_point_alpha(
-    sc: BatchScene, s, norms, P, iters: int, eps, stop_when_still: bool = True
-):
-    """Batched fixed-point step size; returns (alpha, zero_direction_mask).
+def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, eps, stop_when_still: bool = True):
+    """Batched fixed-point step size; returns (alpha, zero, clamped), each (B,).
 
-    `s`/`norms` are the current segments; zero-direction paths get alpha 0 so
-    batch control flow stays uniform. With `stop_when_still` the loop ends
-    once no step size changes; the result is the same either way.
+    `s` holds the current segments. Members whose direction moves no point
+    (`zero`) keep alpha 0, and a trial segment that collapses below `eps` is
+    clamped (`clamped`), so batch control flow stays uniform. With
+    `stop_when_still` the loop ends once no step size changes; the result
+    is the same either way.
     """
     dtype = s.dtype
     B, n = P.shape[0], P.shape[1]
@@ -106,51 +106,45 @@ def _fixed_point_alpha(
     zero = total <= np.finfo(dtype).tiny
 
     alpha = np.zeros(B, dtype=dtype)
+    floor = eps[:, None]
+    lowest = np.full(a2.shape, np.inf, dtype=dtype)  # smallest trial segment norms
     for _ in range(iters):
         seg = s + alpha[:, None, None] * dAp
         # Trial points may transiently collapse a segment when the iteration
         # is not contracting; clamp instead of aborting the whole batch.
-        den = np.maximum(np.sqrt(np.einsum("bki,bki->bk", seg, seg)), eps[:, None])
+        den = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
+        np.fmin(lowest, den, out=lowest)
+        den = np.maximum(den, floor)
         num = np.einsum("bk->b", c / den)
         dsum = np.einsum("bk->b", a2 / den)
-        new = -num / np.where(zero, np.ones_like(dsum), dsum)
+        new = -num / np.where(zero, 1.0, dsum)
         new = np.where(zero | ~np.isfinite(new), alpha, new)
         # Given s and dAp the update depends on alpha alone, so once no
         # alpha changes, every further iteration would repeat this one.
         if stop_when_still and new.tobytes() == alpha.tobytes():
             break
         alpha = new
-    return alpha, zero
+    return alpha, zero, (lowest <= floor).any(axis=1)
 
 
-def line_search_alpha(spec: PathSpec, T, P, alpha0: float = 0.0, k: int = 1) -> float:
-    """Fixed-point step size along direction P after k iterations from alpha0."""
+def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
+    """Fixed-point step size along direction P after k iterations from 0.
+
+    The batch kernel's step size for a batch of one. Raises ZeroDirection
+    when P moves no interaction point and DegenerateSegment when a trial
+    point lands on a neighbouring path point.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     T = check_params(spec, T)
     P = check_params(spec, P)
-    sc = BatchScene.from_specs([spec])
-    _, s, norms = checked_segments(sc, T[None])
-    eps = sc.seg_epsilon()
-
-    # Re-run the kernel loop with the caller's starting value.
-    dtype = s.dtype
-    w = np.einsum("bnij,bnj->bni", sc.basis, P[None])
-    wp = np.concatenate(
-        [np.zeros((1, 1, 3), dtype=dtype), w, np.zeros((1, 1, 3), dtype=dtype)], axis=1
-    )
-    dAp = wp[:, 1:] - wp[:, :-1]
-    a2 = np.einsum("bki,bki->bk", dAp, dAp)
-    if float(a2.sum()) <= np.finfo(dtype).tiny:
+    sc = BatchScene.of(spec)
+    _, s, _ = checked_segments(sc, T[None])
+    alpha, zero, clamped = _fixed_point_alpha(sc, s, P[None], k, sc.seg_epsilon())
+    if zero[0]:
         raise ZeroDirection("direction moves no interaction point")
-    c = np.einsum("bki,bki->bk", dAp, s)
-    alpha = np.full(1, alpha0, dtype=dtype)
-    for _ in range(k):
-        seg = s + alpha[:, None, None] * dAp
-        den = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
-        if np.any(den <= eps[:, None]):
-            raise DegenerateSegment("step-size denominator segment collapsed")
-        alpha = -np.einsum("bk->b", c / den) / np.einsum("bk->b", a2 / den)
+    if clamped[0]:
+        raise DegenerateSegment("step-size denominator segment collapsed")
     return float(alpha[0])
 
 
@@ -197,9 +191,9 @@ def _bfgs_kernel(
     for it in range(opts.iterations):
         k = live.size
         p = -np.einsum("bij,bj->bi", H, g)
-        _, s_cur, norms = clamped_segments(sc, T)
-        alpha, _ = _fixed_point_alpha(
-            sc, s_cur, norms, p.reshape(k, n, 2), opts.fixed_point_iters, eps,
+        _, s_cur, _ = clamped_segments(sc, T)
+        alpha, _, _ = _fixed_point_alpha(
+            sc, s_cur, p.reshape(k, n, 2), opts.fixed_point_iters, eps,
             stop_when_still=skip_fixed_points,
         )
         step = alpha[:, None] * p
@@ -294,7 +288,7 @@ def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> Solve
     iterations actually run.
     """
     T0 = check_params(spec, T0)
-    sc = BatchScene.from_specs([spec])
+    sc = BatchScene.of(spec)
     T, g, traces, iterations = _bfgs_kernel(sc, T0[None], opts, skip_fixed_points=False)
     return _reports_from_state(sc, T, g, traces, iterations)[0]
 

@@ -100,12 +100,13 @@ class TestNewton:
             assert rep.final_grad_norm < 1e-10 * (1 + rep.final_length)
 
     def test_hessian_batch_matches_scalar(self):
+        # Each member of a batch equals its own scalar Hessian bitwise.
         rng = np.random.default_rng(2)
-        spec = gen_scenes(22, 3, Kinds.MIXED, 1)[0]
-        T = perturb_params(spec, rng, 0.1)
-        sc = BatchScene.from_specs([spec])
-        Hb = hessian_batch(sc, T[None])[0]
-        assert np.allclose(Hb, hessian(spec, T), atol=1e-12)
+        specs = gen_scenes(22, 3, Kinds.MIXED, 5)
+        Ts = [perturb_params(spec, rng, 0.1) for spec in specs]
+        Hb = hessian_batch(BatchScene.from_specs(specs), np.stack(Ts))
+        for spec, T, H in zip(specs, Ts, Hb):
+            assert H.tobytes() == hessian(spec, T).tobytes()
 
 
 class TestReference:

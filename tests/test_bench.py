@@ -11,6 +11,7 @@ from fermatpath import (
     BenchConfig,
     Kinds,
     NoConvergence,
+    SingularHessian,
     SurfaceKind,
     gen_scenes,
     grad_check,
@@ -119,6 +120,13 @@ class TestBenchConfig:
             BenchConfig(seed=0, batch=0)
 
 
+def _newton_fails(monkeypatch):
+    def _newton_kernel(*args, **kwargs):
+        raise SingularHessian("regularized Newton solve failed")
+
+    monkeypatch.setattr(bench, "_newton_kernel", _newton_kernel)
+
+
 class TestRunBench:
     def test_smoke(self):
         config = BenchConfig(
@@ -139,6 +147,15 @@ class TestRunBench:
             seed=1, batch=3, n_range=(1,), kinds=Kinds.MIXED, solvers=("ours",), iterations=5
         )
         with pytest.raises(NoConvergence):
+            run_bench(config, timing_reps=1)
+
+    def test_solver_error_propagates(self, monkeypatch):
+        _newton_fails(monkeypatch)
+        config = BenchConfig(
+            seed=1, batch=2, n_range=(1,), kinds=Kinds.MIXED,
+            solvers=("ours", "newton"), iterations=5,
+        )
+        with pytest.raises(SingularHessian):
             run_bench(config, timing_reps=1)
 
 
@@ -229,6 +246,16 @@ class TestCli:
         )
         assert code == 2
         assert "reference solve missed its tolerance" in err
+
+    def test_bench_solver_failure_exit_code(self, monkeypatch):
+        _newton_fails(monkeypatch)
+        code, out, err = _run_cli(
+            ["bench", "--seed", "1", "--batch", "2", "--n", "1", "--solvers", "newton",
+             "--iterations", "5"]
+        )
+        assert code == 2
+        assert "regularized Newton solve failed" in err
+        assert out == ""
 
     def test_usage_error_exit_code(self):
         code, _, _ = _run_cli(["bench", "--precision", "half"])

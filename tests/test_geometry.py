@@ -89,6 +89,15 @@ class TestPathSpec:
         assert spec.anchor_tensor.shape == (2, 3)
         assert np.array_equal(spec.active_mask, [[True, True], [True, False]])
 
+    def test_stacked_arrays_are_stored_read_only(self):
+        spec = _simple_spec()
+        for a in (spec.basis_tensor, spec.anchor_tensor, spec.active_mask):
+            assert not a.flags.writeable
+        # Stacked once at construction, not on every access.
+        assert spec.basis_tensor is spec.basis_tensor
+        assert spec.anchor_tensor is spec.anchor_tensor
+        assert spec.active_mask is spec.active_mask
+
     def test_scene_scale(self):
         spec = _simple_spec()
         assert spec.scene_scale == pytest.approx(np.linalg.norm([2.0, 0.0, 0.5]))

@@ -16,6 +16,7 @@ from fermatpath import (
     param_vjp,
     path_length,
 )
+from fermatpath.batching import BatchScene, gradient_batch, hessian_batch, path_length_batch
 from fermatpath.objective import (
     SceneGradient,
     gradient,
@@ -80,6 +81,21 @@ class TestHessian:
         for spec, T in _cases(per_cell=2):
             w = np.linalg.eigvalsh(hessian(spec, T))
             assert w.min() >= -1e-10
+
+
+class TestBatchOfOne:
+    """The scalar calls run the batched kernels on a batch of one."""
+
+    def test_scalar_equals_batched_kernels_bitwise(self):
+        specs_and_params = list(_cases(per_cell=2))
+        empty = PathSpec(start=[0.0, 0.0, 0.0], end=[1.0, 2.0, 2.0], surfaces=())
+        specs_and_params.append((empty, np.zeros((0, 2))))
+        for spec, T in specs_and_params:
+            sc = BatchScene.from_specs([spec])
+            assert gradient(spec, T).tobytes() == gradient_batch(sc, T[None])[0].tobytes()
+            assert hessian(spec, T).tobytes() == hessian_batch(sc, T[None])[0].tobytes()
+            assert path_length(spec, T) == float(path_length_batch(sc, T[None])[0])
+        assert path_length(empty, np.zeros((0, 2))) == 3.0
 
 
 class TestLengthProperties:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fermatpath import (
+    DegenerateSegment,
     Kinds,
     PathSpec,
     Precision,
@@ -88,6 +89,20 @@ class TestLineSearch:
     def test_zero_direction_raises(self):
         with pytest.raises(ZeroDirection):
             line_search_alpha(_v_spec(), np.array([[0.0, 2.0]]), np.zeros((1, 2)))
+
+    def test_iterate_on_neighbouring_point_raises(self):
+        # The mirror point (3, 0, 0) moves along -x toward the start at the
+        # origin; with the end at (0, 4, 0) the first iterate is alpha = -3,
+        # which puts it on the start, so the next trial segment collapses.
+        spec = PathSpec(
+            start=[0.0, 0.0, 0.0],
+            end=[0.0, 4.0, 0.0],
+            surfaces=(make_plane([3.0, 0.0, 0.0], [1, 0, 0], [0, 1, 0]),),
+        )
+        T, P = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+        assert line_search_alpha(spec, T, P, k=1) == pytest.approx(-3.0, abs=1e-12)
+        with pytest.raises(DegenerateSegment):
+            line_search_alpha(spec, T, P, k=2)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
