@@ -3,7 +3,8 @@ and the high-precision reference used as ground truth in benchmarks.
 
 Newton runs on active coordinates only: the inert edge coordinates are
 masked out by pinning their rows and columns of the Hessian to the
-identity, which leaves them exactly untouched.
+identity (`batching.solve_active`, shared with implicit differentiation),
+which leaves them exactly untouched.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import numpy as np
 
 from .batching import (
     BatchScene,
+    embed_batch,
     gradient_batch,
     hessian_batch,
     path_length_batch,
+    segment_norms,
+    solve_active,
     stack_params,
+    stationary_from_segments,
 )
 from .errors import (
     NoConvergence,
@@ -139,15 +144,10 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, max_iters=None, froze
     g = gradient_batch(sc, T)
     for _ in range(iters):
         H = hessian_batch(sc, T)
-        gm = np.where(active, g.reshape(B, m), 0.0)
-        # Pin inert rows/cols to the identity so they never move.
-        H = np.where(active[:, :, None] & active[:, None, :], H, 0.0)
-        diag = np.arange(m)
-        tr = np.einsum("bii->b", H)
-        lam = NEWTON_DAMPING * tr / np.maximum(dim, 1.0)
-        H[:, diag, diag] = np.where(active, H[:, diag, diag] + lam[:, None], 1.0)
+        # Inert rows and columns of H are zero, so this is the active block's trace.
+        lam = NEWTON_DAMPING * np.einsum("bii->b", H) / np.maximum(dim, 1.0)
         try:
-            step = -np.linalg.solve(H, gm[..., None])[..., 0]
+            step = -solve_active(H, g.reshape(B, m), active, lam)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("regularized Newton solve failed") from exc
         if frozen is not None:
@@ -209,10 +209,8 @@ def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
 
 
 def _converged_mask(sc: BatchScene, T) -> np.ndarray:
-    g = gradient_batch(sc, T)
-    gnorm = np.sqrt(np.einsum("bnj,bnj->b", g, g))
-    L = path_length_batch(sc, T)
-    return gnorm < REFERENCE_GRAD_TOL * (1.0 + L)
+    s, norms = segment_norms(embed_batch(sc, T))
+    return stationary_from_segments(sc, s, norms, REFERENCE_GRAD_TOL)
 
 
 def reference_solve(spec: PathSpec, T0=None) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The batch layout mirrors the single-path types: basis (B, n, 3, 2),
 anchor (B, n, 3), start/end (B, 3). This module holds the one
-implementation of the path length, its gradient and its Hessian. The
-scalar functions in `objective` call them on a batch of one that views a
-spec's arrays (`BatchScene.of`). The kernels use einsum contractions whose
-reduction order does not depend on the batch size, so each member of a
-batch equals its own batch of one bitwise.
+implementation of the path length, each of its derivatives (taken from the
+segments, so a caller embeds a path once), the stationarity test and the
+solve on the active coordinates. `objective` and `implicit_diff` call them
+on a batch of one that views a spec's arrays (`BatchScene.of`). The kernels
+use einsum contractions whose reduction order does not depend on the batch
+size, so each member of a batch equals its own batch of one bitwise.
 """
 
 from __future__ import annotations
@@ -163,6 +164,53 @@ def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> n
             H[:, 2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
             H[:, 2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.swapaxes(off, 1, 2)
     return H
+
+
+def stationary_from_segments(sc: BatchScene, s, norms, tol: float) -> np.ndarray:
+    """(B,) test |g| < tol (1 + L); g takes the norms clamped, as `gradient_batch` does."""
+    g = gradient_from_segments(sc, s, np.maximum(norms, sc.seg_epsilon()[:, None]))
+    gnorm = np.sqrt(np.einsum("bnj,bnj->b", g, g))
+    return gnorm < tol * (1.0 + np.einsum("bk->b", norms))
+
+
+def length_param_gradient_from_segments(T, s, norms):
+    """(basis, anchor, start, end) partial derivatives of the length at fixed T."""
+    u = s / norms[..., None]
+    q = u[:, :-1] - u[:, 1:]  # dL/dx_i at interior points
+    return np.einsum("bni,bnj->bnij", q, T), q, -u[:, 0], u[:, -1]
+
+
+def param_vjp_from_segments(sc: BatchScene, T, s, norms, u):
+    """(basis, anchor, start, end) of u^T d(grad L)/d(theta) for a (B, n, 2) cotangent u.
+
+    u^T grad L is the derivative of L along u, phi = sum_k uhat_k . ds_k with
+    ds_k = dx_{k+1} - dx_k and dx_i = A_i u_i; this is phi differentiated
+    w.r.t. the scene.
+    """
+    uhat = s / norms[..., None]
+    ends = np.zeros_like(s[:, :1])  # the endpoints do not move
+    dx = np.concatenate([ends, np.einsum("bnij,bnj->bni", sc.basis, u), ends], axis=1)
+    ds = np.diff(dx, axis=1)
+    # w_k = P_k ds_k / |s_k| per segment, with P_k = I - uhat_k uhat_k^T
+    w = (ds - uhat * np.einsum("bki,bki->bk", uhat, ds)[..., None]) / norms[..., None]
+    # z_j = w_{j-1} - w_j collects point perturbations; q_j the direction term
+    z = w[:, :-1] - w[:, 1:]
+    q = uhat[:, :-1] - uhat[:, 1:]
+    basis = np.einsum("bni,bnj->bnij", z, T) + np.einsum("bni,bnj->bnij", q, u)
+    return basis, z, -w[:, 0], w[:, -1]
+
+
+def solve_active(H: np.ndarray, rhs: np.ndarray, active: np.ndarray, shift: np.ndarray):
+    """Solve H x = rhs (B, m) on each member's active coordinates.
+
+    `shift` (B,) is added to the active diagonal. Inert rows and columns are
+    pinned to the identity and their right-hand side to zero, so inert
+    entries of x are exactly zero. A singular system raises LinAlgError.
+    """
+    H = np.where(active[:, :, None] & active[:, None, :], H, 0.0)
+    diag = np.arange(H.shape[1])
+    H[:, diag, diag] = np.where(active, H[:, diag, diag] + shift[:, None], 1.0)
+    return np.linalg.solve(H, np.where(active, rhs, 0.0)[..., None])[..., 0]
 
 
 def gradient_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .baselines import (
 from .batching import BatchScene, embed_batch, stack_params
 from .errors import NoConvergence
 from .geometry import PathSpec, Surface, SurfaceKind, make_edge, make_plane
-from .implicit_diff import grad_length_wrt_params, vjp_solution
+from .implicit_diff import vjp_solution
 from .objective import gradient, length_param_gradient
 from .solver import Precision, SolveOptions, _bfgs_kernel, init_params
 
@@ -526,7 +526,6 @@ def grad_check(
         corr = vjp_solution(spec, Tstar, g)
         gap = np.linalg.norm(corr.flat()) / (1.0 + partial.norm())
         env_max = max(env_max, float(gap))
-        grad_length_wrt_params(spec, Tstar, debug_check=True)
     return GradCheckReport(
         count=len(live),
         vjp_max_rel_error=vjp_max,

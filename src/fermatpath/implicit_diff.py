@@ -3,104 +3,82 @@
 At a stationary solution, one symmetric linear solve on the active
 coordinates replaces differentiation through solver iterations. The
 assembled Hessian is structurally singular whenever edges are present
-(zero basis columns), so the system is always restricted to active
-coordinates first; Tikhonov regularization is only a fallback.
+(zero basis columns), so the inert coordinates are pinned to the identity,
+as in Newton; Tikhonov regularization is only a fallback. Each call embeds
+the path once, as a batch of one, and takes every quantity from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .batching import (
+    hessian_from_segments,
+    length_param_gradient_from_segments,
+    param_vjp_from_segments,
+    solve_active,
+    stationary_from_segments,
+)
 from .errors import NotStationary, SingularSystem
 from .geometry import PathSpec, check_params
-from .objective import (
-    SceneGradient,
-    gradient,
-    hessian,
-    length_param_gradient,
-    param_vjp,
-    path_length,
-)
+
+# `gradient` is unused here but stays importable: the benchmark's tracer test reads it.
+from .objective import SceneGradient, _checked, gradient  # noqa: F401
 
 STATIONARITY_TOL = 1e-5
 TIKHONOV_SCALE = 1e-12
 RESIDUAL_TOL = 1e-8
 
 
-def _require_stationary(spec: PathSpec, Tstar) -> None:
-    g = gradient(spec, Tstar)
-    L = path_length(spec, Tstar)
-    if np.linalg.norm(g) >= STATIONARITY_TOL * (1.0 + L):
-        raise NotStationary(
-            f"gradient norm {np.linalg.norm(g):.3e} exceeds the stationarity gate"
-        )
+def _at_solution(spec: PathSpec, Tstar):
+    """`objective._checked` at Tstar; raises NotStationary unless Tstar is stationary."""
+    sc, T, s, norms = _checked(spec, Tstar)
+    if not stationary_from_segments(sc, s, norms, STATIONARITY_TOL)[0]:
+        raise NotStationary("gradient norm exceeds the stationarity gate")
+    return sc, T, s, norms
+
+
+def _adjoint(sc, s, norms, v) -> np.ndarray:
+    """(B, n, 2) solution u of H u = -v on the active coordinates; inert entries are zero."""
+    H = hessian_from_segments(sc, s, norms)
+    B, m = H.shape[:2]
+    active = sc.active_mask().reshape(B, m)
+    rhs = np.where(active, -v.reshape(B, m), 0.0)
+    try:
+        u = solve_active(H, rhs, active, np.zeros(B))
+        resid = np.linalg.norm(np.einsum("bij,bj->bi", H, u) - rhs, axis=1)
+        if np.all(resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=1))):
+            return u.reshape(v.shape)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        u = solve_active(H, rhs, active, TIKHONOV_SCALE * np.einsum("bii->b", H))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("active Hessian singular even with Tikhonov") from exc
+    if not np.all(np.isfinite(u)):
+        raise SingularSystem("regularized solve produced non-finite values")
+    return u.reshape(v.shape)
 
 
 def solve_stationary_system(spec: PathSpec, Tstar, v) -> np.ndarray:
     """Solve H u = -v on active coordinates; inert entries of u are zero."""
-    Tstar = check_params(spec, Tstar)
     v = check_params(spec, v)
-    _require_stationary(spec, Tstar)
-
-    H = hessian(spec, Tstar)
-    act = spec.active_mask.ravel()
-    Ha = H[np.ix_(act, act)]
-    va = v.ravel()[act]
-    ua = _solve_sym(Ha, -va)
-    u = np.zeros(2 * spec.n)
-    u[act] = ua
-    return u.reshape(spec.n, 2)
-
-
-def _solve_sym(Ha: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if Ha.size == 0:
-        return rhs.copy()
-    try:
-        x = np.linalg.solve(Ha, rhs)
-        if np.linalg.norm(Ha @ x - rhs) <= RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
-            return x
-    except np.linalg.LinAlgError:
-        pass
-    lam = TIKHONOV_SCALE * np.trace(Ha)
-    try:
-        x = np.linalg.solve(Ha + lam * np.eye(Ha.shape[0]), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("active Hessian singular even with Tikhonov") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("regularized solve produced non-finite values")
-    return x
+    sc, _, s, norms = _at_solution(spec, Tstar)
+    return _adjoint(sc, s, norms, v[None])[0]
 
 
 def vjp_solution(spec: PathSpec, Tstar, v) -> SceneGradient:
     """v^T d(T*)/d(theta): adjoint solve followed by the mixed-derivative VJP."""
-    u = solve_stationary_system(spec, Tstar, v)
-    return param_vjp(spec, Tstar, u)
+    v = check_params(spec, v)
+    sc, T, s, norms = _at_solution(spec, Tstar)
+    u = _adjoint(sc, s, norms, v[None])
+    return SceneGradient.of(param_vjp_from_segments(sc, T, s, norms, u))
 
 
-def grad_length_wrt_params(
-    spec: PathSpec, Tstar, debug_check: bool = False
-) -> SceneGradient:
+def grad_length_wrt_params(spec: PathSpec, Tstar) -> SceneGradient:
     """Total derivative of the optimal path length w.r.t. scene parameters.
 
-    By the envelope property this equals the partial derivative at fixed T*;
-    with debug_check=True the full chain-rule path is evaluated too and the
-    two are required to agree.
+    By the envelope property this equals the partial derivative at fixed T*.
     """
-    Tstar = check_params(spec, Tstar)
-    _require_stationary(spec, Tstar)
-    partial = length_param_gradient(spec, Tstar)
-    if debug_check:
-        g = gradient(spec, Tstar)
-        correction = vjp_solution(spec, Tstar, g)
-        full = SceneGradient(
-            basis=partial.basis + correction.basis,
-            anchor=partial.anchor + correction.anchor,
-            start=partial.start + correction.start,
-            end=partial.end + correction.end,
-        )
-        gap = np.linalg.norm(full.flat() - partial.flat())
-        if gap > 1e-6 * (1.0 + partial.norm()):
-            raise AssertionError(
-                f"envelope cross-check failed: |full - partial| = {gap:.3e}"
-            )
-    return partial
+    _, T, s, norms = _at_solution(spec, Tstar)
+    return SceneGradient.of(length_param_gradient_from_segments(T, s, norms))

@@ -3,12 +3,12 @@
 All derivatives are closed-form. With segments s_i = x_{i+1} - x_i and unit
 directions u_i = s_i / |s_i|, the parametric gradient row is
 A_i^T (u_{i-1} - u_i) and the Hessian is block-tridiagonal with
-P_i = I - u_i u_i^T appearing in every block. The path length, gradient and
-Hessian have one implementation, in `batching`; each scalar call here runs
-it on a batch of one that views the spec's arrays, so it equals the batched
-kernel bitwise. Unlike the batched kernels, which clamp, the scalar calls
-raise DegenerateSegment when consecutive path points (nearly) coincide. The
-forms are validated against finite differences in the test suite.
+P_i = I - u_i u_i^T appearing in every block. The length and each
+derivative have one implementation, in `batching`; each scalar call here
+runs it on a batch of one that views the spec's arrays, so it equals the
+batched kernel bitwise. Unlike the batched kernels, which clamp, the scalar
+derivatives raise DegenerateSegment when consecutive path points (nearly)
+coincide. The forms are validated against finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -22,16 +22,18 @@ from .batching import (
     checked_segments,
     gradient_from_segments,
     hessian_from_segments,
+    length_param_gradient_from_segments,
+    param_vjp_from_segments,
     path_length_batch,
 )
 from .geometry import PathSpec, check_params
 
 
 def _checked(spec: PathSpec, T):
-    """(batch of one, T, segments (n+1, 3), norms (n+1,)); refuses degenerate paths."""
-    T = check_params(spec, T)
+    """(batch of one, T, segments, norms) of one path; refuses degenerate paths."""
+    T = check_params(spec, T)[None]
     sc = BatchScene.of(spec)
-    _, s, norms = checked_segments(sc, T[None])
+    _, s, norms = checked_segments(sc, T)
     return sc, T, s, norms
 
 
@@ -74,50 +76,20 @@ class SceneGradient:
     def zeros(cls, n: int) -> "SceneGradient":
         return cls(np.zeros((n, 3, 2)), np.zeros((n, 3)), np.zeros(3), np.zeros(3))
 
+    @classmethod
+    def of(cls, parts) -> "SceneGradient":
+        """The member of a batch of one, from (basis, anchor, start, end) batch arrays."""
+        return cls(*(a[0] for a in parts))
+
 
 def length_param_gradient(spec: PathSpec, T) -> SceneGradient:
     """Partial derivative of path_length w.r.t. scene parameters at fixed T."""
     _, T, s, norms = _checked(spec, T)
-    u = s[0] / norms[0][:, None]
-    q = u[:-1] - u[1:]  # dL/dx_i at interior points
-    basis_grad = np.einsum("ni,nj->nij", q, T)
-    return SceneGradient(
-        basis=basis_grad, anchor=q.copy(), start=-u[0], end=u[-1].copy()
-    )
+    return SceneGradient.of(length_param_gradient_from_segments(T, s, norms))
 
 
 def param_vjp(spec: PathSpec, T, u) -> SceneGradient:
-    """Contract a cotangent `u` (n x 2) with the mixed derivative of the gradient.
-
-    Returns u^T d(grad L)/d(theta) for theta = (bases, anchors, start, end).
-    Derivation: u^T grad L equals the directional derivative of L along u,
-    phi = sum_i uhat_i . (dx_{i+1} - dx_i) with dx_i = A_i u_i; differentiate
-    phi w.r.t. theta.
-    """
-    _, T, s, norms = _checked(spec, T)
+    """u^T d(grad L)/d(theta) for a cotangent `u` (n x 2), theta = (bases, anchors, start, end)."""
+    sc, T, s, norms = _checked(spec, T)
     u = check_params(spec, u)  # same shape contract as params
-    s, norms = s[0], norms[0]
-    uhat = s / norms[:, None]
-    n = spec.n
-    A = spec.basis_tensor
-
-    # delta x_i = A_i u_i at interior points, zero at endpoints
-    dxi = np.zeros((n + 2, 3))
-    if n:
-        dxi[1:-1] = np.einsum("nij,nj->ni", A, u)
-    ds = np.diff(dxi, axis=0)  # (n+1, 3)
-
-    # w_i = P_i ds_i / |s_i| per segment
-    proj = ds - uhat * np.einsum("ki,ki->k", uhat, ds)[:, None]
-    w = proj / norms[:, None]
-
-    # z_j = w_{j-1} - w_j collects point perturbations; q_j the direction term
-    z_interior = w[:-1] - w[1:]  # (n, 3)
-    q = uhat[:-1] - uhat[1:]  # (n, 3)
-
-    basis_grad = np.einsum("ni,nj->nij", z_interior, T) + np.einsum(
-        "ni,nj->nij", q, u
-    )
-    return SceneGradient(
-        basis=basis_grad, anchor=z_interior, start=-w[0], end=w[-1].copy()
-    )
+    return SceneGradient.of(param_vjp_from_segments(sc, T, s, norms, u[None]))

@@ -3,6 +3,7 @@
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fermatpath import (
     save_scenes,
     write_records,
 )
-from fermatpath import bench, cli
+from fermatpath import bench, cli, implicit_diff
 from fermatpath.bench import BenchRecord, CSV_HEADER, GradCheckReport
 from fermatpath.cli import main
 
@@ -237,6 +238,25 @@ class TestCli:
         code, out, _ = _run_cli(["grad-check", "--n", "1", "--count", "2"])
         assert code == 3
         assert out.startswith("FAIL: 1 of 2 scenes checked")
+
+    def test_grad_check_envelope_gap_fails_with_exit_code(self, monkeypatch):
+        # A VJP off by 1e-3 in `start` opens an envelope gap far above 1e-6;
+        # grad-check must report FAIL, not raise.
+        real = implicit_diff.vjp_solution
+
+        def skewed(spec, Tstar, v):
+            sg = real(spec, Tstar, v)
+            return replace(sg, start=sg.start + 1e-3)
+
+        monkeypatch.setattr(bench, "vjp_solution", skewed)
+        monkeypatch.setattr(implicit_diff, "vjp_solution", skewed)
+        report = grad_check(2, 1, Kinds.MIXED, 2)
+        assert report.count == 2
+        assert report.envelope_max_rel_error > 1e-6
+        assert not report.passed
+        code, out, _ = _run_cli(["grad-check", "--seed", "2", "--n", "1", "--count", "2"])
+        assert code == 3
+        assert out.startswith("FAIL: 2 of 2 scenes checked")
 
     def test_bench_reference_failure_exit_code(self, monkeypatch):
         _reference_missing(monkeypatch, [0])

@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fermatpath import (
     Kinds,
     NotStationary,
+    SolveOptions,
+    bfgs_solve,
     gen_scenes,
     grad_length_wrt_params,
+    gradient_descent,
+    init_params,
+    newton_solve,
     path_length,
     reference_solve,
     reference_solve_batch,
     solve_stationary_system,
     vjp_solution,
 )
+from fermatpath import batching
 from fermatpath.bench import fd_resolve_vjp, _feasible_coords, _scene_grad_entry
 from fermatpath.objective import gradient, hessian
 
@@ -71,10 +79,6 @@ class TestEnvelope:
             partial = grad_length_wrt_params(spec, Tstar)
             assert np.linalg.norm(corr.flat()) < 1e-6 * (1 + partial.norm())
 
-    def test_debug_cross_check_passes(self, stationary_cases):
-        for spec, Tstar in stationary_cases:
-            grad_length_wrt_params(spec, Tstar, debug_check=True)
-
     def test_matches_fd_of_optimal_length(self):
         spec = gen_scenes(27, 2, Kinds.MIXED, 1)[0]
         Tstar = reference_solve(spec)
@@ -99,3 +103,56 @@ class TestEnvelope:
             sg = grad_length_wrt_params(spec, Tstar)
             total = sg.start + sg.end + sg.anchor.sum(axis=0)
             assert np.allclose(total, 0.0, atol=1e-9)
+
+
+class TestOneEmbedding:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, T, v: solve_stationary_system(spec, T, v),
+            lambda spec, T, v: vjp_solution(spec, T, v),
+            lambda spec, T, v: grad_length_wrt_params(spec, T),
+        ],
+        ids=["solve_stationary_system", "vjp_solution", "grad_length_wrt_params"],
+    )
+    def test_each_call_embeds_the_path_once(self, stationary_cases, monkeypatch, call):
+        real = batching.embed_batch
+        calls = []
+
+        def counting(sc, T):
+            calls.append(T.shape)
+            return real(sc, T)
+
+        monkeypatch.setattr(batching, "embed_batch", counting)
+        for spec, Tstar in stationary_cases[-3:]:
+            calls.clear()
+            call(spec, Tstar, np.ones((spec.n, 2)) * spec.active_mask)
+            assert calls == [(1, spec.n, 2)]
+
+
+class TestInertCoordinates:
+    """Inert edge coordinates stay where they were given, and the adjoint is zero there."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 4),
+        inert=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_solvers_keep_and_adjoint_zeroes_inert_coordinates(self, seed, n, inert):
+        spec = gen_scenes(seed, n, Kinds.MIXED, 1)[0]
+        inert_mask = ~spec.active_mask
+        assume(inert_mask.any())
+        T0 = init_params(spec)
+        T0[inert_mask] = inert[: int(inert_mask.sum())]
+        kept = T0[inert_mask]
+        opts = SolveOptions(iterations=20)
+        # Compared by value: a step of zero turns -0.0 into +0.0.
+        for solve in (bfgs_solve, gradient_descent, newton_solve):
+            assert np.array_equal(solve(spec, T0, opts).solution[inert_mask], kept)
+        Tstar = reference_solve(spec, T0)
+        assert np.array_equal(Tstar[inert_mask], kept)
+
+        v = np.random.default_rng(seed).normal(size=(n, 2))  # inert entries too
+        u = solve_stationary_system(spec, Tstar, v)
+        assert np.all(u[inert_mask] == 0.0)

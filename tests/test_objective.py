@@ -16,7 +16,15 @@ from fermatpath import (
     param_vjp,
     path_length,
 )
-from fermatpath.batching import BatchScene, gradient_batch, hessian_batch, path_length_batch
+from fermatpath.batching import (
+    BatchScene,
+    checked_segments,
+    gradient_batch,
+    hessian_batch,
+    length_param_gradient_from_segments,
+    param_vjp_from_segments,
+    path_length_batch,
+)
 from fermatpath.objective import (
     SceneGradient,
     gradient,
@@ -87,14 +95,28 @@ class TestBatchOfOne:
     """The scalar calls run the batched kernels on a batch of one."""
 
     def test_scalar_equals_batched_kernels_bitwise(self):
-        specs_and_params = list(_cases(per_cell=2))
+        cases = list(_cases(per_cell=5))
+        groups = [cases[k : k + 5] for k in range(0, len(cases), 5)]
         empty = PathSpec(start=[0.0, 0.0, 0.0], end=[1.0, 2.0, 2.0], surfaces=())
-        specs_and_params.append((empty, np.zeros((0, 2))))
-        for spec, T in specs_and_params:
-            sc = BatchScene.from_specs([spec])
-            assert gradient(spec, T).tobytes() == gradient_batch(sc, T[None])[0].tobytes()
-            assert hessian(spec, T).tobytes() == hessian_batch(sc, T[None])[0].tobytes()
-            assert path_length(spec, T) == float(path_length_batch(sc, T[None])[0])
+        groups.append([(empty, np.zeros((0, 2)))])
+        rng = np.random.default_rng(14)
+        for group in groups:
+            specs, Ts = zip(*group)
+            sc = BatchScene.from_specs(specs)
+            T = np.stack(Ts)
+            u = rng.normal(size=T.shape)
+            _, s, norms = checked_segments(sc, T)
+            G, H, L = gradient_batch(sc, T), hessian_batch(sc, T), path_length_batch(sc, T)
+            dL = length_param_gradient_from_segments(T, s, norms)
+            vjp = param_vjp_from_segments(sc, T, s, norms, u)
+            for b, (spec, Tb) in enumerate(group):
+                assert gradient(spec, Tb).tobytes() == G[b].tobytes()
+                assert hessian(spec, Tb).tobytes() == H[b].tobytes()
+                assert path_length(spec, Tb) == float(L[b])
+                for sg, parts in ((length_param_gradient(spec, Tb), dL),
+                                  (param_vjp(spec, Tb, u[b]), vjp)):
+                    fields = (sg.basis, sg.anchor, sg.start, sg.end)
+                    assert [f.tobytes() for f in fields] == [p[b].tobytes() for p in parts]
         assert path_length(empty, np.zeros((0, 2))) == 3.0
 
 
