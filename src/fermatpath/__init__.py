@@ -9,6 +9,7 @@ from .errors import (
     NonUniformBatch,
     NotAllPlanes,
     NotStationary,
+    SceneFileError,
     ShapeMismatch,
     SingularHessian,
     SingularSystem,

@@ -29,7 +29,7 @@ from .baselines import (
     _newton_kernel,
 )
 from .batching import BatchScene, embed_batch, stack_params
-from .errors import NoConvergence
+from .errors import FermatPathError, NoConvergence, SceneFileError
 from .geometry import PathSpec, Surface, SurfaceKind, make_edge, make_plane
 from .implicit_diff import vjp_solution
 from .objective import gradient, length_param_gradient
@@ -182,8 +182,31 @@ def save_scenes(specs: Sequence[PathSpec], fileobj) -> None:
     yaml.safe_dump_all([scene_to_dict(s) for s in specs], fileobj, sort_keys=False)
 
 
+# libyaml's parser where PyYAML was built with it; the constructor, and so
+# every parsed value, is the pure-Python SafeLoader's either way.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenes(fileobj) -> list[PathSpec]:
-    return [scene_from_dict(d) for d in yaml.safe_load_all(fileobj) if d]
+    """The scenes of a YAML scene file, one per non-empty document.
+
+    Raises SceneFileError, naming the document (counted from 0), when the
+    file is not YAML or a document does not describe a valid scene.
+    """
+    specs = []
+    index = 0
+    try:
+        for doc in yaml.load_all(fileobj, Loader=_SAFE_LOADER):
+            if doc:
+                if not isinstance(doc, dict):
+                    raise TypeError(f"expected a mapping, got {type(doc).__name__}")
+                specs.append(scene_from_dict(doc))
+            index += 1
+    except KeyError as exc:
+        raise SceneFileError(f"scene file document {index}: missing key {exc}") from exc
+    except (yaml.YAMLError, TypeError, ValueError, FermatPathError) as exc:
+        raise SceneFileError(f"scene file document {index}: {exc}") from exc
+    return specs
 
 
 # ---------------------------------------------------------------------------

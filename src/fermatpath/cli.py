@@ -17,7 +17,7 @@ from .bench import (
     save_scenes,
     write_records,
 )
-from .errors import FermatPathError
+from .errors import FermatPathError, SceneFileError
 from .geometry import embed
 from .objective import path_length
 from .solver import Precision, SolveOptions, bfgs_solve, init_params
@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
     try:
         with open(args.scene_file) as fh:
             specs = load_scenes(fh)
-    except OSError as exc:
+    except (OSError, SceneFileError) as exc:
         print(f"fermatpath solve: {exc}", file=sys.stderr)
         return USAGE_ERROR
     opts = SolveOptions(

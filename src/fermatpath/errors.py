@@ -47,3 +47,7 @@ class NotStationary(FermatPathError):
 
 class SingularSystem(FermatPathError):
     """Stationarity system unsolvable even with Tikhonov fallback."""
+
+
+class SceneFileError(FermatPathError):
+    """A scene file is not YAML, or one of its documents is not a valid scene."""

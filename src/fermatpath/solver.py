@@ -9,8 +9,12 @@ its cost is the same for every scene of a given size; its early stop is
 the explicit `grad_tol`.
 The step size along each quasi-Newton direction comes from a fixed-point
 iteration on the exact one-dimensional optimality condition, warm-started
-at zero. The scalar entry point is the batch kernel applied to a batch of
-one, so batched and per-path results agree bitwise.
+at zero. Each BFGS iteration embeds the paths once: the clamped segments
+the new gradient is computed from are also the next step size's. At B=1
+the cost is the number of numpy calls, so the step-size loop makes as few
+as it can without changing a bit. The scalar entry point is the batch
+kernel applied to a batch of one, so batched and per-path results agree
+bitwise.
 """
 
 from __future__ import annotations
@@ -25,10 +29,13 @@ from .batching import (
     BatchScene,
     checked_segments,
     clamped_segments,
-    gradient_batch,
+    gradient_from_segments,
     path_length_batch,
     stack_params,
 )
+
+# `gradient_batch` is unused here but stays importable: the benchmark's tracer test reads it.
+from .batching import gradient_batch  # noqa: F401
 from .errors import DegenerateSegment, ZeroDirection
 from .geometry import PathSpec, check_params
 
@@ -92,6 +99,12 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, eps, stop_when_still: b
     clamped (`clamped`), so batch control flow stays uniform. With
     `stop_when_still` the loop ends once no step size changes; the result
     is the same either way.
+
+    At B=1 the loop's cost is its number of numpy calls, so each iteration
+    divides `c` and `-a2`, stacked, by the trial norms once and sums both
+    rows in one reduction. The step is `num / -dsum`: negation and division
+    are exact, so it equals `-num / dsum` bitwise, signed zeros included
+    (folding the minus into `c` would turn a -0.0 step into +0.0).
     """
     dtype = s.dtype
     B, n = P.shape[0], P.shape[1]
@@ -104,26 +117,33 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, eps, stop_when_still: b
     c = np.einsum("bki,bki->bk", dAp, s)
     total = np.einsum("bk->b", a2)
     zero = total <= np.finfo(dtype).tiny
+    moving = ~zero if zero.any() else None
+    c_a2 = np.stack([c, -a2], axis=1)  # (B, 2, n+1)
 
     alpha = np.zeros(B, dtype=dtype)
     floor = eps[:, None]
     lowest = np.full(a2.shape, np.inf, dtype=dtype)  # smallest trial segment norms
-    for _ in range(iters):
-        seg = s + alpha[:, None, None] * dAp
-        # Trial points may transiently collapse a segment when the iteration
-        # is not contracting; clamp instead of aborting the whole batch.
-        den = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
-        np.fmin(lowest, den, out=lowest)
-        den = np.maximum(den, floor)
-        num = np.einsum("bk->b", c / den)
-        dsum = np.einsum("bk->b", a2 / den)
-        new = -num / np.where(zero, 1.0, dsum)
-        new = np.where(zero | ~np.isfinite(new), alpha, new)
-        # Given s and dAp the update depends on alpha alone, so once no
-        # alpha changes, every further iteration would repeat this one.
-        if stop_when_still and new.tobytes() == alpha.tobytes():
-            break
-        alpha = new
+    # A zero direction divides 0 by 0; its step is discarded below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(iters):
+            seg = s + alpha[:, None, None] * dAp
+            # Trial points may transiently collapse a segment when the
+            # iteration is not contracting; clamp instead of aborting the
+            # whole batch.
+            den = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
+            np.fmin(lowest, den, out=lowest)
+            np.maximum(den, floor, out=den)
+            sums = np.einsum("bjk->bj", c_a2 / den[:, None])  # (num, -dsum)
+            new = sums[:, 0] / sums[:, 1]
+            keep = np.isfinite(new)
+            if moving is not None:
+                keep &= moving
+            new = np.where(keep, new, alpha)
+            # Given s and dAp the update depends on alpha alone, so once no
+            # alpha changes, every further iteration would repeat this one.
+            if stop_when_still and new.tobytes() == alpha.tobytes():
+                break
+            alpha = new
     return alpha, zero, (lowest <= floor).any(axis=1)
 
 
@@ -176,7 +196,9 @@ def _bfgs_kernel(
     checked_segments(sc, T)  # reject degenerate starting points loudly
     eps = sc.seg_epsilon()
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
-    g = gradient_batch(sc, T).reshape(B, m)
+    # The segments g is computed from are also the next step size's.
+    _, s, norms = clamped_segments(sc, T)
+    g = gradient_from_segments(sc, s, norms).reshape(B, m)
     curv_tol = dtype(1e-12)
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
@@ -191,16 +213,16 @@ def _bfgs_kernel(
     for it in range(opts.iterations):
         k = live.size
         p = -np.einsum("bij,bj->bi", H, g)
-        _, s_cur, _ = clamped_segments(sc, T)
         alpha, _, _ = _fixed_point_alpha(
-            sc, s_cur, p.reshape(k, n, 2), opts.fixed_point_iters, eps,
+            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters, eps,
             stop_when_still=skip_fixed_points,
         )
         step = alpha[:, None] * p
         T_new = T + step.reshape(k, n, 2)
         moved = np.any(T_new.view(bits) != T.view(bits), axis=(1, 2))
         T = T_new
-        g_new = gradient_batch(sc, T).reshape(k, m)
+        _, s, norms = clamped_segments(sc, T)
+        g_new = gradient_from_segments(sc, s, norms).reshape(k, m)
         y = g_new - g
         sy = np.einsum("bi,bi->b", step, y)
         s_norm = np.sqrt(np.einsum("bi,bi->b", step, step))
@@ -244,6 +266,7 @@ def _bfgs_kernel(
             T_out[live[done]] = T[done]
             g_out[live[done]] = g[done]
             live, T, g, H, eps = live[moved], T[moved], g[moved], H[moved], eps[moved]
+            s = s[moved]
             sc = sc.take(moved)
             if live.size == 0:
                 if opts.record_trace:

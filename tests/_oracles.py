@@ -3,9 +3,9 @@
 Everything here is deliberately implemented from first principles (finite
 differences, golden-section search, a standalone d=1 solver) rather than
 reusing library internals, so tests compare two independent computations.
-The one exception is `fixed_schedule_bfgs`, the batch BFGS kernel as a
-plain fixed schedule, which must share the library's arithmetic to serve
-as a bitwise reference.
+The exceptions are `fixed_point_alpha` and `fixed_schedule_bfgs`, the
+step-size loop and the batch BFGS kernel as plain fixed schedules, which
+must share the library's arithmetic to serve as bitwise references.
 """
 
 import numpy as np
@@ -169,6 +169,37 @@ def reduced_edge_bfgs(sc, T0r, iters: int, fp_iters: int) -> np.ndarray:
     return T
 
 
+def fixed_point_alpha(sc, s, P, iters: int, eps):
+    """The step-size loop in its plain form, with no early exit of any kind.
+
+    Runs all `iters` fixed-point iterations from alpha = 0 along the (B, n, 2)
+    directions P from the segments s. Returns (alpha, zero, clamped) like
+    `solver._fixed_point_alpha`: zero marks directions that move no point,
+    clamped members whose trial segment norm fell to the floor `eps`.
+    """
+    dtype = s.dtype
+    B = P.shape[0]
+    w = np.einsum("bnij,bnj->bni", sc.basis, P)
+    pad = np.zeros((B, 1, 3), dtype=dtype)
+    wp = np.concatenate([pad, w, pad], axis=1)
+    dAp = wp[:, 1:] - wp[:, :-1]
+    a2 = np.einsum("bki,bki->bk", dAp, dAp)
+    c = np.einsum("bki,bki->bk", dAp, s)
+    zero = np.einsum("bk->b", a2) <= np.finfo(dtype).tiny
+    alpha = np.zeros(B, dtype=dtype)
+    clamped = np.zeros(B, dtype=bool)
+    for _ in range(iters):
+        seg = s + alpha[:, None, None] * dAp
+        norms = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
+        clamped |= np.any(norms <= eps[:, None], axis=1)
+        den = np.maximum(norms, eps[:, None])
+        num = np.einsum("bk->b", c / den)
+        dsum = np.einsum("bk->b", a2 / den)
+        new = -num / np.where(zero, np.ones_like(dsum), dsum)
+        alpha = np.where(zero | ~np.isfinite(new), alpha, new)
+    return alpha, zero, clamped
+
+
 def fixed_schedule_bfgs(sc, T0, opts):
     """The batch BFGS kernel with no early exit of any kind.
 
@@ -192,21 +223,7 @@ def fixed_schedule_bfgs(sc, T0, opts):
     for it in range(opts.iterations):
         p = -np.einsum("bij,bj->bi", H, g)
         _, s, _ = clamped_segments(sc, T)
-        w = np.einsum("bnij,bnj->bni", sc.basis, p.reshape(B, n, 2))
-        pad = np.zeros((B, 1, 3), dtype=dtype)
-        wp = np.concatenate([pad, w, pad], axis=1)
-        dAp = wp[:, 1:] - wp[:, :-1]
-        a2 = np.einsum("bki,bki->bk", dAp, dAp)
-        c = np.einsum("bki,bki->bk", dAp, s)
-        zero = np.einsum("bk->b", a2) <= np.finfo(dtype).tiny
-        alpha = np.zeros(B, dtype=dtype)
-        for _ in range(opts.fixed_point_iters):
-            seg = s + alpha[:, None, None] * dAp
-            den = np.maximum(np.sqrt(np.einsum("bki,bki->bk", seg, seg)), eps[:, None])
-            num = np.einsum("bk->b", c / den)
-            dsum = np.einsum("bk->b", a2 / den)
-            new = -num / np.where(zero, np.ones_like(dsum), dsum)
-            alpha = np.where(zero | ~np.isfinite(new), alpha, new)
+        alpha, _, _ = fixed_point_alpha(sc, s, p.reshape(B, n, 2), opts.fixed_point_iters, eps)
         step = alpha[:, None] * p
         T_new = T + step.reshape(B, n, 2)
         still = np.all(T_new.view(bits) == T.view(bits), axis=(1, 2))

@@ -7,11 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from fermatpath import (
     BenchConfig,
     Kinds,
     NoConvergence,
+    SceneFileError,
+    ShapeMismatch,
     SingularHessian,
     SurfaceKind,
     gen_scenes,
@@ -85,6 +88,20 @@ class TestSceneFiles:
             assert np.array_equal(a.end, b.end)
             assert np.array_equal(a.basis_tensor, b.basis_tensor)
             assert np.array_equal(a.anchor_tensor, b.anchor_tensor)
+            assert [s.kind for s in a.surfaces] == [s.kind for s in b.surfaces]
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_load_equals_pure_python_loader_bitwise(self, n):
+        buf = io.StringIO()
+        save_scenes(gen_scenes(12, n, Kinds.MIXED, 3), buf)
+        text = buf.getvalue()
+        got = load_scenes(io.StringIO(text))
+        want = [bench.scene_from_dict(d) for d in yaml.load_all(text, Loader=yaml.SafeLoader)]
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            for x, y in [(a.start, b.start), (a.end, b.end), (a.basis_tensor, b.basis_tensor),
+                         (a.anchor_tensor, b.anchor_tensor)]:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
             assert [s.kind for s in a.surfaces] == [s.kind for s in b.surfaces]
 
 
@@ -288,6 +305,33 @@ class TestCli:
     def test_missing_scene_file(self, tmp_path):
         code, _, err = _run_cli(["solve", str(tmp_path / "missing.yaml")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, index, cause",
+        [
+            ("start: [0.0, 0.0, 0.0]\nend: [1.0, 0.0, 0.0\n", 0, yaml.YAMLError),
+            (
+                "start: [0.0, 0.0, 0.0]\nend: [0.0, 0.0, 2.0]\nsurfaces:\n- kind: mirror\n"
+                "  anchor: [0.0, 0.0, 1.0]\n  basis: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]\n",
+                0,
+                ValueError,
+            ),
+            ("start: [0.0, 0.0, 0.0]\nend: [1.0, 0.0, 0.0]\n---\nstart: [0.0, 0.0, 0.0]\n", 1, KeyError),
+            ("start: [1.0, 2.0, 3.0]\nend: [1.0, 2.0, 3.0]\n", 0, ShapeMismatch),
+        ],
+        ids=["bad-yaml", "unknown-kind", "missing-end", "coincident-endpoints"],
+    )
+    def test_malformed_scene_file(self, tmp_path, text, index, cause):
+        scene_file = tmp_path / "scenes.yaml"
+        scene_file.write_text(text)
+        with open(scene_file) as fh, pytest.raises(SceneFileError) as info:
+            load_scenes(fh)
+        assert isinstance(info.value.__cause__, cause)
+        code, out, err = _run_cli(["solve", str(scene_file)])
+        assert code == 1
+        assert err.startswith(f"fermatpath solve: scene file document {index}: ")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_solver_failure_exit_code(self, tmp_path):
         # A plane through the start point: the midpoint projects onto the

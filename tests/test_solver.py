@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatpath import (
     DegenerateSegment,
@@ -19,12 +21,12 @@ from fermatpath import (
     make_plane,
     path_length,
 )
-from fermatpath.batching import BatchScene, gradient_batch
+from fermatpath.batching import BatchScene, clamped_segments
 from fermatpath import solver as solver_module
-from fermatpath.solver import _bfgs_kernel
+from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha
 from fermatpath.objective import gradient
 
-from _oracles import fixed_schedule_bfgs, golden_alpha, perturb_params
+from _oracles import fixed_point_alpha, fixed_schedule_bfgs, golden_alpha, perturb_params
 
 
 def _v_spec():
@@ -109,6 +111,65 @@ class TestLineSearch:
             line_search_alpha(_v_spec(), np.zeros((1, 2)), np.ones((1, 2)), k=0)
 
 
+def _step_size_batch(dtype):
+    """An n=3 batch reaching every branch of the step-size loop.
+
+    Members 0-5 are generated scenes: 0-1 move along random directions,
+    2-3 along random directions scaled by 1e6, 4 along a zero direction,
+    and 5 along one so short that it counts as zero but gives a finite
+    step. Member 6 moves the points of a straight path across it, so
+    the exact step is -0.0. Member 7's first iterate puts its first point
+    on the start point, so the next trial segment collapses.
+    """
+    straight = PathSpec(
+        start=[-2.0, 0.0, 0.0],
+        end=[2.0, 0.0, 0.0],
+        surfaces=tuple(make_plane([x, 0.0, 0.0], [0, 1, 0], [0, 0, 1]) for x in (-1.0, 0.0, 1.0)),
+    )
+    onto_start = PathSpec(
+        start=[0.0, 0.0, 0.0],
+        end=[0.0, 12.0, 0.0],
+        surfaces=(
+            make_plane([3.0, 0.0, 0.0], [1, 0, 0], [0, 1, 0]),
+            make_plane([0.0, 4.0, 0.0], [1, 0, 0], [0, 0, 1]),
+            make_plane([0.0, 8.0, 0.0], [1, 0, 0], [0, 0, 1]),
+        ),
+    )
+    specs = gen_scenes(43, 3, Kinds.MIXED, 6) + [straight, onto_start]
+    T = np.stack([init_params(s) for s in specs])
+    T[6:] = 0.0  # points on their anchors
+    rng = np.random.default_rng(43)
+    P = rng.normal(size=T.shape) * np.stack([s.active_mask for s in specs])
+    P[2:4] *= 1e6
+    P[4] = 0.0
+    P[5] *= 0.1 * np.sqrt(np.finfo(dtype).tiny)
+    P[6] = [[1.0, 0.5], [-0.3, 1.0], [0.2, -1.0]]
+    P[7] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    sc = BatchScene.from_specs(specs).astype(dtype)
+    _, s, _ = clamped_segments(sc, T.astype(dtype))
+    return sc, s, P.astype(dtype), sc.seg_epsilon()
+
+
+class TestStepSizeLoop:
+    """The step-size loop equals the plain loop of the oracle byte for byte."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stop_when_still", [True, False])
+    @pytest.mark.parametrize("k", [1, 7, 64])
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_matches_oracle_bytes(self, precision, k, stop_when_still):
+        sc, s, P, eps = _step_size_batch(precision.dtype)
+        got = _fixed_point_alpha(sc, s, P, k, eps, stop_when_still=stop_when_still)
+        want = fixed_point_alpha(sc, s, P, k, eps)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        alpha, zero, clamped = got
+        assert np.array_equal(zero, np.arange(8) // 2 == 2)
+        assert alpha[6] == 0.0 and np.signbit(alpha[6])
+        assert clamped[7] == (k > 1)
+
+
 class TestSolver:
     def test_v_path_solution(self):
         rep = bfgs_solve(_v_spec(), np.array([[0.5, 1.5]]))
@@ -188,6 +249,40 @@ class TestSolver:
             assert rep.final_grad_norm < 1e-6
 
 
+BATCH = 5
+
+
+def _report_bytes(rep):
+    return (
+        rep.solution.tobytes(),
+        np.float64(rep.final_length).tobytes(),
+        np.float64(rep.final_grad_norm).tobytes(),
+    )
+
+
+class TestBatchProperties:
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 5),
+        kinds=st.sampled_from(list(Kinds)),
+        fp=st.sampled_from([1, 8]),
+        order=st.permutations(range(BATCH)),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_permuting_members_permutes_reports(self, seed, n, kinds, fp, order):
+        specs = gen_scenes(seed, n, kinds, BATCH)
+        T0s = [init_params(s) for s in specs]
+        opts = SolveOptions(iterations=60, fixed_point_iters=fp)
+        reports = batch_solve(specs, T0s, opts)
+        permuted = batch_solve([specs[i] for i in order], [T0s[i] for i in order], opts)
+        assert [_report_bytes(r) for r in permuted] == [_report_bytes(reports[i]) for i in order]
+        # A batch of one is the single-path solve, and equals its member above.
+        b = order[0]
+        (single,) = batch_solve([specs[b]], [T0s[b]], opts)
+        assert _report_bytes(single) == _report_bytes(reports[b])
+        assert _report_bytes(bfgs_solve(specs[b], T0s[b], opts)) == _report_bytes(reports[b])
+
+
 def _half_warm_batch(kinds, n, B=12):
     """Half the members start from init_params, half at a converged solution.
 
@@ -246,9 +341,9 @@ class TestFixedPointExits:
         sc = BatchScene.from_specs([spec])
         opts = SolveOptions(iterations=300, fixed_point_iters=64)
         calls = []
-        real = solver_module.gradient_batch
+        real = solver_module.clamped_segments
         monkeypatch.setattr(
-            solver_module, "gradient_batch", lambda *a: calls.append(1) or real(*a)
+            solver_module, "clamped_segments", lambda *a: calls.append(1) or real(*a)
         )
         T, _, _, _ = _bfgs_kernel(sc, T0[-1:], opts)
         assert len(calls) < opts.iterations  # the batch kernel retires it
