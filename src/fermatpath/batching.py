@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSegment, NonUniformBatch, ShapeMismatch
-from .geometry import PathSpec
+from .geometry import PathSpec, segment_floor
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class BatchScene:
     anchor: np.ndarray  # (B, n, 3)
     start: np.ndarray  # (B, 3)
     end: np.ndarray  # (B, 3)
+    eps: np.ndarray  # (B,) segment-norm floor, `seg_epsilon`
+    active: np.ndarray  # (B, n, 2) bool, `active_mask`
 
     @classmethod
     def from_specs(cls, specs: Sequence[PathSpec]) -> "BatchScene":
@@ -40,13 +42,20 @@ class BatchScene:
             anchor=np.stack([s.anchor_tensor for s in specs]),
             start=np.stack([s.start for s in specs]),
             end=np.stack([s.end for s in specs]),
+            eps=np.array([s._eps for s in specs]),
+            active=np.stack([s.active_mask for s in specs]),
         )
 
     @classmethod
     def of(cls, spec: PathSpec) -> "BatchScene":
-        """A batch of one that views the spec's read-only arrays, without copying."""
+        """A batch of one that views the spec's read-only arrays, without copying them."""
         return cls(
-            spec.basis_tensor[None], spec.anchor_tensor[None], spec.start[None], spec.end[None]
+            spec.basis_tensor[None],
+            spec.anchor_tensor[None],
+            spec.start[None],
+            spec.end[None],
+            np.array([spec._eps]),
+            spec.active_mask[None],
         )
 
     @property
@@ -62,29 +71,42 @@ class BatchScene:
         return self.basis.dtype
 
     def astype(self, dtype) -> "BatchScene":
+        """The batch in `dtype`.
+
+        The floor is recomputed from the cast endpoints, as it always was:
+        casting the float64 floor to float32 instead changes its last bit
+        for about one member in six.
+        """
         if self.dtype == dtype:
             return self
+        start, end = self.start.astype(dtype), self.end.astype(dtype)
         return BatchScene(
             self.basis.astype(dtype),
             self.anchor.astype(dtype),
-            self.start.astype(dtype),
-            self.end.astype(dtype),
+            start,
+            end,
+            segment_floor(start, end).astype(dtype),
+            self.active,
         )
 
     def take(self, idx) -> "BatchScene":
         """The members selected by an index array or boolean mask."""
-        return BatchScene(self.basis[idx], self.anchor[idx], self.start[idx], self.end[idx])
+        return BatchScene(
+            self.basis[idx],
+            self.anchor[idx],
+            self.start[idx],
+            self.end[idx],
+            self.eps[idx],
+            self.active[idx],
+        )
 
     def active_mask(self) -> np.ndarray:
         """(B, n, 2) mask of coordinates whose basis column is nonzero."""
-        return np.linalg.norm(self.basis, axis=2) > 0.0
+        return self.active
 
     def seg_epsilon(self) -> np.ndarray:
-        """(B,) per-path segment-norm floor."""
-        scale = np.linalg.norm(
-            self.end.astype(np.float64) - self.start.astype(np.float64), axis=1
-        )
-        return (1e-12 * (1.0 + scale)).astype(self.dtype)
+        """(B,) per-path segment-norm floor, in the batch's dtype."""
+        return self.eps
 
 
 def stack_params(specs: Sequence[PathSpec], T0s) -> np.ndarray:

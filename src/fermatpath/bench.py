@@ -30,7 +30,16 @@ from .baselines import (
 )
 from .batching import BatchScene, embed_batch, stack_params
 from .errors import FermatPathError, NoConvergence, SceneFileError
-from .geometry import PathSpec, Surface, SurfaceKind, make_edge, make_plane
+from .geometry import (
+    PathSpec,
+    Surface,
+    SurfaceKind,
+    cross3,
+    make_edge,
+    make_plane,
+    norm3,
+    row_norms,
+)
 from .implicit_diff import vjp_solution
 from .objective import gradient, length_param_gradient
 from .solver import Precision, SolveOptions, _bfgs_kernel, init_params
@@ -223,48 +232,59 @@ def _kind_sequence(rng, n: int, kinds: Kinds) -> list[SurfaceKind]:
     return [first if i % 2 == 0 else other for i in range(n)]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _unit_orthogonal(rng, q: np.ndarray) -> np.ndarray:
+    """A random unit vector orthogonal to the unit vector q (rejection-sampled)."""
+    while True:
+        r = rng.normal(size=3)
+        v = r - r.dot(q) * q
+        nv = norm3(v)
+        if nv > 1e-6:
+            return v / nv
 
 
 def _gen_one(rng, n: int, kinds: Kinds, box_side, jitter, exclusion) -> PathSpec:
+    """One random scene; every draw and every rounding fixed by the generator's stream.
+
+    The waypoint checks run on (k, 3) arrays, but each norm is still a BLAS
+    dot per vector (`row_norms`, `norm3`): a norm that summed the squares
+    any other way would round differently and, near a threshold, accept a
+    different scene.
+    """
     half = box_side / 2.0
     while True:
         start = rng.uniform(-half, half, 3)
         end = rng.uniform(-half, half, 3)
-        if np.linalg.norm(end - start) > _MIN_ENDPOINT_DIST:
+        dist = norm3(end - start)
+        if dist > _MIN_ENDPOINT_DIST:
             break
-    chord = _unit(end - start)
+    chord = (end - start) / dist
     kind_seq = _kind_sequence(rng, n, kinds)
+    # Planes (and, in mixed scenes, edges) need a genuine turn at their
+    # waypoint so the stationarity construction below is well posed.
+    turns = kinds is not Kinds.DIFFRACTIONS
+    along = start + (np.arange(1, n + 1) / (n + 1))[:, None] * (end - start)
 
     for _ in range(1000):
-        stations = [
-            start + (i + 1) / (n + 1) * (end - start) + rng.uniform(-jitter, jitter, 3)
-            for i in range(n)
-        ]
-        ok = all(
-            min(np.linalg.norm(p - start), np.linalg.norm(p - end)) > exclusion
-            for p in stations
-        )
-        if not ok:
-            continue
-        poly = [start] + stations + [end]
-        if any(
-            np.linalg.norm(poly[i + 1] - poly[i]) < exclusion for i in range(n + 1)
+        stations = along + rng.uniform(-jitter, jitter, (n, 3))
+        if not (
+            (row_norms(stations - start) > exclusion).all()
+            and (row_norms(stations - end) > exclusion).all()
         ):
             continue
-        # Planes (and, in mixed scenes, edges) need a genuine turn at their
-        # waypoint so the stationarity construction below is well posed.
-        turns_ok = True
-        for i, kind in enumerate(kind_seq):
-            if kind is SurfaceKind.PLANE or kinds is Kinds.MIXED:
-                u_in = _unit(poly[i + 1] - poly[i])
-                u_out = _unit(poly[i + 2] - poly[i + 1])
-                if np.linalg.norm(u_in - u_out) < _MIN_TURN:
-                    turns_ok = False
-                    break
-        if turns_ok:
-            break
+        poly = np.concatenate([start[None], stations, end[None]])
+        seg = poly[1:] - poly[:-1]
+        seg_len = row_norms(seg)
+        if (seg_len < exclusion).any():
+            continue
+        if turns:
+            # bend[i] = u_in - u_out at waypoint i, from the unit segments.
+            units = seg / seg_len[:, None]
+            bend = units[:-1] - units[1:]
+            bend_len = row_norms(bend)
+            if (bend_len < _MIN_TURN).any():
+                continue
+            bend /= bend_len[:, None]
+        break
     else:
         raise RuntimeError("scene generation failed to place waypoints")
 
@@ -272,42 +292,24 @@ def _gen_one(rng, n: int, kinds: Kinds, box_side, jitter, exclusion) -> PathSpec
     for i, kind in enumerate(kind_seq):
         p = stations[i]
         if kind is SurfaceKind.PLANE:
-            u_in = _unit(poly[i + 1] - poly[i])
-            u_out = _unit(poly[i + 2] - poly[i + 1])
-            normal = _unit(u_in - u_out)
-            while True:
-                r = rng.normal(size=3)
-                e1 = r - np.dot(r, normal) * normal
-                if np.linalg.norm(e1) > 1e-6:
-                    break
-            e1 = _unit(e1)
-            e2 = np.cross(normal, e1)
-            surfaces.append(make_plane(p, e1, e2))
+            # Mirror normal along u_in - u_out: the waypoint is specular.
+            e1 = _unit_orthogonal(rng, bend[i])
+            surfaces.append(make_plane(p, e1, cross3(bend[i], e1)))
+        elif kinds is Kinds.MIXED:
+            # Make the waypoint polyline stationary at the edge too:
+            # directions orthogonal to u_in - u_out keep the diffraction
+            # point at the waypoint, so mixed scenes stay smooth at the
+            # optimum (infinite planes would otherwise often drag the
+            # solution onto a neighbouring edge, a nonsmooth kink).
+            surfaces.append(make_edge(p, _unit_orthogonal(rng, bend[i])))
         else:
-            if kinds is Kinds.MIXED:
-                # Make the waypoint polyline stationary at the edge too:
-                # directions orthogonal to u_in - u_out keep the diffraction
-                # point at the waypoint, so mixed scenes stay smooth at the
-                # optimum (infinite planes would otherwise often drag the
-                # solution onto a neighbouring edge, a nonsmooth kink).
-                u_in = _unit(poly[i + 1] - poly[i])
-                u_out = _unit(poly[i + 2] - poly[i + 1])
-                q = _unit(u_in - u_out)
-                while True:
-                    r = rng.normal(size=3)
-                    d = r - np.dot(r, q) * q
-                    nd = np.linalg.norm(d)
-                    if nd > 1e-6:
-                        d = d / nd
+            while True:
+                d = rng.normal(size=3)
+                nd = norm3(d)
+                if nd > 1e-12:
+                    d = d / nd
+                    if abs(d.dot(chord)) < _MAX_EDGE_CHORD_ALIGN:
                         break
-            else:
-                while True:
-                    d = rng.normal(size=3)
-                    nd = np.linalg.norm(d)
-                    if nd > 1e-12:
-                        d = d / nd
-                        if abs(np.dot(d, chord)) < _MAX_EDGE_CHORD_ALIGN:
-                            break
             surfaces.append(make_edge(p, d))
     return PathSpec(start=start, end=end, surfaces=tuple(surfaces))
 

@@ -4,10 +4,20 @@ Every interaction surface stores a 3x2 basis matrix and an anchor point.
 Straight edges keep an exactly-zero second basis column so that every path
 with n interactions has a uniform n x 2 unknown shape, regardless of the
 mix of reflections and diffractions.
+
+The constructors run once per surface of every generated or loaded scene,
+on 3-vectors, where numpy's wrappers cost more than the arithmetic. So
+they take a norm as `sqrt(v.dot(v))` on a contiguous vector, which is
+what `np.linalg.norm` computes internally, and a cross product with the
+float operations `np.cross` performs. The dot product must stay the BLAS
+`dot`: summing the three products in Python floats rounds differently
+(OpenBLAS fuses multiply and add), and that would change which random
+scenes `bench.gen_scenes` accepts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,13 +38,37 @@ class SurfaceKind(Enum):
     EDGE = "edge"
 
 
+def norm3(v: np.ndarray) -> float:
+    """`np.linalg.norm` of a contiguous float vector, bitwise: its BLAS dot and sqrt."""
+    return math.sqrt(v.dot(v))
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """`norm3` of each row of a C-contiguous (k, 3) array, bitwise.
+
+    A stacked (k, 1, 3) @ (k, 3, 1) matmul makes one BLAS dot per row, the
+    call `norm3` makes; `einsum` or a sum of squares would round differently.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.cross` of two float 3-vectors, bitwise: the same products and differences."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 def _as_vec3(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    """A validated, read-only float copy of a 3-vector."""
+    a = np.array(v, dtype=float)
     if a.shape != (3,):
         raise ShapeMismatch(f"{name} must have shape (3,), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise ShapeMismatch(f"{name} has non-finite components")
-    a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -48,25 +82,24 @@ class Surface:
     kind: SurfaceKind
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
+        basis = np.array(self.basis, dtype=float)
         if basis.shape != (3, 2):
             raise ShapeMismatch(f"basis must have shape (3, 2), got {basis.shape}")
-        if not np.all(np.isfinite(basis)):
+        if not _all_finite(basis):
             raise DegenerateBasis("basis has non-finite entries")
         anchor = _as_vec3(self.anchor, "anchor")
-        u, v = basis[:, 0], basis[:, 1]
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        u, v = basis.T.copy()  # contiguous, as `np.linalg.norm` copies them
+        nu, nv = norm3(u), norm3(v)
         if self.kind is SurfaceKind.PLANE:
             if nu == 0.0 or nv == 0.0:
                 raise DegenerateBasis("plane basis column is zero")
-            if np.linalg.norm(np.cross(u, v)) <= PLANE_DEGENERACY_TOL * nu * nv:
+            if norm3(cross3(u, v)) <= PLANE_DEGENERACY_TOL * nu * nv:
                 raise DegenerateBasis("plane basis columns are (near-)parallel")
         else:
             if nu == 0.0:
                 raise DegenerateBasis("edge direction is zero")
             if nv != 0.0:
                 raise DegenerateBasis("edge second basis column must be exactly zero")
-        basis = basis.copy()
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "anchor", anchor)
@@ -79,15 +112,23 @@ class Surface:
 
 def make_plane(anchor, u, v) -> Surface:
     """Plane through `anchor` spanned by direction vectors `u` and `v`."""
-    basis = np.stack([_as_vec3(u, "u"), _as_vec3(v, "v")], axis=1)
+    basis = np.empty((3, 2))
+    basis[:, 0] = _as_vec3(u, "u")
+    basis[:, 1] = _as_vec3(v, "v")
     return Surface(basis=basis, anchor=anchor, kind=SurfaceKind.PLANE)
 
 
 def make_edge(anchor, direction) -> Surface:
     """Straight edge through `anchor` along `direction` (inert second coordinate)."""
-    d = _as_vec3(direction, "direction")
-    basis = np.stack([d, np.zeros(3)], axis=1)
+    basis = np.zeros((3, 2))
+    basis[:, 0] = _as_vec3(direction, "direction")
     return Surface(basis=basis, anchor=anchor, kind=SurfaceKind.EDGE)
+
+
+def segment_floor(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """(B,) float64 segment-norm floor 1e-12 (1 + |end - start|) of (B, 3) endpoints."""
+    scale = np.linalg.norm(end.astype(np.float64) - start.astype(np.float64), axis=1)
+    return 1e-12 * (1.0 + scale)
 
 
 @dataclass(frozen=True)
@@ -101,7 +142,7 @@ class PathSpec:
     def __post_init__(self):
         start = _as_vec3(self.start, "start")
         end = _as_vec3(self.end, "end")
-        if np.linalg.norm(end - start) <= MIN_ENDPOINT_SEPARATION:
+        if norm3(end - start) <= MIN_ENDPOINT_SEPARATION:
             raise ShapeMismatch("start and end points (nearly) coincide")
         surfaces = tuple(self.surfaces)
         if len(surfaces) > MAX_INTERACTIONS:
@@ -114,6 +155,8 @@ class PathSpec:
         basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
         anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
         active = np.linalg.norm(basis, axis=1) > 0.0  # each surface's `active`
+        # The segment-norm floor `BatchScene.seg_epsilon` carries, as a float.
+        object.__setattr__(self, "_eps", float(segment_floor(start[None], end[None])[0]))
         for name, a in (("_basis", basis), ("_anchor", anchor), ("_active", active)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)

@@ -31,6 +31,7 @@ from .batching import (
     clamped_segments,
     gradient_from_segments,
     path_length_batch,
+    segment_norms,
     stack_params,
 )
 
@@ -78,16 +79,27 @@ def init_params(spec: PathSpec) -> np.ndarray:
     """Deterministic initial guess: project the start/end midpoint onto each surface.
 
     Solves the normal equations of the least-squares projection restricted to
-    active basis columns; inert coordinates start at zero.
+    active basis columns; inert coordinates start at zero. The Gram matrices
+    and the solves are stacked, one per surface kind (planes 2x2, edges 1x1).
+    Each right-hand side stays one `A.T @ (mid - anchor)` per surface, with
+    `A.T` a fresh C-ordered copy (the layout boolean indexing gives): BLAS
+    `gemv` rounds by the layout and alignment of its operands, so a stacked
+    product, or one on views into the stacked basis, moves the guess by an
+    ulp.
     """
     mid = 0.5 * (spec.start + spec.end)
+    basis, anchor = spec.basis_tensor, spec.anchor_tensor
+    planes = spec.active_mask[:, 1]  # else an edge: first column only
     T = np.zeros((spec.n, 2))
-    for i, surf in enumerate(spec.surfaces):
-        act = surf.active
-        A = surf.basis[:, act]
-        G = A.T @ A
-        rhs = A.T @ (mid - surf.anchor)
-        T[i, act] = np.linalg.solve(G, rhs)
+    rhs = np.zeros((spec.n, 2))
+    for i, plane in enumerate(planes.tolist()):
+        k = 2 if plane else 1
+        rhs[i, :k] = basis[i, :, :k].T.copy() @ (mid - anchor[i])
+    for k, idx in ((2, np.flatnonzero(planes)), (1, np.flatnonzero(~planes))):
+        if idx.size:
+            A = basis[idx, :, :k]
+            G = A.transpose(0, 2, 1) @ A
+            T[idx, :k] = np.linalg.solve(G, rhs[idx, :k, None])[..., 0]
     return T
 
 
@@ -194,7 +206,6 @@ def _bfgs_kernel(
         return T, np.zeros((B, 0, 2), dtype=dtype), traces, opts.iterations
 
     checked_segments(sc, T)  # reject degenerate starting points loudly
-    eps = sc.seg_epsilon()
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     # The segments g is computed from are also the next step size's.
     _, s, norms = clamped_segments(sc, T)
@@ -204,6 +215,7 @@ def _bfgs_kernel(
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
     T_out, g_out = np.empty_like(T), np.empty_like(g)
     iterations = opts.iterations
+    scalar_stop = opts.grad_tol is not None and B == 1
     if opts.record_trace:
         # (L, |g|) of every member after each iteration; retired members
         # keep their last values, as the full schedule would record.
@@ -214,14 +226,14 @@ def _bfgs_kernel(
         k = live.size
         p = -np.einsum("bij,bj->bi", H, g)
         alpha, _, _ = _fixed_point_alpha(
-            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters, eps,
+            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters, sc.seg_epsilon(),
             stop_when_still=skip_fixed_points,
         )
         step = alpha[:, None] * p
         T_new = T + step.reshape(k, n, 2)
         moved = np.any(T_new.view(bits) != T.view(bits), axis=(1, 2))
         T = T_new
-        _, s, norms = clamped_segments(sc, T)
+        x, s, norms = clamped_segments(sc, T)
         g_new = gradient_from_segments(sc, s, norms).reshape(k, m)
         y = g_new - g
         sy = np.einsum("bi,bi->b", step, y)
@@ -250,13 +262,15 @@ def _bfgs_kernel(
         H = np.where(ok[:, None, None], H_new, H)
         g = g_new
 
+        if opts.record_trace or scalar_stop:
+            # The path length at T, from the points embedded above.
+            lengths = np.einsum("bk->b", segment_norms(x)[1])
         if opts.record_trace:
-            row[0, live] = path_length_batch(sc, T)
+            row[0, live] = lengths
             row[1, live] = np.sqrt(np.einsum("bi,bi->b", g, g))
             hist[it] = row
 
-        if opts.grad_tol is not None and B == 1:
-            lengths = path_length_batch(sc, T)
+        if scalar_stop:
             if float(np.linalg.norm(g[0])) < opts.grad_tol * (1.0 + float(lengths[0])):
                 iterations = it + 1
                 break
@@ -265,7 +279,7 @@ def _bfgs_kernel(
             done = ~moved
             T_out[live[done]] = T[done]
             g_out[live[done]] = g[done]
-            live, T, g, H, eps = live[moved], T[moved], g[moved], H[moved], eps[moved]
+            live, T, g, H = live[moved], T[moved], g[moved], H[moved]
             s = s[moved]
             sc = sc.take(moved)
             if live.size == 0:

@@ -4,15 +4,25 @@ Everything here is deliberately implemented from first principles (finite
 differences, golden-section search, a standalone d=1 solver) rather than
 reusing library internals, so tests compare two independent computations.
 The exceptions are `fixed_point_alpha` and `fixed_schedule_bfgs`, the
-step-size loop and the batch BFGS kernel as plain fixed schedules, which
-must share the library's arithmetic to serve as bitwise references.
+step-size loop and the batch BFGS kernel as plain fixed schedules, and the
+constructors and `init_params` in their plain numpy form, which must share
+the library's arithmetic to serve as bitwise references.
 """
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from fermatpath import PathSpec, Surface, init_params, path_length
+from fermatpath import (
+    DegenerateBasis,
+    PathSpec,
+    ShapeMismatch,
+    Surface,
+    SurfaceKind,
+    init_params,
+    path_length,
+)
 from fermatpath.batching import clamped_segments, gradient_batch, path_length_batch
+from fermatpath.geometry import MAX_INTERACTIONS, MIN_ENDPOINT_SEPARATION, PLANE_DEGENERACY_TOL
 from fermatpath.objective import gradient
 
 
@@ -255,3 +265,83 @@ def fixed_schedule_bfgs(sc, T0, opts):
             for b in range(B):
                 traces[b].append((it, float(lengths[b]), float(gnorms[b])))
     return T, g.reshape(B, n, 2), traces if opts.record_trace else None, still_at
+
+
+def vec3(v, name: str) -> np.ndarray:
+    """The 3-vector check in its plain numpy form: a float copy, or the exception."""
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ShapeMismatch(f"{name} must have shape (3,), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ShapeMismatch(f"{name} has non-finite components")
+    return a.copy()
+
+
+def surface(basis, anchor, kind):
+    """`Surface` validation in its plain numpy form; returns (basis, anchor)."""
+    basis = np.asarray(basis, dtype=float)
+    if basis.shape != (3, 2):
+        raise ShapeMismatch(f"basis must have shape (3, 2), got {basis.shape}")
+    if not np.all(np.isfinite(basis)):
+        raise DegenerateBasis("basis has non-finite entries")
+    anchor = vec3(anchor, "anchor")
+    u, v = basis[:, 0], basis[:, 1]
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if kind is SurfaceKind.PLANE:
+        if nu == 0.0 or nv == 0.0:
+            raise DegenerateBasis("plane basis column is zero")
+        if np.linalg.norm(np.cross(u, v)) <= PLANE_DEGENERACY_TOL * nu * nv:
+            raise DegenerateBasis("plane basis columns are (near-)parallel")
+    else:
+        if nu == 0.0:
+            raise DegenerateBasis("edge direction is zero")
+        if nv != 0.0:
+            raise DegenerateBasis("edge second basis column must be exactly zero")
+    return basis.copy(), anchor
+
+
+def make_plane(anchor, u, v):
+    basis = np.stack([vec3(u, "u"), vec3(v, "v")], axis=1)
+    return surface(basis, anchor, SurfaceKind.PLANE)
+
+
+def make_edge(anchor, direction):
+    basis = np.stack([vec3(direction, "direction"), np.zeros(3)], axis=1)
+    return surface(basis, anchor, SurfaceKind.EDGE)
+
+
+def path_spec(start, end, surfaces):
+    """`PathSpec` validation and stacking.
+
+    Returns (start, end, basis, anchor, active, eps), eps the (1,) segment floor.
+    """
+    start, end = vec3(start, "start"), vec3(end, "end")
+    if np.linalg.norm(end - start) <= MIN_ENDPOINT_SEPARATION:
+        raise ShapeMismatch("start and end points (nearly) coincide")
+    surfaces = tuple(surfaces)
+    if len(surfaces) > MAX_INTERACTIONS:
+        raise ShapeMismatch(f"too many interactions: {len(surfaces)}")
+    n = len(surfaces)
+    basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
+    anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
+    active = np.linalg.norm(basis, axis=1) > 0.0
+    return start, end, basis, anchor, active, seg_epsilon(start[None], end[None])
+
+
+def seg_epsilon(start, end, dtype=np.float64):
+    """(B,) segment-norm floor of (B, 3) endpoints, computed in float64."""
+    scale = np.linalg.norm(end.astype(np.float64) - start.astype(np.float64), axis=1)
+    return (1e-12 * (1.0 + scale)).astype(dtype)
+
+
+def per_surface_init_params(spec: PathSpec) -> np.ndarray:
+    """`init_params` as one normal-equation solve per surface."""
+    mid = 0.5 * (spec.start + spec.end)
+    T = np.zeros((spec.n, 2))
+    for i, surf in enumerate(spec.surfaces):
+        act = np.linalg.norm(surf.basis, axis=0) > 0.0
+        A = surf.basis[:, act]
+        G = A.T @ A
+        rhs = A.T @ (mid - surf.anchor)
+        T[i, act] = np.linalg.solve(G, rhs)
+    return T

@@ -7,16 +7,27 @@ from hypothesis import strategies as st
 
 from fermatpath import (
     DegenerateBasis,
+    Kinds,
     PathSpec,
     ShapeMismatch,
     Surface,
     SurfaceKind,
     embed,
+    gen_scenes,
     make_edge,
     make_plane,
     params_from_points,
 )
-from fermatpath.geometry import MAX_INTERACTIONS, check_params
+from fermatpath.batching import BatchScene
+from fermatpath.geometry import (
+    MAX_INTERACTIONS,
+    check_params,
+    cross3,
+    norm3,
+    row_norms,
+)
+
+import _oracles as oracle
 
 
 def _simple_spec():
@@ -166,3 +177,156 @@ class TestParamsFromPoints:
     def test_bad_shape(self):
         with pytest.raises(ShapeMismatch):
             params_from_points(_simple_spec(), np.zeros((3, 3)))
+
+
+def _bytes(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _same_outcome(call, oracle_call):
+    """The library call raises the oracle's exception type or returns its arrays' bytes."""
+    try:
+        expected = oracle_call()
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            call()
+        return
+    assert _bytes(*call()) == _bytes(*expected)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-170, 1e-155, 1e300, np.inf, -np.inf, np.nan]
+_element = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(width=64),
+    st.integers(-3, 3),
+    st.sampled_from(_SPECIAL),
+)
+_triple = st.lists(_element, min_size=3, max_size=3)
+# Mostly 3-vectors, as lists or arrays (integer arrays when every entry is
+# an int); sometimes the wrong length or nesting.
+_vec_input = st.one_of(
+    _triple,
+    _triple.map(np.array),
+    st.lists(_element, min_size=0, max_size=5),
+    st.lists(_triple, min_size=1, max_size=2),
+)
+_finite3 = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(np.array)
+
+
+@st.composite
+def _near_parallel(draw):
+    """Plane columns u and v = c u + delta w around the degeneracy threshold."""
+    u, w = draw(_finite3), draw(_finite3)
+    c = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+    delta = 10.0 ** draw(st.floats(-12.0, -6.0))
+    return u, c * u + delta * w
+
+
+def _surface_arrays(s):
+    return s.basis, s.anchor
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestConstructorsMatchOracle:
+    """The scalar fast paths agree with `np.linalg.norm`, `np.cross` and `np.stack`."""
+
+    @given(anchor=_vec_input, u=_vec_input, v=_vec_input)
+    @settings(max_examples=300, deadline=None)
+    def test_make_plane(self, anchor, u, v):
+        _same_outcome(
+            lambda: _surface_arrays(make_plane(anchor, u, v)),
+            lambda: oracle.make_plane(anchor, u, v),
+        )
+
+    @given(anchor=_finite3, cols=_near_parallel())
+    @settings(max_examples=300, deadline=None)
+    def test_make_plane_near_parallel(self, anchor, cols):
+        u, v = cols
+        _same_outcome(
+            lambda: _surface_arrays(make_plane(anchor, u, v)),
+            lambda: oracle.make_plane(anchor, u, v),
+        )
+
+    @given(anchor=_vec_input, direction=_vec_input)
+    @settings(max_examples=300, deadline=None)
+    def test_make_edge(self, anchor, direction):
+        _same_outcome(
+            lambda: _surface_arrays(make_edge(anchor, direction)),
+            lambda: oracle.make_edge(anchor, direction),
+        )
+
+    @given(
+        cols=st.lists(_vec_input, min_size=2, max_size=2),
+        shape=st.sampled_from(["(3, 2)", "(2, 3)", "(6,)"]),
+        anchor=_vec_input,
+        kind=st.sampled_from(list(SurfaceKind)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_surface(self, cols, shape, anchor, kind):
+        try:
+            basis = np.array(cols, dtype=float)
+        except (ValueError, TypeError):
+            basis = cols
+        else:
+            if basis.size == 6:
+                basis = {"(3, 2)": basis.T, "(2, 3)": basis, "(6,)": basis.ravel()}[shape]
+        _same_outcome(
+            lambda: _surface_arrays(Surface(basis=basis, anchor=anchor, kind=kind)),
+            lambda: oracle.surface(basis, anchor, kind),
+        )
+
+    @given(
+        start=_vec_input,
+        offset=st.one_of(_vec_input, _finite3.map(lambda d: d * 1e-9)),
+        count=st.sampled_from([0, 1, 2, 5, MAX_INTERACTIONS, MAX_INTERACTIONS + 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_path_spec(self, start, offset, count):
+        try:
+            end = np.asarray(start, dtype=float) + np.asarray(offset, dtype=float)
+        except (ValueError, TypeError):
+            end = offset
+        pool = [
+            make_plane([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 1e-3, 1.0]),
+            make_edge([1.0, 1.0, 0.0], [0.0, 2.0, -1.0]),
+            Surface(basis=np.array([[1.0, 1e-170]] * 3), anchor=[0.0, 0.0, 1.0], kind=SurfaceKind.EDGE),
+        ]
+        surfaces = [pool[i % len(pool)] for i in range(count)]
+
+        def built():
+            spec = PathSpec(start=start, end=end, surfaces=surfaces)
+            arrays = (spec.start, spec.end, spec.basis_tensor, spec.anchor_tensor)
+            return *arrays, spec.active_mask, np.array([spec._eps])
+
+        _same_outcome(built, lambda: oracle.path_spec(start, end, surfaces))
+
+    def test_helpers_match_numpy_bitwise(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(4000, 1))
+        w = rng.normal(size=(4000, 3))
+        norms = np.array([np.linalg.norm(r) for r in v])
+        assert _bytes(row_norms(v)) == _bytes(norms)
+        assert _bytes(np.array([norm3(r) for r in v])) == _bytes(norms)
+        crosses = np.array([cross3(a, b) for a, b in zip(v, w)])
+        assert _bytes(crosses) == _bytes(np.cross(v, w))
+
+
+class TestBatchSceneCarriesFloorAndMask:
+    """`seg_epsilon` and `active_mask` are carried, equal to their formula byte for byte."""
+
+    @staticmethod
+    def _assert_carried(sc):
+        assert _bytes(sc.seg_epsilon()) == _bytes(oracle.seg_epsilon(sc.start, sc.end, sc.dtype))
+        assert _bytes(sc.active_mask()) == _bytes(np.linalg.norm(sc.basis, axis=2) > 0.0)
+
+    def test_of_from_specs_take_and_astype(self):
+        specs = gen_scenes(5, 3, Kinds.MIXED, 40)
+        for sc in (BatchScene.of(specs[7]), BatchScene.from_specs(specs)):
+            self._assert_carried(sc)
+            self._assert_carried(sc.take(np.arange(sc.size)[::-2]))
+            self._assert_carried(sc.take(np.arange(sc.size) % 3 == 0))
+            single = sc.astype(np.float32)
+            assert single.seg_epsilon().dtype == np.float32
+            self._assert_carried(single)
+            self._assert_carried(single.take([0]))
+            self._assert_carried(single.astype(np.float64))

@@ -21,12 +21,19 @@ from fermatpath import (
     make_plane,
     path_length,
 )
+from fermatpath import batching
 from fermatpath.batching import BatchScene, clamped_segments
 from fermatpath import solver as solver_module
 from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha
 from fermatpath.objective import gradient
 
-from _oracles import fixed_point_alpha, fixed_schedule_bfgs, golden_alpha, perturb_params
+from _oracles import (
+    fixed_point_alpha,
+    fixed_schedule_bfgs,
+    golden_alpha,
+    per_surface_init_params,
+    perturb_params,
+)
 
 
 def _v_spec():
@@ -65,6 +72,12 @@ class TestInitParams:
         )
         T0 = init_params(spec)
         assert T0[0, 1] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_matches_per_surface_oracle_bitwise(self, kinds, n):
+        for spec in gen_scenes(23, n, kinds, 40 if n < 64 else 8):
+            assert init_params(spec).tobytes() == per_surface_init_params(spec).tobytes()
 
 
 class TestLineSearch:
@@ -202,6 +215,20 @@ class TestSolver:
             SolveOptions(iterations=100, fixed_point_iters=64, record_trace=True, grad_tol=1e-10),
         )
         assert rep.iterations == len(rep.trace) < 100
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"grad_tol": 1e-300}, {"record_trace": True}], ids=["plain", "grad_tol", "trace"]
+    )
+    def test_one_embedding_per_iteration(self, monkeypatch, extra):
+        spec = gen_scenes(3, 8, Kinds.MIXED, 1)[0]
+        calls = []
+        real = batching.embed_batch
+        monkeypatch.setattr(batching, "embed_batch", lambda *a: calls.append(1) or real(*a))
+        rep = bfgs_solve(spec, init_params(spec), SolveOptions(iterations=100, **extra))
+        assert rep.iterations == 100
+        # The start is checked and embedded once, each iteration embeds once,
+        # and the report takes the final length.
+        assert len(calls) == 103
 
     def test_batch_rejects_grad_tol(self):
         specs = gen_scenes(1, 2, Kinds.MIXED, 3)
