@@ -129,8 +129,8 @@ NEWTON_DAMPING = 1e-10
 NEWTON_MAX_HALVINGS = 20
 
 
-def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, max_iters=None, frozen=None):
-    """Masked, damped Newton; `frozen` (B,) paths take zero steps."""
+def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, frozen=None):
+    """Masked, damped Newton over opts.iterations steps; `frozen` (B,) paths take zero steps."""
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
     T = np.ascontiguousarray(T0, dtype=dtype)
@@ -138,11 +138,10 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, max_iters=None, froze
     m = 2 * n
     if n == 0:
         return T, np.zeros_like(T)
-    iters = opts.iterations if max_iters is None else max_iters
-    active = sc.active_mask().reshape(B, m)
+    active = sc.active.reshape(B, m)
     dim = active.sum(axis=1).astype(dtype)
     g = gradient_batch(sc, T)
-    for _ in range(iters):
+    for _ in range(opts.iterations):
         H = hessian_batch(sc, T)
         # Inert rows and columns of H are zero, so this is the active block's trace.
         lam = NEWTON_DAMPING * np.einsum("bii->b", H) / np.maximum(dim, 1.0)
@@ -203,7 +202,7 @@ def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
     for _ in range(REFERENCE_POLISH_ITERS):
         if np.all(converged):
             break
-        T, _ = _newton_kernel(sc, T, polish_opts, max_iters=1, frozen=converged)
+        T, _ = _newton_kernel(sc, T, polish_opts, frozen=converged)
         converged = _converged_mask(sc, T)
     return T, converged
 

@@ -7,7 +7,9 @@ segments, so a caller embeds a path once), the stationarity test and the
 solve on the active coordinates. `objective` and `implicit_diff` call them
 on a batch of one that views a spec's arrays (`BatchScene.of`). The kernels
 use einsum contractions whose reduction order does not depend on the batch
-size, so each member of a batch equals its own batch of one bitwise.
+size, so each member of a batch equals its own batch of one bitwise. None
+loops over the interactions in Python: every interaction has the same n x 2
+layout, so each derivative is one vectorised computation over (B, n).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class BatchScene:
     anchor: np.ndarray  # (B, n, 3)
     start: np.ndarray  # (B, 3)
     end: np.ndarray  # (B, 3)
-    eps: np.ndarray  # (B,) segment-norm floor, `seg_epsilon`
-    active: np.ndarray  # (B, n, 2) bool, `active_mask`
+    eps: np.ndarray  # (B,) segment-norm floor 1e-12 (1 + |end - start|), in dtype
+    active: np.ndarray  # (B, n, 2) bool: coordinates whose basis column is nonzero
 
     @classmethod
     def from_specs(cls, specs: Sequence[PathSpec]) -> "BatchScene":
@@ -100,20 +102,15 @@ class BatchScene:
             self.active[idx],
         )
 
-    def active_mask(self) -> np.ndarray:
-        """(B, n, 2) mask of coordinates whose basis column is nonzero."""
-        return self.active
-
-    def seg_epsilon(self) -> np.ndarray:
-        """(B,) per-path segment-norm floor, in the batch's dtype."""
-        return self.eps
-
 
 def stack_params(specs: Sequence[PathSpec], T0s) -> np.ndarray:
-    """Stack per-path n x 2 parameter arrays into a (B, n, 2) array."""
+    """Stack per-path n x 2 parameter arrays into a (B, n, 2) array of finite values."""
     T = np.stack([np.asarray(t, dtype=float) for t in T0s])
     if T.shape != (len(specs), specs[0].n, 2):
         raise ShapeMismatch(f"bad stacked parameter shape {T.shape}")
+    finite = np.isfinite(T).reshape(len(T), -1).all(axis=1)
+    if not finite.all():
+        raise ShapeMismatch(f"params of batch member {np.argmin(finite)} have non-finite entries")
     return T
 
 
@@ -133,7 +130,7 @@ def checked_segments(sc: BatchScene, T: np.ndarray):
     """Points, segments and norms; raises DegenerateSegment below the floor."""
     x = embed_batch(sc, T)
     s, norms = segment_norms(x)
-    if np.any(norms <= sc.seg_epsilon()[:, None]):
+    if np.any(norms <= sc.eps[:, None]):
         raise DegenerateSegment("coincident consecutive path points in batch")
     return x, s, norms
 
@@ -146,7 +143,7 @@ def clamped_segments(sc: BatchScene, T: np.ndarray):
     """
     x = embed_batch(sc, T)
     s, norms = segment_norms(x)
-    return x, s, np.maximum(norms, sc.seg_epsilon()[:, None])
+    return x, s, np.maximum(norms, sc.eps[:, None])
 
 
 def path_length_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
@@ -168,7 +165,8 @@ def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> n
 
     Segment k runs into interior point k; with M_k = (I - u_k u_k^T) / |s_k|,
     diagonal block i is A_i^T (M_i + M_{i+1}) A_i and the block right of it
-    is -A_i^T M_{i+1} A_{i+1}.
+    is -A_i^T M_{i+1} A_{i+1}. All blocks of one kind come from one einsum
+    and are written through a block-diagonal view of H as (B, n, 2, n, 2).
     """
     B, n = s.shape[0], s.shape[1] - 1
     u = s / norms[..., None]
@@ -176,21 +174,18 @@ def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> n
     M = (eye[None, None] - np.einsum("bki,bkj->bkij", u, u)) / norms[..., None, None]
     A = sc.basis
     H = np.zeros((B, 2 * n, 2 * n), dtype=s.dtype)
-    for i in range(n):
-        di = np.einsum(
-            "bri,brs,bsj->bij", A[:, i], M[:, i] + M[:, i + 1], A[:, i]
-        )
-        H[:, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = di
-        if i + 1 < n:
-            off = -np.einsum("bri,brs,bsj->bij", A[:, i], M[:, i + 1], A[:, i + 1])
-            H[:, 2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
-            H[:, 2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.swapaxes(off, 1, 2)
+    H5 = H.reshape(B, n, 2, n, 2)
+    blocks = "bnri,bnrs,bnsj->bnij"
+    np.einsum("bninj->bnij", H5)[...] = np.einsum(blocks, A, M[:, :-1] + M[:, 1:], A)
+    off = -np.einsum(blocks, A[:, :-1], M[:, 1:-1], A[:, 1:])
+    np.einsum("bninj->bnij", H5[:, :-1, :, 1:])[...] = off
+    np.einsum("bninj->bnij", H5[:, 1:, :, :-1])[...] = np.swapaxes(off, 2, 3)
     return H
 
 
 def stationary_from_segments(sc: BatchScene, s, norms, tol: float) -> np.ndarray:
     """(B,) test |g| < tol (1 + L); g takes the norms clamped, as `gradient_batch` does."""
-    g = gradient_from_segments(sc, s, np.maximum(norms, sc.seg_epsilon()[:, None]))
+    g = gradient_from_segments(sc, s, np.maximum(norms, sc.eps[:, None]))
     gnorm = np.sqrt(np.einsum("bnj,bnj->b", g, g))
     return gnorm < tol * (1.0 + np.einsum("bk->b", norms))
 

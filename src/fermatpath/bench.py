@@ -12,12 +12,10 @@ minimum and the image method would not apply.
 from __future__ import annotations
 
 import csv
-import io
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 import yaml
@@ -103,36 +101,18 @@ class BenchRecord:
     wall_time_ms: float
 
 
-CSV_HEADER = [
-    "solver",
-    "n",
-    "kinds",
-    "d",
-    "iterations",
-    "fp_iters",
-    "precision",
-    "mean_error",
-    "wall_time_ms",
-]
+# One CSV column per field, in field order; floats are written by `repr`,
+# which round-trips them exactly.
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
+_COLUMN_TYPES = [get_type_hints(BenchRecord)[name] for name in CSV_HEADER]
 
 
 def write_records(records: Sequence[BenchRecord], fileobj) -> None:
     w = csv.writer(fileobj)
     w.writerow(CSV_HEADER)
     for r in records:
-        w.writerow(
-            [
-                r.solver,
-                r.n,
-                r.kinds,
-                r.d,
-                r.iterations,
-                r.fp_iters,
-                r.precision,
-                repr(r.mean_error),
-                repr(r.wall_time_ms),
-            ]
-        )
+        values = (getattr(r, name) for name in CSV_HEADER)
+        w.writerow([repr(v) if kind is float else v for v, kind in zip(values, _COLUMN_TYPES)])
 
 
 def read_records(fileobj) -> list[BenchRecord]:
@@ -142,19 +122,9 @@ def read_records(fileobj) -> list[BenchRecord]:
         raise ValueError(f"unexpected CSV header: {header}")
     out = []
     for row in rows:
-        out.append(
-            BenchRecord(
-                solver=row[0],
-                n=int(row[1]),
-                kinds=row[2],
-                d=int(row[3]),
-                iterations=int(row[4]),
-                fp_iters=int(row[5]),
-                precision=row[6],
-                mean_error=float(row[7]),
-                wall_time_ms=float(row[8]),
-            )
-        )
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"CSV row has {len(row)} fields, expected {len(CSV_HEADER)}: {row}")
+        out.append(BenchRecord(*(kind(v) for kind, v in zip(_COLUMN_TYPES, row))))
     return out
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .bench import (
     BenchConfig,
     Kinds,
@@ -19,7 +17,6 @@ from .bench import (
 )
 from .errors import FermatPathError, SceneFileError
 from .geometry import embed
-from .objective import path_length
 from .solver import Precision, SolveOptions, bfgs_solve, init_params
 
 USAGE_ERROR = 1

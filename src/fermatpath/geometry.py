@@ -12,7 +12,9 @@ what `np.linalg.norm` computes internally, and a cross product with the
 float operations `np.cross` performs. The dot product must stay the BLAS
 `dot`: summing the three products in Python floats rounds differently
 (OpenBLAS fuses multiply and add), and that would change which random
-scenes `bench.gen_scenes` accepts.
+scenes `bench.gen_scenes` accepts. `params_from_points`, the inverse of
+`embed`, works on the stacked arrays: one masked pseudo-inverse solve for
+all surfaces.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class PathSpec:
         basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
         anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
         active = np.linalg.norm(basis, axis=1) > 0.0  # each surface's `active`
-        # The segment-norm floor `BatchScene.seg_epsilon` carries, as a float.
+        # The segment-norm floor `BatchScene.eps` carries, as a float.
         object.__setattr__(self, "_eps", float(segment_floor(start[None], end[None])[0]))
         for name, a in (("_basis", basis), ("_anchor", anchor), ("_active", active)):
             a.setflags(write=False)
@@ -213,15 +215,12 @@ def embed(spec: PathSpec, T) -> np.ndarray:
 def params_from_points(spec: PathSpec, points) -> np.ndarray:
     """Least-squares parametric coordinates of given interaction points.
 
-    `points` is an (n, 3) array; inert coordinates come back as zero.
+    `points` is an (n, 3) array; inert coordinates come back as +0.0. One
+    stacked pseudo-inverse, an SVD solve like `lstsq`, projects every
+    point, so nearly parallel plane bases stay accurate.
     """
     points = np.asarray(points, dtype=float)
     if points.shape != (spec.n, 3):
         raise ShapeMismatch(f"points must have shape ({spec.n}, 3), got {points.shape}")
-    T = np.zeros((spec.n, 2))
-    for i, surf in enumerate(spec.surfaces):
-        act = surf.active
-        A = surf.basis[:, act]
-        rhs = points[i] - surf.anchor
-        T[i, act] = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    return T
+    rhs = (points - spec.anchor_tensor)[..., None]
+    return np.where(spec.active_mask, (np.linalg.pinv(spec.basis_tensor) @ rhs)[..., 0], 0.0)

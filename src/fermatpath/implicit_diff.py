@@ -42,7 +42,7 @@ def _adjoint(sc, s, norms, v) -> np.ndarray:
     """(B, n, 2) solution u of H u = -v on the active coordinates; inert entries are zero."""
     H = hessian_from_segments(sc, s, norms)
     B, m = H.shape[:2]
-    active = sc.active_mask().reshape(B, m)
+    active = sc.active.reshape(B, m)
     rhs = np.where(active, -v.reshape(B, m), 0.0)
     try:
         u = solve_active(H, rhs, active, np.zeros(B))

@@ -38,7 +38,7 @@ from .batching import (
 # `gradient_batch` is unused here but stays importable: the benchmark's tracer test reads it.
 from .batching import gradient_batch  # noqa: F401
 from .errors import DegenerateSegment, ZeroDirection
-from .geometry import PathSpec, check_params
+from .geometry import PathSpec, check_params, params_from_points
 
 
 class Precision(Enum):
@@ -85,7 +85,9 @@ def init_params(spec: PathSpec) -> np.ndarray:
     `A.T` a fresh C-ordered copy (the layout boolean indexing gives): BLAS
     `gemv` rounds by the layout and alignment of its operands, so a stacked
     product, or one on views into the stacked basis, moves the guess by an
-    ulp.
+    ulp. A plane whose Gram matrix rounds to singular, though its basis
+    passed the degeneracy check, takes the pseudo-inverse projection
+    `params_from_points` instead.
     """
     mid = 0.5 * (spec.start + spec.end)
     basis, anchor = spec.basis_tensor, spec.anchor_tensor
@@ -99,7 +101,10 @@ def init_params(spec: PathSpec) -> np.ndarray:
         if idx.size:
             A = basis[idx, :, :k]
             G = A.transpose(0, 2, 1) @ A
-            T[idx, :k] = np.linalg.solve(G, rhs[idx, :k, None])[..., 0]
+            try:
+                T[idx, :k] = np.linalg.solve(G, rhs[idx, :k, None])[..., 0]
+            except np.linalg.LinAlgError:
+                return params_from_points(spec, np.broadcast_to(mid, (spec.n, 3)))
     return T
 
 
@@ -172,7 +177,7 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     P = check_params(spec, P)
     sc = BatchScene.of(spec)
     _, s, _ = checked_segments(sc, T[None])
-    alpha, zero, clamped = _fixed_point_alpha(sc, s, P[None], k, sc.seg_epsilon())
+    alpha, zero, clamped = _fixed_point_alpha(sc, s, P[None], k, sc.eps)
     if zero[0]:
         raise ZeroDirection("direction moves no interaction point")
     if clamped[0]:
@@ -226,7 +231,7 @@ def _bfgs_kernel(
         k = live.size
         p = -np.einsum("bij,bj->bi", H, g)
         alpha, _, _ = _fixed_point_alpha(
-            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters, sc.seg_epsilon(),
+            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters, sc.eps,
             stop_when_still=skip_fixed_points,
         )
         step = alpha[:, None] * p

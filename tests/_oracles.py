@@ -5,8 +5,10 @@ differences, golden-section search, a standalone d=1 solver) rather than
 reusing library internals, so tests compare two independent computations.
 The exceptions are `fixed_point_alpha` and `fixed_schedule_bfgs`, the
 step-size loop and the batch BFGS kernel as plain fixed schedules, and the
-constructors and `init_params` in their plain numpy form, which must share
-the library's arithmetic to serve as bitwise references.
+constructors, `init_params` and the Hessian in their plain numpy or looped
+form, which must share the library's arithmetic to serve as bitwise
+references, and `per_surface_params_from_points`, the projection as one
+`lstsq` per surface.
 """
 
 import numpy as np
@@ -119,7 +121,7 @@ def reduced_edge_bfgs(sc, T0r, iters: int, fp_iters: int) -> np.ndarray:
     A = sc.basis[..., 0]  # (B, n, 3) edge directions
     B, n = T0r.shape
     T = T0r.copy()
-    eps = sc.seg_epsilon()
+    eps = sc.eps
     tiny = np.finfo(T.dtype).tiny
 
     def segs(T):
@@ -224,7 +226,7 @@ def fixed_schedule_bfgs(sc, T0, opts):
     T = np.array(T0, dtype=dtype)
     B, n = T.shape[0], T.shape[1]
     m = 2 * n
-    eps = sc.seg_epsilon()
+    eps = sc.eps
     bits = f"u{T.itemsize}"
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     g = gradient_batch(sc, T).reshape(B, m)
@@ -344,4 +346,36 @@ def per_surface_init_params(spec: PathSpec) -> np.ndarray:
         G = A.T @ A
         rhs = A.T @ (mid - surf.anchor)
         T[i, act] = np.linalg.solve(G, rhs)
+    return T
+
+
+def looped_hessian_from_segments(sc, s, norms):
+    """`batching.hessian_from_segments` as a Python loop over the n diagonal blocks."""
+    B, n = s.shape[0], s.shape[1] - 1
+    u = s / norms[..., None]
+    eye = np.eye(3, dtype=s.dtype)
+    M = (eye[None, None] - np.einsum("bki,bkj->bkij", u, u)) / norms[..., None, None]
+    A = sc.basis
+    H = np.zeros((B, 2 * n, 2 * n), dtype=s.dtype)
+    for i in range(n):
+        di = np.einsum(
+            "bri,brs,bsj->bij", A[:, i], M[:, i] + M[:, i + 1], A[:, i]
+        )
+        H[:, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = di
+        if i + 1 < n:
+            off = -np.einsum("bri,brs,bsj->bij", A[:, i], M[:, i + 1], A[:, i + 1])
+            H[:, 2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
+            H[:, 2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.swapaxes(off, 1, 2)
+    return H
+
+
+def per_surface_params_from_points(spec: PathSpec, points) -> np.ndarray:
+    """`geometry.params_from_points` as one `lstsq` per surface."""
+    points = np.asarray(points, dtype=float)
+    T = np.zeros((spec.n, 2))
+    for i, surf in enumerate(spec.surfaces):
+        act = surf.active
+        A = surf.basis[:, act]
+        rhs = points[i] - surf.anchor
+        T[i, act] = np.linalg.lstsq(A, rhs, rcond=None)[0]
     return T

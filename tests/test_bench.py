@@ -3,8 +3,12 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,9 +162,23 @@ class TestResultFiles:
         assert back[0] == records[0]
         assert math.isnan(back[1].mean_error)
 
+    def test_header_is_the_documented_layout(self):
+        header = "solver,n,kinds,d,iterations,fp_iters,precision,mean_error,wall_time_ms"
+        buf = io.StringIO()
+        write_records([], buf)
+        assert buf.getvalue().splitlines() == [header]
+
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
             read_records(io.StringIO("a,b,c\n1,2,3\n"))
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_row_of_wrong_length_rejected(self, extra):
+        row = ["ours", "3", "mixed", "2", "100", "1", "single", "0.5", "1.0"]
+        row = row[:extra] if extra < 0 else row + ["2.0"]
+        text = ",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n"
+        with pytest.raises(ValueError, match="fields"):
+            read_records(io.StringIO(text))
 
 
 class TestBenchConfig:
@@ -371,6 +389,28 @@ class TestCli:
         assert err.startswith(f"fermatpath solve: scene file document {index}: ")
         assert "Traceback" not in err
         assert out == ""
+
+    def test_solve_plane_with_singular_gram_matrix(self, tmp_path):
+        # A valid plane whose Gram matrix rounds to singular gets its initial
+        # guess from the pseudo-inverse projection instead of a traceback.
+        scene_file = tmp_path / "near_parallel.yaml"
+        scene_file.write_text(
+            "start: [0.0, 0.0, 1.0]\n"
+            "end: [1.0, 0.0, 1.0]\n"
+            "surfaces:\n"
+            "- kind: plane\n"
+            "  anchor: [0.0, 0.0, 0.0]\n"
+            "  basis: [[1.0, 1.0], [0.0, 2.0e-9], [0.0, 0.0]]\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermatpath", "solve", str(scene_file)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(bench.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "scene 0: length=" in proc.stdout
 
     def test_solver_failure_exit_code(self, tmp_path):
         # A plane through the start point: the midpoint projects onto the

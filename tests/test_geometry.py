@@ -178,6 +178,30 @@ class TestParamsFromPoints:
         with pytest.raises(ShapeMismatch):
             params_from_points(_simple_spec(), np.zeros((3, 3)))
 
+    def test_matches_per_surface_lstsq(self):
+        rng = np.random.default_rng(17)
+        near_parallel = PathSpec(
+            start=[0.0, 0.0, 1.0],
+            end=[1.0, 0.0, 1.0],
+            surfaces=(
+                make_plane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2e-9, 0.0]),
+                make_edge([2.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            ),
+        )
+        specs = [near_parallel] + [
+            spec
+            for kinds in (Kinds.MIXED, Kinds.DIFFRACTIONS)
+            for n in (1, 2, 5, 64)
+            for spec in gen_scenes(17, n, kinds, 10)
+        ]
+        for spec in specs:
+            for pts in (rng.normal(size=(spec.n, 3)) * 5.0, spec.anchor_tensor + 0.25):
+                T = params_from_points(spec, pts)
+                want = oracle.per_surface_params_from_points(spec, pts)
+                assert np.linalg.norm(T - want) <= 1e-12 * np.linalg.norm(want)
+                inert = T[~spec.active_mask]
+                assert inert.tobytes() == np.zeros_like(inert).tobytes()  # +0.0
+
 
 def _bytes(*arrays):
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
@@ -312,12 +336,12 @@ class TestConstructorsMatchOracle:
 
 
 class TestBatchSceneCarriesFloorAndMask:
-    """`seg_epsilon` and `active_mask` are carried, equal to their formula byte for byte."""
+    """`eps` and `active` are carried, equal to their formula byte for byte."""
 
     @staticmethod
     def _assert_carried(sc):
-        assert _bytes(sc.seg_epsilon()) == _bytes(oracle.seg_epsilon(sc.start, sc.end, sc.dtype))
-        assert _bytes(sc.active_mask()) == _bytes(np.linalg.norm(sc.basis, axis=2) > 0.0)
+        assert _bytes(sc.eps) == _bytes(oracle.seg_epsilon(sc.start, sc.end, sc.dtype))
+        assert _bytes(sc.active) == _bytes(np.linalg.norm(sc.basis, axis=2) > 0.0)
 
     def test_of_from_specs_take_and_astype(self):
         specs = gen_scenes(5, 3, Kinds.MIXED, 40)
@@ -326,7 +350,7 @@ class TestBatchSceneCarriesFloorAndMask:
             self._assert_carried(sc.take(np.arange(sc.size)[::-2]))
             self._assert_carried(sc.take(np.arange(sc.size) % 3 == 0))
             single = sc.astype(np.float32)
-            assert single.seg_epsilon().dtype == np.float32
+            assert single.eps.dtype == np.float32
             self._assert_carried(single)
             self._assert_carried(single.take([0]))
             self._assert_carried(single.astype(np.float64))

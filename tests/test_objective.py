@@ -21,6 +21,7 @@ from fermatpath.batching import (
     checked_segments,
     gradient_batch,
     hessian_batch,
+    hessian_from_segments,
     length_param_gradient_from_segments,
     param_vjp_from_segments,
     path_length_batch,
@@ -32,7 +33,14 @@ from fermatpath.objective import (
     length_param_gradient,
 )
 
-from _oracles import fd_gradient, fd_hessian, perturb_params, perturb_scene, scene_coords
+from _oracles import (
+    fd_gradient,
+    fd_hessian,
+    looped_hessian_from_segments,
+    perturb_params,
+    perturb_scene,
+    scene_coords,
+)
 
 
 def _cases(seed=13, per_cell=4):
@@ -89,6 +97,38 @@ class TestHessian:
         for spec, T in _cases(per_cell=2):
             w = np.linalg.eigvalsh(hessian(spec, T))
             assert w.min() >= -1e-10
+
+
+def _hessian_batches():
+    """(label, specs, T): 3 kinds x n in {0, 1, 2, 4, 5, 64} x B in {1, 20, 200}, and (5, 1000)."""
+    rng = np.random.default_rng(29)
+    for kinds in Kinds:
+        for n in (0, 1, 2, 4, 5, 64):
+            if n == 0:
+                ends = rng.uniform(1.0, 2.0, size=(200, 3))
+                pool = [PathSpec(start=[0.0, 0.0, 0.0], end=e, surfaces=()) for e in ends]
+            else:
+                pool = gen_scenes(29, n, kinds, 200)
+            T = np.stack([perturb_params(s, rng, 0.1) for s in pool])
+            for B in (1, 20, 200):
+                yield f"{kinds.value}-{n}-{B}", pool[:B], T[:B]
+        big = gen_scenes(30, 5, kinds, 1000)
+        yield f"{kinds.value}-5-1000", big, np.stack([perturb_params(s, rng, 0.1) for s in big])
+
+
+class TestHessianMatchesLoopOracle:
+    """The loop-free Hessian equals the per-block loop byte for byte."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_bytes(self):
+        for label, specs, T in _hessian_batches():
+            for dtype in (np.float64, np.float32):
+                sc = BatchScene.from_specs(specs).astype(dtype)
+                _, s, norms = checked_segments(sc, T.astype(dtype))
+                H = hessian_from_segments(sc, s, norms)
+                want = looped_hessian_from_segments(sc, s, norms)
+                assert (H.dtype, H.shape) == (want.dtype, want.shape), (label, dtype)
+                assert H.tobytes() == want.tobytes(), (label, dtype)
 
 
 class TestBatchOfOne:

@@ -10,6 +10,7 @@ from fermatpath import (
     Kinds,
     PathSpec,
     Precision,
+    ShapeMismatch,
     SolveOptions,
     ZeroDirection,
     batch_solve,
@@ -19,7 +20,9 @@ from fermatpath import (
     line_search_alpha,
     make_edge,
     make_plane,
+    params_from_points,
     path_length,
+    reference_solve_batch,
 )
 from fermatpath import batching
 from fermatpath.batching import BatchScene, clamped_segments
@@ -72,6 +75,22 @@ class TestInitParams:
         )
         T0 = init_params(spec)
         assert T0[0, 1] == 0.0
+
+    def test_singular_gram_matrix_falls_back_to_the_projection(self):
+        # The plane passes the degeneracy check, but A^T A rounds to singular.
+        spec = PathSpec(
+            start=[0.0, 0.0, 1.0],
+            end=[1.0, 0.0, 1.0],
+            surfaces=(
+                make_plane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2e-9, 0.0]),
+                make_edge([2.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            ),
+        )
+        T0 = init_params(spec)
+        assert np.all(np.isfinite(T0))
+        assert T0[1, 1] == 0.0 and not np.signbit(T0[1, 1])
+        mid = 0.5 * (spec.start + spec.end)
+        assert T0.tobytes() == params_from_points(spec, np.broadcast_to(mid, (2, 3))).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
     @pytest.mark.parametrize("kinds", list(Kinds))
@@ -160,7 +179,7 @@ def _step_size_batch(dtype):
     P[7] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     sc = BatchScene.from_specs(specs).astype(dtype)
     _, s, _ = clamped_segments(sc, T.astype(dtype))
-    return sc, s, P.astype(dtype), sc.seg_epsilon()
+    return sc, s, P.astype(dtype), sc.eps
 
 
 class TestStepSizeLoop:
@@ -229,6 +248,15 @@ class TestSolver:
         # The start is checked and embedded once, each iteration embeds once,
         # and the report takes the final length.
         assert len(calls) == 103
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_batch_entry_points_reject_non_finite_guesses(self, bad):
+        specs = gen_scenes(8, 2, Kinds.MIXED, 4)
+        T0s = [init_params(s) for s in specs]
+        T0s[2][1, 0] = bad
+        for solve in (batch_solve, reference_solve_batch):
+            with pytest.raises(ShapeMismatch, match="batch member 2 "):
+                solve(specs, T0s)
 
     def test_batch_rejects_grad_tol(self):
         specs = gen_scenes(1, 2, Kinds.MIXED, 3)
