@@ -10,12 +10,8 @@ contrast.
 import argparse
 import time
 
-import numpy as np
-
-from fermatpath import Kinds, SolveOptions, gen_scenes, init_params
-from fermatpath.batching import BatchScene, stack_params
+from fermatpath import Kinds, SolveOptions, batch_solve, gen_scenes, init_params
 from fermatpath.implicit_diff import grad_length_wrt_params
-from fermatpath.solver import _bfgs_kernel
 
 
 def parse_args():
@@ -33,14 +29,13 @@ def parse_args():
 def main():
     args = parse_args()
     specs = gen_scenes(args.seed, args.n, Kinds.MIXED, args.batch)
-    sc = BatchScene.from_specs(specs)
-    T0 = stack_params(specs, [init_params(s) for s in specs])
+    T0s = [init_params(s) for s in specs]
 
     print(f"{'iterations':>10} {'solve_ms':>10} {'grad_ms':>10}")
     for depth in args.depths:
         opts = SolveOptions(iterations=depth, fixed_point_iters=64)
         t0 = time.perf_counter()
-        T, _, _, _ = _bfgs_kernel(sc, T0, opts)
+        T = [r.solution for r in batch_solve(specs, T0s, opts)]
         solve_ms = 1e3 * (time.perf_counter() - t0)
 
         for spec, Tb in zip(specs[:5], T[:5]):  # warm-up

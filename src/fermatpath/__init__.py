@@ -19,13 +19,13 @@ from .geometry import (
     PathSpec,
     Surface,
     SurfaceKind,
-    embed,
     make_edge,
     make_plane,
     params_from_points,
 )
 from .objective import (
     SceneGradient,
+    embed,
     gradient,
     hessian,
     length_param_gradient,

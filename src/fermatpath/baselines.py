@@ -196,7 +196,7 @@ def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
         fixed_point_iters=REFERENCE_FP_ITERS,
         precision=Precision.DOUBLE,
     )
-    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
+    T, _, _ = _bfgs_kernel(sc, T0, opts)
     polish_opts = SolveOptions(iterations=1, precision=Precision.DOUBLE)
     converged = _converged_mask(sc, T)
     for _ in range(REFERENCE_POLISH_ITERS):

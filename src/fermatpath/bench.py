@@ -29,6 +29,7 @@ from .baselines import (
 from .batching import BatchScene, embed_batch, stack_params
 from .errors import FermatPathError, NoConvergence, SceneFileError
 from .geometry import (
+    MAX_INTERACTIONS,
     PathSpec,
     Surface,
     SurfaceKind,
@@ -51,7 +52,8 @@ class Kinds(Enum):
 
 KNOWN_SOLVERS = ("ours", "ours-64", "gd", "newton", "image")
 
-# Generator constants; overridable through gen_scenes keyword arguments.
+# Generator constants. Each is part of the RNG stream's contract: changing
+# one changes every generated scene, and the golden digests in the tests.
 BOX_SIDE = 10.0
 LATERAL_JITTER = 2.0
 ENDPOINT_EXCLUSION = 0.1
@@ -72,15 +74,14 @@ class BenchConfig:
     iterations: int = 100
     fixed_point_iters: int = 1
     precision: Precision = Precision.SINGLE
-    box_side: float = BOX_SIDE
-    jitter: float = LATERAL_JITTER
-    exclusion: float = ENDPOINT_EXCLUSION
 
     def __post_init__(self):
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if any(n < 1 for n in self.n_range):
-            raise ValueError("interaction counts must be >= 1")
+        if any(not 1 <= n <= MAX_INTERACTIONS for n in self.n_range):
+            raise ValueError(f"interaction counts must be in 1..{MAX_INTERACTIONS}")
+        # The solve options' own checks, made before any scene is generated.
+        SolveOptions(iterations=self.iterations, fixed_point_iters=self.fixed_point_iters)
         unknown = set(self.solvers) - set(KNOWN_SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers: {sorted(unknown)}")
@@ -212,7 +213,7 @@ def _unit_orthogonal(rng, q: np.ndarray) -> np.ndarray:
             return v / nv
 
 
-def _gen_one(rng, n: int, kinds: Kinds, box_side, jitter, exclusion) -> PathSpec:
+def _gen_one(rng, n: int, kinds: Kinds) -> PathSpec:
     """One random scene; every draw and every rounding fixed by the generator's stream.
 
     The waypoint checks run on (k, 3) arrays, but each norm is still a BLAS
@@ -220,7 +221,7 @@ def _gen_one(rng, n: int, kinds: Kinds, box_side, jitter, exclusion) -> PathSpec
     any other way would round differently and, near a threshold, accept a
     different scene.
     """
-    half = box_side / 2.0
+    half = BOX_SIDE / 2.0
     while True:
         start = rng.uniform(-half, half, 3)
         end = rng.uniform(-half, half, 3)
@@ -235,16 +236,16 @@ def _gen_one(rng, n: int, kinds: Kinds, box_side, jitter, exclusion) -> PathSpec
     along = start + (np.arange(1, n + 1) / (n + 1))[:, None] * (end - start)
 
     for _ in range(1000):
-        stations = along + rng.uniform(-jitter, jitter, (n, 3))
+        stations = along + rng.uniform(-LATERAL_JITTER, LATERAL_JITTER, (n, 3))
         if not (
-            (row_norms(stations - start) > exclusion).all()
-            and (row_norms(stations - end) > exclusion).all()
+            (row_norms(stations - start) > ENDPOINT_EXCLUSION).all()
+            and (row_norms(stations - end) > ENDPOINT_EXCLUSION).all()
         ):
             continue
         poly = np.concatenate([start[None], stations, end[None]])
         seg = poly[1:] - poly[:-1]
         seg_len = row_norms(seg)
-        if (seg_len < exclusion).any():
+        if (seg_len < ENDPOINT_EXCLUSION).any():
             continue
         if turns:
             # bend[i] = u_in - u_out at waypoint i, from the unit segments.
@@ -284,21 +285,13 @@ def _gen_one(rng, n: int, kinds: Kinds, box_side, jitter, exclusion) -> PathSpec
     return PathSpec(start=start, end=end, surfaces=tuple(surfaces))
 
 
-def gen_scenes(
-    seed: int,
-    n: int,
-    kinds: Kinds,
-    batch: int,
-    box_side: float = BOX_SIDE,
-    jitter: float = LATERAL_JITTER,
-    exclusion: float = ENDPOINT_EXCLUSION,
-) -> list[PathSpec]:
+def gen_scenes(seed: int, n: int, kinds: Kinds, batch: int) -> list[PathSpec]:
     """Deterministic batch of random scenes with n interactions each."""
     if n < 1:
         raise ValueError("n must be >= 1")
     kind_code = list(Kinds).index(kinds)
     rng = np.random.default_rng([int(seed), int(n), kind_code])
-    return [_gen_one(rng, n, kinds, box_side, jitter, exclusion) for _ in range(batch)]
+    return [_gen_one(rng, n, kinds) for _ in range(batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +318,7 @@ def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
     opts = SolveOptions(
         iterations=config.iterations, fixed_point_iters=fp, precision=config.precision
     )
-    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
+    T, _, _ = _bfgs_kernel(sc, T0, opts)
     return _interaction_points(sc, T), fp
 
 
@@ -336,15 +329,7 @@ def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
     """
     cells = {}
     for n in config.n_range:
-        specs = gen_scenes(
-            config.seed,
-            n,
-            config.kinds,
-            config.batch,
-            config.box_side,
-            config.jitter,
-            config.exclusion,
-        )
+        specs = gen_scenes(config.seed, n, config.kinds, config.batch)
         sc = BatchScene.from_specs(specs)
         T0 = stack_params(specs, [init_params(s) for s in specs])
         truth_T, converged = reference_solve_batch(specs, list(T0))
@@ -386,6 +371,12 @@ def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
 
 # ---------------------------------------------------------------------------
 # Gradient checks
+
+
+# Central-difference step of the oracle re-solves, and the largest relative
+# error between the implicit VJP and that oracle that `grad_check` passes.
+FD_STEP = 1e-5
+GRAD_CHECK_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -449,7 +440,7 @@ def _scene_grad_entry(sg, coord) -> float:
     return float(sg.basis[coord[1], coord[2], coord[3]])
 
 
-def _fd_resolve_vjps(specs: Sequence[PathSpec], vs, h: float) -> list[np.ndarray]:
+def _fd_resolve_vjps(specs: Sequence[PathSpec], vs) -> list[np.ndarray]:
     """v^T dT*/d(theta) per spec, by central differences of reference re-solves.
 
     Every perturbed scene of every spec is re-solved in one batch; the
@@ -457,7 +448,7 @@ def _fd_resolve_vjps(specs: Sequence[PathSpec], vs, h: float) -> list[np.ndarray
     """
     coords = [_feasible_coords(spec) for spec in specs]
     perturbed = [
-        _perturbed_spec(spec, c, sign * h)
+        _perturbed_spec(spec, c, sign * FD_STEP)
         for spec, cs in zip(specs, coords)
         for c in cs
         for sign in (+1, -1)
@@ -474,21 +465,19 @@ def _fd_resolve_vjps(specs: Sequence[PathSpec], vs, h: float) -> list[np.ndarray
         v = np.asarray(v, dtype=float)
         fd = np.empty(len(cs))
         for j in range(len(cs)):
-            dT = (T[pos] - T[pos + 1]) / (2.0 * h)
+            dT = (T[pos] - T[pos + 1]) / (2.0 * FD_STEP)
             fd[j] = float(np.sum(v * dT))
             pos += 2
         out.append(fd)
     return out
 
 
-def fd_resolve_vjp(spec: PathSpec, v, h: float = 1e-5) -> np.ndarray:
-    """Oracle: v^T dT*/d(theta) by re-solving at theta +/- h per coordinate."""
-    return _fd_resolve_vjps([spec], [v], h)[0]
+def fd_resolve_vjp(spec: PathSpec, v) -> np.ndarray:
+    """Oracle: v^T dT*/d(theta) by re-solving at theta +/- FD_STEP per coordinate."""
+    return _fd_resolve_vjps([spec], [v])[0]
 
 
-def grad_check(
-    seed: int, n: int, kinds: Kinds, count: int, tolerance: float = 1e-3
-) -> GradCheckReport:
+def grad_check(seed: int, n: int, kinds: Kinds, count: int) -> GradCheckReport:
     """Oracle-equivalence suite for implicit differentiation on random scenes.
 
     All finite-difference re-solves for a batch of instances run as one
@@ -505,7 +494,7 @@ def grad_check(
 
     live = [i for i in range(count) if converged[i]]
     vs = [rng.normal(size=(n, 2)) * specs[i].active_mask for i in live]
-    fds = _fd_resolve_vjps([specs[i] for i in live], vs, 1e-5) if live else []
+    fds = _fd_resolve_vjps([specs[i] for i in live], vs) if live else []
 
     # With nothing checked there is no error to report.
     vjp_max = env_max = 0.0 if live else float("nan")
@@ -525,6 +514,6 @@ def grad_check(
         count=len(live),
         vjp_max_rel_error=vjp_max,
         envelope_max_rel_error=env_max,
-        tolerance=tolerance,
-        passed=len(live) == count and vjp_max <= tolerance and env_max <= 1e-6,
+        tolerance=GRAD_CHECK_TOL,
+        passed=len(live) == count and vjp_max <= GRAD_CHECK_TOL and env_max <= 1e-6,
     )

@@ -16,7 +16,8 @@ from .bench import (
     write_records,
 )
 from .errors import FermatPathError, SceneFileError
-from .geometry import embed
+from .geometry import MAX_INTERACTIONS
+from .objective import embed
 from .solver import Precision, SolveOptions, bfgs_solve, init_params
 
 USAGE_ERROR = 1
@@ -48,43 +49,57 @@ def _precision(value: str) -> Precision:
         raise argparse.ArgumentTypeError("precision must be 'single' or 'double'")
 
 
+def _positive_int(value: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
+def _interaction_count(value: str) -> int:
+    count = _positive_int(value)
+    if count > MAX_INTERACTIONS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_INTERACTIONS}, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fermatpath", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="run the error-vs-time benchmark")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--batch", type=int, default=1000)
-    b.add_argument("--n", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    b.add_argument("--batch", type=_positive_int, default=1000)
+    b.add_argument("--n", type=_interaction_count, nargs="+", default=[1, 2, 3, 4, 5])
     b.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
     b.add_argument(
         "--solvers", type=str, nargs="+", default=["ours", "ours-64", "gd", "newton"]
     )
-    b.add_argument("--iterations", type=int, default=100)
-    b.add_argument("--fp-iters", type=int, default=1)
+    b.add_argument("--iterations", type=_positive_int, default=100)
+    b.add_argument("--fp-iters", type=_positive_int, default=1)
     b.add_argument("--precision", type=_precision, default=Precision.SINGLE)
-    b.add_argument("--box-side", type=float, default=10.0)
-    b.add_argument("--jitter", type=float, default=2.0)
-    b.add_argument("--exclusion", type=float, default=0.1)
     b.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
 
     s = sub.add_parser("solve", help="solve scenes from a file and print paths")
     s.add_argument("scene_file", type=str)
-    s.add_argument("--iterations", type=int, default=100)
-    s.add_argument("--fp-iters", type=int, default=64)
+    s.add_argument("--iterations", type=_positive_int, default=100)
+    s.add_argument("--fp-iters", type=_positive_int, default=64)
     s.add_argument("--precision", type=_precision, default=Precision.DOUBLE)
 
     g = sub.add_parser("grad-check", help="implicit-differentiation oracle check")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--n", type=int, default=2)
+    g.add_argument("--n", type=_interaction_count, default=2)
     g.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
-    g.add_argument("--count", type=int, default=10)
+    g.add_argument("--count", type=_positive_int, default=10)
 
     w = sub.add_parser("gen", help="write random scenes to a scene file")
     w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--n", type=int, default=2)
+    w.add_argument("--n", type=_interaction_count, default=2)
     w.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
-    w.add_argument("--count", type=int, default=10)
+    w.add_argument("--count", type=_positive_int, default=10)
     w.add_argument("--out", type=str, required=True)
     return parser
 
@@ -100,9 +115,6 @@ def _cmd_bench(args) -> int:
             iterations=args.iterations,
             fixed_point_iters=args.fp_iters,
             precision=args.precision,
-            box_side=args.box_side,
-            jitter=args.jitter,
-            exclusion=args.exclusion,
         )
     except ValueError as exc:
         print(f"fermatpath bench: {exc}", file=sys.stderr)
@@ -147,9 +159,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    if args.count < 1:
-        print("fermatpath grad-check: --count must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     report = grad_check(args.seed, args.n, args.kinds, args.count)
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -161,9 +170,6 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.count < 1:
-        print("fermatpath gen: --count must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     specs = gen_scenes(args.seed, args.n, args.kinds, args.count)
     with open(args.out, "w") as fh:
         save_scenes(specs, fh)

@@ -13,7 +13,7 @@ float operations `np.cross` performs. The dot product must stay the BLAS
 `dot`: summing the three products in Python floats rounds differently
 (OpenBLAS fuses multiply and add), and that would change which random
 scenes `bench.gen_scenes` accepts. `params_from_points`, the inverse of
-`embed`, works on the stacked arrays: one masked pseudo-inverse solve for
+`objective.embed`, works on the stacked arrays: one masked pseudo-inverse solve for
 all surfaces.
 """
 
@@ -182,10 +182,6 @@ class PathSpec:
         """(n, 2) read-only boolean mask of non-inert parametric coordinates."""
         return self._active
 
-    @property
-    def scene_scale(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
 
 def check_params(spec: PathSpec, T) -> np.ndarray:
     """Validate an n x 2 parameter array against its spec and return it as float."""
@@ -195,21 +191,6 @@ def check_params(spec: PathSpec, T) -> np.ndarray:
     if not np.all(np.isfinite(T)):
         raise ShapeMismatch("params have non-finite entries")
     return T
-
-
-def embed(spec: PathSpec, T) -> np.ndarray:
-    """Map parameters to the n+2 path points [start, A_i t_i + b_i ..., end].
-
-    Returns an (n+2, 3) array. Affine in T; inert edge coordinates have no
-    effect because their basis column is exactly zero.
-    """
-    T = check_params(spec, T)
-    pts = np.empty((spec.n + 2, 3))
-    pts[0] = spec.start
-    pts[-1] = spec.end
-    if spec.n:
-        pts[1:-1] = np.einsum("nij,nj->ni", spec.basis_tensor, T) + spec.anchor_tensor
-    return pts
 
 
 def params_from_points(spec: PathSpec, points) -> np.ndarray:

@@ -3,12 +3,13 @@
 All derivatives are closed-form. With segments s_i = x_{i+1} - x_i and unit
 directions u_i = s_i / |s_i|, the parametric gradient row is
 A_i^T (u_{i-1} - u_i) and the Hessian is block-tridiagonal with
-P_i = I - u_i u_i^T appearing in every block. The length and each
-derivative have one implementation, in `batching`; each scalar call here
-runs it on a batch of one that views the spec's arrays, so it equals the
-batched kernel bitwise. Unlike the batched kernels, which clamp, the scalar
-derivatives raise DegenerateSegment when consecutive path points (nearly)
-coincide. The forms are validated against finite differences in the tests.
+P_i = I - u_i u_i^T appearing in every block. The embedding, the length
+and each derivative have one implementation, in `batching`; each scalar
+call here runs it on a batch of one that views the spec's arrays, so it
+equals the batched kernel bitwise. Unlike the batched kernels, which
+clamp, the scalar derivatives raise DegenerateSegment when consecutive
+path points (nearly) coincide. The forms are validated against finite
+differences in the tests.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .batching import (
     BatchScene,
     checked_segments,
+    embed_batch,
     gradient_from_segments,
     hessian_from_segments,
     length_param_gradient_from_segments,
@@ -35,6 +37,16 @@ def _checked(spec: PathSpec, T):
     sc = BatchScene.of(spec)
     _, s, norms = checked_segments(sc, T)
     return sc, T, s, norms
+
+
+def embed(spec: PathSpec, T) -> np.ndarray:
+    """The (n+2, 3) path points [start, A_i t_i + b_i ..., end].
+
+    Affine in T; inert edge coordinates have no effect because their basis
+    column is exactly zero.
+    """
+    T = check_params(spec, T)
+    return embed_batch(BatchScene.of(spec), T[None])[0]
 
 
 def path_length(spec: PathSpec, T) -> float:
@@ -71,10 +83,6 @@ class SceneGradient:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat()))
-
-    @classmethod
-    def zeros(cls, n: int) -> "SceneGradient":
-        return cls(np.zeros((n, 3, 2)), np.zeros((n, 3)), np.zeros(3), np.zeros(3))
 
     @classmethod
     def of(cls, parts) -> "SceneGradient":

@@ -5,8 +5,7 @@ and its results equal that fixed schedule's bitwise. In a batch, a member
 whose step no longer moves it, or a step-size iteration that no longer
 changes any step size, is at an exact fixed point, so it is no longer
 computed. A single-path solve (`bfgs_solve`) runs the whole schedule, so
-its cost is the same for every scene of a given size; its early stop is
-the explicit `grad_tol`.
+its cost is the same for every scene of a given size.
 The step size along each quasi-Newton direction comes from a fixed-point
 iteration on the exact one-dimensional optimality condition, warm-started
 at zero. Each BFGS iteration embeds the paths once: the clamped segments
@@ -56,8 +55,6 @@ class SolveOptions:
     fixed_point_iters: int = 1
     precision: Precision = Precision.DOUBLE
     record_trace: bool = False
-    # Scalar-mode convenience stop; must stay None for batch solves.
-    grad_tol: float | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -188,7 +185,7 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
 def _bfgs_kernel(
     sc: BatchScene, T0: np.ndarray, opts: SolveOptions, skip_fixed_points: bool = True
 ):
-    """Run the batch BFGS schedule; returns (T, grad, traces, iterations).
+    """Run the batch BFGS schedule; returns (T, grad, traces).
 
     A member whose step leaves T bitwise unchanged is at a fixed point of
     its whole state (T, g, H): g is recomputed at the same T, so y = 0, the
@@ -196,9 +193,7 @@ def _bfgs_kernel(
     `skip_fixed_points`, such members are written out and dropped from the
     working batch, and step-size loops end once no step size changes; no
     member's arithmetic depends on which others share the batch, so every
-    result equals the full schedule's either way. `iterations` is
-    opts.iterations unless the scalar-mode grad_tol stop ended the schedule
-    early.
+    result equals the full schedule's either way.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
@@ -208,7 +203,7 @@ def _bfgs_kernel(
 
     if n == 0:
         traces = [[] for _ in range(B)] if opts.record_trace else None
-        return T, np.zeros((B, 0, 2), dtype=dtype), traces, opts.iterations
+        return T, np.zeros((B, 0, 2), dtype=dtype), traces
 
     checked_segments(sc, T)  # reject degenerate starting points loudly
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
@@ -219,13 +214,11 @@ def _bfgs_kernel(
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
     T_out, g_out = np.empty_like(T), np.empty_like(g)
-    iterations = opts.iterations
-    scalar_stop = opts.grad_tol is not None and B == 1
     if opts.record_trace:
         # (L, |g|) of every member after each iteration; retired members
         # keep their last values, as the full schedule would record.
         row = np.empty((2, B))
-        hist = np.empty((iterations, 2, B))
+        hist = np.empty((opts.iterations, 2, B))
 
     for it in range(opts.iterations):
         k = live.size
@@ -267,18 +260,11 @@ def _bfgs_kernel(
         H = np.where(ok[:, None, None], H_new, H)
         g = g_new
 
-        if opts.record_trace or scalar_stop:
-            # The path length at T, from the points embedded above.
-            lengths = np.einsum("bk->b", segment_norms(x)[1])
         if opts.record_trace:
-            row[0, live] = lengths
+            # The path length at T, from the points embedded above.
+            row[0, live] = np.einsum("bk->b", segment_norms(x)[1])
             row[1, live] = np.sqrt(np.einsum("bi,bi->b", g, g))
             hist[it] = row
-
-        if scalar_stop:
-            if float(np.linalg.norm(g[0])) < opts.grad_tol * (1.0 + float(lengths[0])):
-                iterations = it + 1
-                break
 
         if skip_fixed_points and not moved.all():
             done = ~moved
@@ -296,12 +282,11 @@ def _bfgs_kernel(
     g_out[live] = g
     traces = None
     if opts.record_trace:
-        rows = hist[:iterations]
         traces = [
-            list(zip(range(iterations), lengths, gnorms))
-            for lengths, gnorms in zip(rows[:, 0].T.tolist(), rows[:, 1].T.tolist())
+            list(zip(range(opts.iterations), lengths, gnorms))
+            for lengths, gnorms in zip(hist[:, 0].T.tolist(), hist[:, 1].T.tolist())
         ]
-    return T_out, g_out.reshape(B, n, 2), traces, iterations
+    return T_out, g_out.reshape(B, n, 2), traces
 
 
 def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveReport]:
@@ -324,24 +309,21 @@ def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveR
 def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Minimize path length from T0 over opts.iterations updates.
 
-    Every update is computed, also after the path stops moving, so the cost
-    depends on the scene's size only. With opts.grad_tol the schedule stops
-    at the first iteration that meets it, and the report counts the
-    iterations actually run.
+    The batch kernel on a batch of one. Every update is computed, also
+    after the path stops moving, so the cost depends on the scene's size
+    only.
     """
     T0 = check_params(spec, T0)
     sc = BatchScene.of(spec)
-    T, g, traces, iterations = _bfgs_kernel(sc, T0[None], opts, skip_fixed_points=False)
-    return _reports_from_state(sc, T, g, traces, iterations)[0]
+    T, g, traces = _bfgs_kernel(sc, T0[None], opts, skip_fixed_points=False)
+    return _reports_from_state(sc, T, g, traces, opts.iterations)[0]
 
 
 def batch_solve(
     specs: Sequence[PathSpec], T0s, opts: SolveOptions = SolveOptions()
 ) -> list[SolveReport]:
     """Solve many paths with identical n under one uniform iteration schedule."""
-    if opts.grad_tol is not None:
-        raise ValueError("grad_tol is a scalar-mode option; batches run fixed iterations")
     sc = BatchScene.from_specs(specs)
     T0 = stack_params(specs, T0s)
-    T, g, traces, iterations = _bfgs_kernel(sc, T0, opts)
-    return _reports_from_state(sc, T, g, traces, iterations)
+    T, g, traces = _bfgs_kernel(sc, T0, opts)
+    return _reports_from_state(sc, T, g, traces, opts.iterations)

@@ -41,7 +41,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def _solved_points(specs, iterations=100, fp_iters=64, precision=Precision.DOUBLE):
     sc = BatchScene.from_specs(specs)
     T0 = stack_params(specs, [init_params(s) for s in specs])
-    T, _, _, _ = _bfgs_kernel(
+    T, _, _ = _bfgs_kernel(
         sc,
         T0,
         SolveOptions(iterations=iterations, fixed_point_iters=fp_iters, precision=precision),
@@ -127,8 +127,8 @@ def test_criterion_3_diffraction_accuracy():
         T0 = stack_params(specs, [init_params(s) for s in specs])
         T0_scrambled = T0.copy()
         T0_scrambled[..., 1] = rng.normal(size=T0[..., 1].shape) * 100.0
-        Ta, _, _, _ = _bfgs_kernel(sc, T0, opts)
-        Tb, _, _, _ = _bfgs_kernel(sc, T0_scrambled, opts)
+        Ta, _, _ = _bfgs_kernel(sc, T0, opts)
+        Tb, _, _ = _bfgs_kernel(sc, T0_scrambled, opts)
         exact_ok &= bool(np.array_equal(Ta[..., 0], Tb[..., 0]))
         exact_ok &= bool(np.array_equal(Tb[..., 1], T0_scrambled[..., 1]))
         exact_ok &= bool(np.array_equal(embed_batch(sc, Ta), embed_batch(sc, Tb)))
@@ -236,7 +236,7 @@ def test_criterion_7_gradient_cost_independence():
     T0 = stack_params(specs, [init_params(s) for s in specs])
     solved = {}
     for iters in (16, 128):
-        T, _, _, _ = _bfgs_kernel(sc, T0, SolveOptions(iterations=iters, fixed_point_iters=64))
+        T, _, _ = _bfgs_kernel(sc, T0, SolveOptions(iterations=iters, fixed_point_iters=64))
         for spec, Tb in zip(specs[:5], T[:5]):  # warm-up
             grad_length_wrt_params(spec, Tb)
         solved[iters] = T

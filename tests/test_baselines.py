@@ -24,8 +24,7 @@ from fermatpath import (
 )
 from fermatpath.baselines import hessian_batch
 from fermatpath.batching import BatchScene
-from fermatpath.geometry import embed
-from fermatpath.objective import gradient, hessian
+from fermatpath.objective import embed, gradient, hessian
 
 from _oracles import perturb_params
 

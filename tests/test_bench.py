@@ -194,6 +194,17 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(seed=0, batch=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"iterations": 0}, {"fixed_point_iters": 0}, {"n_range": (0,)}, {"n_range": (3, 65)}],
+        ids=["iterations", "fp-iters", "n-zero", "n-too-large"],
+    )
+    def test_bad_counts_rejected_before_any_solve(self, monkeypatch, bad):
+        calls = _reference_missing(monkeypatch, [])
+        with pytest.raises(ValueError):
+            run_bench(BenchConfig(seed=0, batch=2, **bad), timing_reps=1)
+        assert calls == []
+
 
 def _newton_fails(monkeypatch):
     def _newton_kernel(*args, **kwargs):
@@ -268,6 +279,22 @@ def _run_cli(argv):
         except SystemExit as exc:  # argparse errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+# Command, option, values: each value out of range for that option.
+_OUT_OF_RANGE = [
+    ["gen", "--n", "0"],
+    ["gen", "--n", "65"],
+    ["gen", "--count", "0"],
+    ["grad-check", "--n", "0"],
+    ["grad-check", "--count", "0"],
+    ["bench", "--iterations", "0"],
+    ["bench", "--fp-iters", "0"],
+    ["bench", "--n", "2", "65"],
+    ["bench", "--batch", "0"],
+    ["solve", "--iterations", "0"],
+    ["solve", "--fp-iters", "0"],
+]
 
 
 class TestCli:
@@ -354,6 +381,25 @@ class TestCli:
     def test_usage_error_exit_code(self):
         code, _, _ = _run_cli(["bench", "--precision", "half"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", _OUT_OF_RANGE, ids=" ".join)
+    def test_out_of_range_integer_is_a_usage_error(self, tmp_path, monkeypatch, argv):
+        name = argv[1]
+        calls = _reference_missing(monkeypatch, [])
+        scene_file = tmp_path / "scenes.yaml"
+        with open(scene_file, "w") as fh:
+            save_scenes(gen_scenes(4, 2, Kinds.MIXED, 1), fh)
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(tmp_path / "out.yaml")]
+        elif argv[0] == "solve":
+            argv = ["solve", str(scene_file)] + argv[1:]
+        code, out, err = _run_cli(argv)
+        assert code == 1
+        assert f"argument {name}: " in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert calls == []  # no reference solve started
+        assert not (tmp_path / "out.yaml").exists()
 
     def test_unknown_command_exit_code(self):
         code, _, _ = _run_cli(["warp"])

@@ -109,10 +109,6 @@ class TestPathSpec:
         assert spec.anchor_tensor is spec.anchor_tensor
         assert spec.active_mask is spec.active_mask
 
-    def test_scene_scale(self):
-        spec = _simple_spec()
-        assert spec.scene_scale == pytest.approx(np.linalg.norm([2.0, 0.0, 0.5]))
-
 
 class TestCheckParams:
     def test_wrong_shape(self):

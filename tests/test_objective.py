@@ -218,7 +218,7 @@ class TestSceneDerivatives:
             assert _entry(sg, coord) == pytest.approx(fd, abs=1e-5)
 
     def test_scene_gradient_container(self):
-        z = SceneGradient.zeros(3)
+        z = SceneGradient(np.zeros((3, 3, 2)), np.zeros((3, 3)), np.zeros(3), np.zeros(3))
         assert z.flat().shape == (3 * 6 + 3 * 3 + 6,)
         assert z.norm() == 0.0
 
