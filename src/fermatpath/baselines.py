@@ -15,6 +15,7 @@ import numpy as np
 
 from .batching import (
     BatchScene,
+    einsum,
     embed_batch,
     gradient_batch,
     hessian_batch,
@@ -64,7 +65,7 @@ def image_points_batch(sc: BatchScene) -> np.ndarray:
     m = sc.start.copy()
     for i in range(n):
         nh = normals[:, i]
-        d = np.einsum("bi,bi->b", m - sc.anchor[:, i], nh)
+        d = einsum("bi,bi->b", m - sc.anchor[:, i], nh)
         m = m - 2.0 * d[:, None] * nh
         images[:, i] = m
     pts = np.empty((B, n, 3))
@@ -73,10 +74,10 @@ def image_points_batch(sc: BatchScene) -> np.ndarray:
         nh = normals[:, i]
         mi = images[:, i]
         dirv = y - mi
-        denom = np.einsum("bi,bi->b", dirv, nh)
+        denom = einsum("bi,bi->b", dirv, nh)
         if np.any(np.abs(denom) <= PARALLEL_TOL * np.linalg.norm(dirv, axis=1)):
             raise NoIntersection("mirrored sight line parallel to its plane")
-        t = np.einsum("bi,bi->b", sc.anchor[:, i] - mi, nh) / denom
+        t = einsum("bi,bi->b", sc.anchor[:, i] - mi, nh) / denom
         y = mi + t[:, None] * dirv
         pts[:, i] = y
     return pts
@@ -102,8 +103,8 @@ def _gd_kernel(sc: BatchScene, T0, opts: SolveOptions):
     if sc.n == 0:
         return T, np.zeros_like(T)
     g0 = gradient_batch(sc, T)
-    g0_norm = np.sqrt(np.einsum("bnj,bnj->b", g0, g0))
-    scale = np.sqrt(np.einsum("bi,bi->b", sc.end - sc.start, sc.end - sc.start))
+    g0_norm = np.sqrt(einsum("bnj,bnj->b", g0, g0))
+    scale = np.sqrt(einsum("bi,bi->b", sc.end - sc.start, sc.end - sc.start))
     eta = 0.1 * scale / (1.0 + g0_norm)
     g = g0
     for _ in range(opts.iterations):
@@ -144,7 +145,7 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, frozen=None):
     for _ in range(opts.iterations):
         H = hessian_batch(sc, T)
         # Inert rows and columns of H are zero, so this is the active block's trace.
-        lam = NEWTON_DAMPING * np.einsum("bii->b", H) / np.maximum(dim, 1.0)
+        lam = NEWTON_DAMPING * einsum("bii->b", H) / np.maximum(dim, 1.0)
         try:
             step = -solve_active(H, g.reshape(B, m), active, lam)
         except np.linalg.LinAlgError as exc:

@@ -10,6 +10,12 @@ use einsum contractions whose reduction order does not depend on the batch
 size, so each member of a batch equals its own batch of one bitwise. None
 loops over the interactions in Python: every interaction has the same n x 2
 layout, so each derivative is one vectorised computation over (B, n).
+
+`einsum` is numpy's C kernel `c_einsum`, the function `np.einsum` hands
+its arguments to unchanged when `optimize` is off, so results are the same
+bit for bit. Calling it directly skips numpy's array-function dispatch,
+about half the cost of a call at B=1. Every module of the package takes
+`einsum` from here.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as einsum
 
 from .errors import DegenerateSegment, NonUniformBatch, ShapeMismatch
 from .geometry import PathSpec, segment_floor
@@ -116,14 +123,14 @@ def stack_params(specs: Sequence[PathSpec], T0s) -> np.ndarray:
 
 def embed_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
     """(B, n+2, 3) path points for a (B, n, 2) parameter batch."""
-    mid = np.einsum("bnij,bnj->bni", sc.basis, T) + sc.anchor
+    mid = einsum("bnij,bnj->bni", sc.basis, T) + sc.anchor
     return np.concatenate([sc.start[:, None], mid, sc.end[:, None]], axis=1)
 
 
 def segment_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segments (B, n+1, 3) and their norms (B, n+1) from path points."""
     s = x[:, 1:] - x[:, :-1]
-    return s, np.sqrt(np.einsum("bki,bki->bk", s, s))
+    return s, np.sqrt(einsum("bki,bki->bk", s, s))
 
 
 def checked_segments(sc: BatchScene, T: np.ndarray):
@@ -150,14 +157,14 @@ def path_length_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
     """(B,) total Euclidean length of each embedded path."""
     x = embed_batch(sc, T)
     _, norms = segment_norms(x)
-    return np.einsum("bk->b", norms)
+    return einsum("bk->b", norms)
 
 
 def gradient_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """(B, n, 2) path-length gradient A_i^T (u_{i-1} - u_i) from the segments."""
     u = s / norms[..., None]
     q = u[:, :-1] - u[:, 1:]  # u_{i-1} - u_i at interior point i
-    return np.einsum("bnij,bni->bnj", sc.basis, q)
+    return einsum("bnij,bni->bnj", sc.basis, q)
 
 
 def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -171,30 +178,30 @@ def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> n
     B, n = s.shape[0], s.shape[1] - 1
     u = s / norms[..., None]
     eye = np.eye(3, dtype=s.dtype)
-    M = (eye[None, None] - np.einsum("bki,bkj->bkij", u, u)) / norms[..., None, None]
+    M = (eye[None, None] - einsum("bki,bkj->bkij", u, u)) / norms[..., None, None]
     A = sc.basis
     H = np.zeros((B, 2 * n, 2 * n), dtype=s.dtype)
     H5 = H.reshape(B, n, 2, n, 2)
     blocks = "bnri,bnrs,bnsj->bnij"
-    np.einsum("bninj->bnij", H5)[...] = np.einsum(blocks, A, M[:, :-1] + M[:, 1:], A)
-    off = -np.einsum(blocks, A[:, :-1], M[:, 1:-1], A[:, 1:])
-    np.einsum("bninj->bnij", H5[:, :-1, :, 1:])[...] = off
-    np.einsum("bninj->bnij", H5[:, 1:, :, :-1])[...] = np.swapaxes(off, 2, 3)
+    einsum("bninj->bnij", H5)[...] = einsum(blocks, A, M[:, :-1] + M[:, 1:], A)
+    off = -einsum(blocks, A[:, :-1], M[:, 1:-1], A[:, 1:])
+    einsum("bninj->bnij", H5[:, :-1, :, 1:])[...] = off
+    einsum("bninj->bnij", H5[:, 1:, :, :-1])[...] = np.swapaxes(off, 2, 3)
     return H
 
 
 def stationary_from_segments(sc: BatchScene, s, norms, tol: float) -> np.ndarray:
     """(B,) test |g| < tol (1 + L); g takes the norms clamped, as `gradient_batch` does."""
     g = gradient_from_segments(sc, s, np.maximum(norms, sc.eps[:, None]))
-    gnorm = np.sqrt(np.einsum("bnj,bnj->b", g, g))
-    return gnorm < tol * (1.0 + np.einsum("bk->b", norms))
+    gnorm = np.sqrt(einsum("bnj,bnj->b", g, g))
+    return gnorm < tol * (1.0 + einsum("bk->b", norms))
 
 
 def length_param_gradient_from_segments(T, s, norms):
     """(basis, anchor, start, end) partial derivatives of the length at fixed T."""
     u = s / norms[..., None]
     q = u[:, :-1] - u[:, 1:]  # dL/dx_i at interior points
-    return np.einsum("bni,bnj->bnij", q, T), q, -u[:, 0], u[:, -1]
+    return einsum("bni,bnj->bnij", q, T), q, -u[:, 0], u[:, -1]
 
 
 def param_vjp_from_segments(sc: BatchScene, T, s, norms, u):
@@ -206,14 +213,14 @@ def param_vjp_from_segments(sc: BatchScene, T, s, norms, u):
     """
     uhat = s / norms[..., None]
     ends = np.zeros_like(s[:, :1])  # the endpoints do not move
-    dx = np.concatenate([ends, np.einsum("bnij,bnj->bni", sc.basis, u), ends], axis=1)
+    dx = np.concatenate([ends, einsum("bnij,bnj->bni", sc.basis, u), ends], axis=1)
     ds = np.diff(dx, axis=1)
     # w_k = P_k ds_k / |s_k| per segment, with P_k = I - uhat_k uhat_k^T
-    w = (ds - uhat * np.einsum("bki,bki->bk", uhat, ds)[..., None]) / norms[..., None]
+    w = (ds - uhat * einsum("bki,bki->bk", uhat, ds)[..., None]) / norms[..., None]
     # z_j = w_{j-1} - w_j collects point perturbations; q_j the direction term
     z = w[:, :-1] - w[:, 1:]
     q = uhat[:, :-1] - uhat[:, 1:]
-    basis = np.einsum("bni,bnj->bnij", z, T) + np.einsum("bni,bnj->bnij", q, u)
+    basis = einsum("bni,bnj->bnij", z, T) + einsum("bni,bnj->bnij", q, u)
     return basis, z, -w[:, 0], w[:, -1]
 
 

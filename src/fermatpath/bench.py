@@ -76,6 +76,8 @@ class BenchConfig:
     precision: Precision = Precision.SINGLE
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
         if any(not 1 <= n <= MAX_INTERACTIONS for n in self.n_range):

@@ -49,14 +49,22 @@ def _precision(value: str) -> Precision:
         raise argparse.ArgumentTypeError("precision must be 'single' or 'double'")
 
 
-def _positive_int(value: str) -> int:
+def _int_at_least(value: str, lowest: int) -> int:
     try:
         count = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    if count < lowest:
+        raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {count}")
     return count
+
+
+def _positive_int(value: str) -> int:
+    return _int_at_least(value, 1)
+
+
+def _non_negative_int(value: str) -> int:
+    return _int_at_least(value, 0)
 
 
 def _interaction_count(value: str) -> int:
@@ -71,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="run the error-vs-time benchmark")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_non_negative_int, default=0)
     b.add_argument("--batch", type=_positive_int, default=1000)
     b.add_argument("--n", type=_interaction_count, nargs="+", default=[1, 2, 3, 4, 5])
     b.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
@@ -90,13 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--precision", type=_precision, default=Precision.DOUBLE)
 
     g = sub.add_parser("grad-check", help="implicit-differentiation oracle check")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--n", type=_interaction_count, default=2)
     g.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
     g.add_argument("--count", type=_positive_int, default=10)
 
     w = sub.add_parser("gen", help="write random scenes to a scene file")
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=_non_negative_int, default=0)
     w.add_argument("--n", type=_interaction_count, default=2)
     w.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
     w.add_argument("--count", type=_positive_int, default=10)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .batching import (
+    einsum,
     hessian_from_segments,
     length_param_gradient_from_segments,
     param_vjp_from_segments,
@@ -46,13 +47,13 @@ def _adjoint(sc, s, norms, v) -> np.ndarray:
     rhs = np.where(active, -v.reshape(B, m), 0.0)
     try:
         u = solve_active(H, rhs, active, np.zeros(B))
-        resid = np.linalg.norm(np.einsum("bij,bj->bi", H, u) - rhs, axis=1)
+        resid = np.linalg.norm(einsum("bij,bj->bi", H, u) - rhs, axis=1)
         if np.all(resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=1))):
             return u.reshape(v.shape)
     except np.linalg.LinAlgError:
         pass
     try:
-        u = solve_active(H, rhs, active, TIKHONOV_SCALE * np.einsum("bii->b", H))
+        u = solve_active(H, rhs, active, TIKHONOV_SCALE * einsum("bii->b", H))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("active Hessian singular even with Tikhonov") from exc
     if not np.all(np.isfinite(u)):

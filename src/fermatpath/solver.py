@@ -11,9 +11,14 @@ iteration on the exact one-dimensional optimality condition, warm-started
 at zero. Each BFGS iteration embeds the paths once: the clamped segments
 the new gradient is computed from are also the next step size's. At B=1
 the cost is the number of numpy calls, so the step-size loop makes as few
-as it can without changing a bit. The scalar entry point is the batch
-kernel applied to a batch of one, so batched and per-path results agree
-bitwise.
+as it can without changing a bit. For the same reason `einsum` is numpy's
+C kernel called directly, without the dispatch layer that `np.einsum` adds
+(see `batching`), and the step-size loop and the inverse-Hessian update
+write into buffers they allocate once instead of into fresh arrays. Both
+keep every operation and its order, which is what keeps the results
+bitwise equal to the plain expressions in `tests/_oracles.py`. The scalar
+entry point is the batch kernel applied to a batch of one, so batched and
+per-path results agree bitwise.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .batching import (
     BatchScene,
     checked_segments,
     clamped_segments,
+    einsum,
     gradient_from_segments,
     path_length_batch,
     segment_norms,
@@ -118,18 +124,24 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, eps, stop_when_still: b
     divides `c` and `-a2`, stacked, by the trial norms once and sums both
     rows in one reduction. The step is `num / -dsum`: negation and division
     are exact, so it equals `-num / dsum` bitwise, signed zeros included
-    (folding the minus into `c` would turn a -0.0 step into +0.0).
+    (folding the minus into `c` would turn a -0.0 step into +0.0). The
+    trial segments, their norms, the quotients and the sums live in buffers
+    allocated once per call, which each iteration overwrites with `out=`,
+    and `einsum` skips numpy's dispatch (see `batching`). Each buffered
+    operation is the one it replaces, in the same order: the trial segment
+    is `alpha * dAp`, then `+= s`, which equals `s + alpha * dAp` bitwise
+    because addition commutes.
     """
     dtype = s.dtype
     B, n = P.shape[0], P.shape[1]
-    w = np.einsum("bnij,bnj->bni", sc.basis, P)  # A_i p_i at interior points
+    w = einsum("bnij,bnj->bni", sc.basis, P)  # A_i p_i at interior points
     wp = np.concatenate(
         [np.zeros((B, 1, 3), dtype=dtype), w, np.zeros((B, 1, 3), dtype=dtype)], axis=1
     )
     dAp = wp[:, 1:] - wp[:, :-1]  # (B, n+1, 3)
-    a2 = np.einsum("bki,bki->bk", dAp, dAp)
-    c = np.einsum("bki,bki->bk", dAp, s)
-    total = np.einsum("bk->b", a2)
+    a2 = einsum("bki,bki->bk", dAp, dAp)
+    c = einsum("bki,bki->bk", dAp, s)
+    total = einsum("bk->b", a2)
     zero = total <= np.finfo(dtype).tiny
     moving = ~zero if zero.any() else None
     c_a2 = np.stack([c, -a2], axis=1)  # (B, 2, n+1)
@@ -137,18 +149,26 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, eps, stop_when_still: b
     alpha = np.zeros(B, dtype=dtype)
     floor = eps[:, None]
     lowest = np.full(a2.shape, np.inf, dtype=dtype)  # smallest trial segment norms
+    seg = np.empty_like(dAp)
+    den = np.empty_like(a2)
+    quot = np.empty_like(c_a2)
+    sums = np.empty((B, 2), dtype=dtype)  # (num, -dsum)
+    den_rows, num, neg_dsum = den[:, None], sums[:, 0], sums[:, 1]
     # A zero direction divides 0 by 0; its step is discarded below.
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(iters):
-            seg = s + alpha[:, None, None] * dAp
+            np.multiply(alpha[:, None, None], dAp, out=seg)
+            seg += s
             # Trial points may transiently collapse a segment when the
             # iteration is not contracting; clamp instead of aborting the
             # whole batch.
-            den = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
+            einsum("bki,bki->bk", seg, seg, out=den)
+            np.sqrt(den, out=den)
             np.fmin(lowest, den, out=lowest)
             np.maximum(den, floor, out=den)
-            sums = np.einsum("bjk->bj", c_a2 / den[:, None])  # (num, -dsum)
-            new = sums[:, 0] / sums[:, 1]
+            np.divide(c_a2, den_rows, out=quot)
+            einsum("bjk->bj", quot, out=sums)
+            new = num / neg_dsum
             keep = np.isfinite(new)
             if moving is not None:
                 keep &= moving
@@ -182,6 +202,47 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     return float(alpha[0])
 
 
+def _inverse_hessian_update(H, step, y, out, outer):
+    """BFGS update of the (k, m, m) inverse Hessians `H`, written into `out`.
+
+    A member whose curvature `step . y` fails the gate, or whose update is
+    not finite, keeps its `H`. Returns `out`; `outer` is scratch of the same
+    shape. With `H`, these are the three (k, m, m) arrays the update needs,
+    and the kernel reuses them across iterations.
+
+    The result equals `np.where(ok, H - rho (sHy + sHy^T) + (rho^2 yHy +
+    rho) ss^T, H)`, with `ok` including `np.all(np.isfinite(...))`, bitwise:
+    each operation is the one that expression makes, in the same order.
+    A finite sum over a member's entries implies every entry is finite, so
+    the entrywise test runs only on members whose sum is not (an update of
+    finite entries whose sum overflows still passes it).
+    """
+    dtype = H.dtype.type
+    sy = einsum("bi,bi->b", step, y)
+    s_norm = np.sqrt(einsum("bi,bi->b", step, step))
+    y_norm = np.sqrt(einsum("bi,bi->b", y, y))
+    ok = sy > dtype(1e-12) * s_norm * y_norm
+    rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Hy = einsum("bij,bj->bi", H, y)
+        yHy = einsum("bi,bi->b", y, Hy)
+        einsum("bi,bj->bij", step, Hy, out=outer)
+        np.add(outer, np.swapaxes(outer, 1, 2), out=out)
+        np.multiply(rho[:, None, None], out, out=out)
+        np.subtract(H, out, out=out)
+        einsum("bi,bj->bij", step, step, out=outer)
+        np.multiply((rho * rho * yHy + rho)[:, None, None], outer, out=outer)
+        out += outer
+        # Near-zero curvature can overflow the rank-two terms in single
+        # precision; treat those updates as skipped.
+        unsure = np.flatnonzero(ok & ~np.isfinite(einsum("bij->b", out)))
+    if unsure.size:
+        ok[unsure] = np.isfinite(out[unsure]).all(axis=(1, 2))
+    if not ok.all():
+        np.copyto(out, H, where=~ok[:, None, None])
+    return out
+
+
 def _bfgs_kernel(
     sc: BatchScene, T0: np.ndarray, opts: SolveOptions, skip_fixed_points: bool = True
 ):
@@ -207,10 +268,11 @@ def _bfgs_kernel(
 
     checked_segments(sc, T)  # reject degenerate starting points loudly
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
+    # The update writes into `spare`, which then swaps roles with H.
+    spare, outer = np.empty_like(H), np.empty_like(H)
     # The segments g is computed from are also the next step size's.
     _, s, norms = clamped_segments(sc, T)
     g = gradient_from_segments(sc, s, norms).reshape(B, m)
-    curv_tol = dtype(1e-12)
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
     T_out, g_out = np.empty_like(T), np.empty_like(g)
@@ -222,7 +284,7 @@ def _bfgs_kernel(
 
     for it in range(opts.iterations):
         k = live.size
-        p = -np.einsum("bij,bj->bi", H, g)
+        p = -einsum("bij,bj->bi", H, g)
         alpha, _, _ = _fixed_point_alpha(
             sc, s, p.reshape(k, n, 2), opts.fixed_point_iters, sc.eps,
             stop_when_still=skip_fixed_points,
@@ -233,46 +295,21 @@ def _bfgs_kernel(
         T = T_new
         x, s, norms = clamped_segments(sc, T)
         g_new = gradient_from_segments(sc, s, norms).reshape(k, m)
-        y = g_new - g
-        sy = np.einsum("bi,bi->b", step, y)
-        s_norm = np.sqrt(np.einsum("bi,bi->b", step, step))
-        y_norm = np.sqrt(np.einsum("bi,bi->b", y, y))
-        ok = sy > curv_tol * s_norm * y_norm
-        rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Hy = np.einsum("bij,bj->bi", H, y)
-            yHy = np.einsum("bi,bi->b", y, Hy)
-            # H - rho (sHy + sHy^T) + (rho^2 yHy + rho) ss^T, evaluated in
-            # the same order but in place, so that at most three (B, m, m)
-            # arrays are alive at once.
-            sHy = np.einsum("bi,bj->bij", step, Hy)
-            H_new = sHy + np.swapaxes(sHy, 1, 2)
-            del sHy
-            np.multiply(rho[:, None, None], H_new, out=H_new)
-            np.subtract(H, H_new, out=H_new)
-            ssT = np.einsum("bi,bj->bij", step, step)
-            np.multiply((rho * rho * yHy + rho)[:, None, None], ssT, out=ssT)
-            H_new += ssT
-            del ssT
-        # Near-zero curvature can overflow the rank-two terms in single
-        # precision; treat those updates as skipped.
-        ok = ok & np.all(np.isfinite(H_new), axis=(1, 2))
-        H = np.where(ok[:, None, None], H_new, H)
+        H, spare = _inverse_hessian_update(H, step, g_new - g, spare[:k], outer[:k]), H
         g = g_new
 
         if opts.record_trace:
             # The path length at T, from the points embedded above.
-            row[0, live] = np.einsum("bk->b", segment_norms(x)[1])
-            row[1, live] = np.sqrt(np.einsum("bi,bi->b", g, g))
+            row[0, live] = einsum("bk->b", segment_norms(x)[1])
+            row[1, live] = np.sqrt(einsum("bi,bi->b", g, g))
             hist[it] = row
 
         if skip_fixed_points and not moved.all():
-            done = ~moved
+            done, kept = np.flatnonzero(~moved), np.flatnonzero(moved)
             T_out[live[done]] = T[done]
             g_out[live[done]] = g[done]
-            live, T, g, H = live[moved], T[moved], g[moved], H[moved]
-            s = s[moved]
-            sc = sc.take(moved)
+            live, T, g, H, s = live[kept], T[kept], g[kept], H[kept], s[kept]
+            sc = sc.take(kept)
             if live.size == 0:
                 if opts.record_trace:
                     hist[it + 1 :] = row

@@ -194,6 +194,10 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(seed=0, batch=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError):
+            BenchConfig(seed=-1)
+
     @pytest.mark.parametrize(
         "bad",
         [{"iterations": 0}, {"fixed_point_iters": 0}, {"n_range": (0,)}, {"n_range": (3, 65)}],
@@ -294,6 +298,9 @@ _OUT_OF_RANGE = [
     ["bench", "--batch", "0"],
     ["solve", "--iterations", "0"],
     ["solve", "--fp-iters", "0"],
+    ["gen", "--seed", "-1"],
+    ["grad-check", "--seed", "-1"],
+    ["bench", "--seed", "-1"],
 ]
 
 

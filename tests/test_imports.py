@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none calls `np.einsum`.
 
-No linter is a dependency, so this is a plain `ast` scan. `__init__.py`
+No linter is a dependency, so these are plain `ast` scans. `__init__.py`
 re-exports what it imports and is skipped; an import line marked
-`# noqa: F401` is kept on purpose and is skipped too.
+`# noqa: F401` is kept on purpose and is skipped too. The package takes
+`einsum` from `batching`, numpy's C kernel without the dispatch layer;
+`tests/_oracles.py` keeps `np.einsum` as the independent reference.
 """
 
 import ast
@@ -41,3 +43,28 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def numpy_einsum_uses(source: str) -> list[int]:
+    """Lines that reference `np.einsum` or `numpy.einsum`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "einsum"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ]
+
+
+def test_scan_finds_numpy_einsum():
+    source = (
+        "import numpy as np\nx = np.einsum('i->', a)\n"
+        "np.einsum('ii->i', b)[...] = 0\neinsum('i', a)\n"
+    )
+    assert numpy_einsum_uses(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_takes_einsum_from_batching(path):
+    assert numpy_einsum_uses(path.read_text()) == []

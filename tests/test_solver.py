@@ -27,7 +27,7 @@ from fermatpath import (
 from fermatpath import batching
 from fermatpath.batching import BatchScene, clamped_segments
 from fermatpath import solver as solver_module
-from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha
+from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha, _inverse_hessian_update
 from fermatpath.objective import gradient
 
 from _oracles import (
@@ -200,6 +200,61 @@ class TestStepSizeLoop:
         assert np.array_equal(zero, np.arange(8) // 2 == 2)
         assert alpha[6] == 0.0 and np.signbit(alpha[6])
         assert clamped[7] == (k > 1)
+
+
+def _inverse_update_oracle(H, step, y):
+    """The update and acceptance rule of `fixed_schedule_bfgs`, on given inputs."""
+    dtype = H.dtype.type
+    sy = np.einsum("bi,bi->b", step, y)
+    sn = np.sqrt(np.einsum("bi,bi->b", step, step))
+    yn = np.sqrt(np.einsum("bi,bi->b", y, y))
+    ok = sy > dtype(1e-12) * sn * yn
+    rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Hy = np.einsum("bij,bj->bi", H, y)
+        yHy = np.einsum("bi,bi->b", y, Hy)
+        sHy = np.einsum("bi,bj->bij", step, Hy)
+        ssT = np.einsum("bi,bj->bij", step, step)
+        Hn = (
+            H
+            - rho[:, None, None] * (sHy + np.swapaxes(sHy, 1, 2))
+            + (rho * rho * yHy + rho)[:, None, None] * ssT
+        )
+    ok = ok & np.all(np.isfinite(Hn), axis=(1, 2))
+    return np.where(ok[:, None, None], Hn, H), Hn
+
+
+class TestInverseHessianUpdate:
+    """The lean update's finiteness shortcut equals the entrywise rule byte for byte."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_matches_entrywise_rule_bytes(self, precision):
+        dtype = precision.dtype
+        info = np.finfo(dtype)
+        H = np.broadcast_to(np.eye(4, dtype=dtype), (4, 4, 4)).copy()
+        step = np.zeros((4, 4), dtype=dtype)
+        y = np.zeros((4, 4), dtype=dtype)
+        # 0: finite entries whose sum overflows; the update stands.
+        H[0, 0, 0] = H[0, 1, 1] = dtype(0.6) * info.max
+        step[0, 2], y[0, 2:] = 0.5, (1.0, 0.25)
+        # 1: near-zero curvature; rho^2 overflows an entry, so H stays.
+        step[1, 0], y[1, 0] = dtype(0.01) * np.sqrt(info.tiny), 1.0
+        # 2: negative curvature fails the gate.
+        step[2, 0], y[2, 0] = 1.0, -1.0
+        # 3: an ordinary update.
+        rng = np.random.default_rng(3)
+        step[3] = rng.normal(size=4)
+        y[3] = step[3] + 0.1 * rng.normal(size=4)
+
+        got = _inverse_hessian_update(H, step, y, np.empty_like(H), np.empty_like(H))
+        want, updated = _inverse_update_oracle(H, step, y)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        with np.errstate(over="ignore"):
+            assert np.isfinite(updated[0]).all() and not np.isfinite(updated[0].sum())
+        assert not np.isfinite(updated[1]).all()
+        assert [np.array_equal(got[b], H[b]) for b in range(4)] == [False, True, True, False]
 
 
 class TestSolver:
