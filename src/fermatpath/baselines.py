@@ -4,7 +4,9 @@ and the high-precision reference used as ground truth in benchmarks.
 Newton runs on active coordinates only: the inert edge coordinates are
 masked out by pinning their rows and columns of the Hessian to the
 identity (`batching.solve_active`, shared with implicit differentiation),
-which leaves them exactly untouched.
+which leaves them exactly untouched. It embeds each iterate once and takes
+the gradient, the Hessian and the length from those segments. The
+reference's polish is the same Newton kernel with a stopping test.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .batching import (
     einsum,
     embed_batch,
     gradient_batch,
-    hessian_batch,
+    gradient_from_segments,
+    hessian_from_segments,
     path_length_batch,
     segment_norms,
     solve_active,
@@ -87,8 +90,6 @@ def image_method(spec: PathSpec) -> np.ndarray:
     """Exact reflection points (n, 3) via successive mirroring."""
     if any(s.kind is not SurfaceKind.PLANE for s in spec.surfaces):
         raise NotAllPlanes("image method handles planar reflections only")
-    if spec.n == 0:
-        return np.zeros((0, 3))
     return image_points_batch(BatchScene.of(spec))[0]
 
 
@@ -100,8 +101,6 @@ def _gd_kernel(sc: BatchScene, T0, opts: SolveOptions):
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
     T = np.ascontiguousarray(T0, dtype=dtype)
-    if sc.n == 0:
-        return T, np.zeros_like(T)
     g0 = gradient_batch(sc, T)
     g0_norm = np.sqrt(einsum("bnj,bnj->b", g0, g0))
     scale = np.sqrt(einsum("bi,bi->b", sc.end - sc.start, sc.end - sc.start))
@@ -130,29 +129,38 @@ NEWTON_DAMPING = 1e-10
 NEWTON_MAX_HALVINGS = 20
 
 
-def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, frozen=None):
-    """Masked, damped Newton over opts.iterations steps; `frozen` (B,) paths take zero steps."""
+def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, tol: float = 0.0):
+    """Masked, damped Newton over opts.iterations steps; returns (T, g, stationary).
+
+    Each iterate is embedded once: the clamped segment norms give g and H,
+    and the raw norms the length that step halving compares against.
+    Members that pass `stationary_from_segments(..., tol)` take a zero step,
+    and the loop ends once every member passes; at the default tol of 0
+    none passes.
+    """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
     T = np.ascontiguousarray(T0, dtype=dtype)
     B, n = T.shape[0], T.shape[1]
     m = 2 * n
-    if n == 0:
-        return T, np.zeros_like(T)
     active = sc.active.reshape(B, m)
     dim = active.sum(axis=1).astype(dtype)
-    g = gradient_batch(sc, T)
-    for _ in range(opts.iterations):
-        H = hessian_batch(sc, T)
+    for it in range(opts.iterations + 1):
+        s, norms = segment_norms(embed_batch(sc, T))
+        clamped = np.maximum(norms, sc.eps[:, None])
+        g = gradient_from_segments(sc, s, clamped)
+        stationary = stationary_from_segments(sc, s, norms, tol)
+        if it == opts.iterations or stationary.all():
+            break
+        H = hessian_from_segments(sc, s, clamped)
         # Inert rows and columns of H are zero, so this is the active block's trace.
         lam = NEWTON_DAMPING * einsum("bii->b", H) / np.maximum(dim, 1.0)
         try:
             step = -solve_active(H, g.reshape(B, m), active, lam)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("regularized Newton solve failed") from exc
-        if frozen is not None:
-            step = np.where(frozen[:, None], 0.0, step)
-        L0 = path_length_batch(sc, T)
+        step = np.where(stationary[:, None], 0.0, step)
+        L0 = einsum("bk->b", norms)
         scale = np.ones(B, dtype=dtype)
         cand = T + step.reshape(B, n, 2)
         Lc = path_length_batch(sc, cand)
@@ -164,15 +172,14 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions, frozen=None):
             cand = T + scale[:, None, None] * step.reshape(B, n, 2)
             Lc = path_length_batch(sc, cand)
         T = np.where((Lc <= L0)[:, None, None], cand, T)
-        g = gradient_batch(sc, T)
-    return T, g
+    return T, g, stationary
 
 
 def newton_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Damped Newton on active coordinates with step halving."""
     T0 = check_params(spec, T0)
     sc = BatchScene.of(spec)
-    T, g = _newton_kernel(sc, T0[None], opts)
+    T, g, _ = _newton_kernel(sc, T0[None], opts)
     return _reports_from_state(sc, T, g, None, opts.iterations)[0]
 
 
@@ -183,34 +190,25 @@ def newton_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> Sol
 def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
     """Ground-truth solve: long double-precision BFGS run plus Newton polish.
 
-    Returns (T, converged) with T (B, n, 2) float64 and a boolean mask of
-    paths that reached the gradient-norm tolerance.
+    The polish is damped Newton with a stopping test: members whose gradient
+    norm is below REFERENCE_GRAD_TOL (1 + L) take no further step, and it
+    ends once all are, or after REFERENCE_POLISH_ITERS steps. Returns
+    (T, converged) with T (B, n, 2) float64 and a boolean mask of paths
+    that reached the gradient-norm tolerance.
     """
     sc = BatchScene.from_specs(specs)
     if T0s is None:
         T0s = [init_params(s) for s in specs]
     T0 = stack_params(specs, T0s)
-    if sc.n == 0:
-        return T0, np.ones(sc.size, dtype=bool)
     opts = SolveOptions(
         iterations=REFERENCE_BFGS_ITERS,
         fixed_point_iters=REFERENCE_FP_ITERS,
         precision=Precision.DOUBLE,
     )
     T, _, _ = _bfgs_kernel(sc, T0, opts)
-    polish_opts = SolveOptions(iterations=1, precision=Precision.DOUBLE)
-    converged = _converged_mask(sc, T)
-    for _ in range(REFERENCE_POLISH_ITERS):
-        if np.all(converged):
-            break
-        T, _ = _newton_kernel(sc, T, polish_opts, frozen=converged)
-        converged = _converged_mask(sc, T)
+    polish = SolveOptions(iterations=REFERENCE_POLISH_ITERS, precision=Precision.DOUBLE)
+    T, _, converged = _newton_kernel(sc, T, polish, tol=REFERENCE_GRAD_TOL)
     return T, converged
-
-
-def _converged_mask(sc: BatchScene, T) -> np.ndarray:
-    s, norms = segment_norms(embed_batch(sc, T))
-    return stationary_from_segments(sc, s, norms, REFERENCE_GRAD_TOL)
 
 
 def reference_solve(spec: PathSpec, T0=None) -> np.ndarray:

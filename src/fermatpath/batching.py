@@ -242,8 +242,3 @@ def gradient_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
     _, s, norms = clamped_segments(sc, T)
     return gradient_from_segments(sc, s, norms)
 
-
-def hessian_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
-    """(B, 2n, 2n) path-length Hessian with clamped segment norms."""
-    _, s, norms = clamped_segments(sc, T)
-    return hessian_from_segments(sc, s, norms)

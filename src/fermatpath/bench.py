@@ -40,7 +40,7 @@ from .geometry import (
     row_norms,
 )
 from .implicit_diff import vjp_solution
-from .objective import gradient, length_param_gradient
+from .objective import SceneGradient, gradient, length_param_gradient
 from .solver import Precision, SolveOptions, _bfgs_kernel, init_params
 
 
@@ -314,7 +314,7 @@ def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
         return _interaction_points(sc, T), 0
     if solver == "newton":
         opts = SolveOptions(iterations=config.iterations, precision=config.precision)
-        T, _ = _newton_kernel(sc, T0, opts)
+        T, _, _ = _newton_kernel(sc, T0, opts)
         return _interaction_points(sc, T), 0
     fp = 64 if solver == "ours-64" else config.fixed_point_iters
     opts = SolveOptions(
@@ -390,71 +390,43 @@ class GradCheckReport:
     passed: bool
 
 
-def _feasible_coords(spec: PathSpec):
-    """Perturbable scene coordinates: active basis entries, anchors, endpoints.
+def _scene_vector(spec: PathSpec):
+    """(x, mask): the spec's scene in `SceneGradient.flat()` order, and its perturbable entries.
 
-    Inert edge basis columns are excluded; perturbing them changes the
+    Inert edge basis columns are masked out; perturbing them changes the
     surface class itself, so no derivative is defined there.
     """
-    coords = []
-    for i, s in enumerate(spec.surfaces):
-        for col in range(2):
-            if s.active[col]:
-                for row in range(3):
-                    coords.append(("basis", i, row, col))
-        for row in range(3):
-            coords.append(("anchor", i, row))
-    for row in range(3):
-        coords.append(("start", row))
-    for row in range(3):
-        coords.append(("end", row))
-    return coords
+    x = SceneGradient(spec.basis_tensor, spec.anchor_tensor, spec.start, spec.end).flat()
+    active = np.broadcast_to(spec.active_mask[:, None, :], spec.basis_tensor.shape)
+    free = np.ones_like(spec.anchor_tensor, dtype=bool), np.ones(3, bool), np.ones(3, bool)
+    return x, SceneGradient(active, *free).flat()
 
 
-def _perturbed_spec(spec: PathSpec, coord, h: float) -> PathSpec:
-    start = np.array(spec.start)
-    end = np.array(spec.end)
-    surfaces = list(spec.surfaces)
-    if coord[0] == "start":
-        start[coord[1]] += h
-    elif coord[0] == "end":
-        end[coord[1]] += h
-    else:
-        _, i, *idx = coord
-        s = surfaces[i]
-        basis = np.array(s.basis)
-        anchor = np.array(s.anchor)
-        if coord[0] == "basis":
-            basis[idx[0], idx[1]] += h
-        else:
-            anchor[idx[0]] += h
-        surfaces[i] = Surface(basis=basis, anchor=anchor, kind=s.kind)
-    return PathSpec(start=start, end=end, surfaces=tuple(surfaces))
-
-
-def _scene_grad_entry(sg, coord) -> float:
-    if coord[0] == "start":
-        return float(sg.start[coord[1]])
-    if coord[0] == "end":
-        return float(sg.end[coord[1]])
-    if coord[0] == "anchor":
-        return float(sg.anchor[coord[1], coord[2]])
-    return float(sg.basis[coord[1], coord[2], coord[3]])
+def _spec_from_vector(spec: PathSpec, x) -> PathSpec:
+    """The spec with its scene replaced by the `SceneGradient.flat()` vector x."""
+    p = SceneGradient.from_flat(x, spec.n)
+    surfaces = tuple(
+        Surface(basis=b, anchor=a, kind=s.kind)
+        for b, a, s in zip(p.basis, p.anchor, spec.surfaces)
+    )
+    return PathSpec(start=p.start, end=p.end, surfaces=surfaces)
 
 
 def _fd_resolve_vjps(specs: Sequence[PathSpec], vs) -> list[np.ndarray]:
     """v^T dT*/d(theta) per spec, by central differences of reference re-solves.
 
     Every perturbed scene of every spec is re-solved in one batch; the
-    entries follow `_feasible_coords` of each spec.
+    entries are those `_scene_vector`'s mask selects.
     """
-    coords = [_feasible_coords(spec) for spec in specs]
-    perturbed = [
-        _perturbed_spec(spec, c, sign * FD_STEP)
-        for spec, cs in zip(specs, coords)
-        for c in cs
-        for sign in (+1, -1)
-    ]
+    perturbed, counts = [], []
+    for spec in specs:
+        x, mask = _scene_vector(spec)
+        counts.append(np.count_nonzero(mask))
+        for j in np.flatnonzero(mask):
+            for h in (FD_STEP, -FD_STEP):
+                xj = x.copy()
+                xj[j] += h
+                perturbed.append(_spec_from_vector(spec, xj))
     T, converged = reference_solve_batch(perturbed)
     if not np.all(converged):
         raise NoConvergence(
@@ -463,10 +435,10 @@ def _fd_resolve_vjps(specs: Sequence[PathSpec], vs) -> list[np.ndarray]:
         )
     out = []
     pos = 0
-    for v, cs in zip(vs, coords):
+    for v, count in zip(vs, counts):
         v = np.asarray(v, dtype=float)
-        fd = np.empty(len(cs))
-        for j in range(len(cs)):
+        fd = np.empty(count)
+        for j in range(count):
             dT = (T[pos] - T[pos + 1]) / (2.0 * FD_STEP)
             fd[j] = float(np.sum(v * dT))
             pos += 2
@@ -475,7 +447,10 @@ def _fd_resolve_vjps(specs: Sequence[PathSpec], vs) -> list[np.ndarray]:
 
 
 def fd_resolve_vjp(spec: PathSpec, v) -> np.ndarray:
-    """Oracle: v^T dT*/d(theta) by re-solving at theta +/- FD_STEP per coordinate."""
+    """Oracle: v^T dT*/d(theta) by re-solving at theta +/- FD_STEP per coordinate.
+
+    The entries are `SceneGradient.flat()`'s, less the inert basis columns.
+    """
     return _fd_resolve_vjps([spec], [v])[0]
 
 
@@ -503,7 +478,7 @@ def grad_check(seed: int, n: int, kinds: Kinds, count: int) -> GradCheckReport:
     for i, v, fd in zip(live, vs, fds):
         spec, Tstar = specs[i], Tstars[i]
         sg = vjp_solution(spec, Tstar, v)
-        analytic = np.array([_scene_grad_entry(sg, c) for c in _feasible_coords(spec)])
+        analytic = sg.flat()[_scene_vector(spec)[1]]
         rel = float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-30))
         vjp_max = max(vjp_max, rel)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .bench import (
     BenchConfig,
@@ -128,15 +129,17 @@ def _cmd_bench(args) -> int:
         print(f"fermatpath bench: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        records = run_bench(config)
-    except FermatPathError as exc:
+        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
         print(f"fermatpath bench: {exc}", file=sys.stderr)
-        return SOLVE_ERROR
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_records(records, fh)
-    else:
-        write_records(records, sys.stdout)
+        return USAGE_ERROR
+    with out as fh:
+        try:
+            records = run_bench(config)
+        except FermatPathError as exc:
+            print(f"fermatpath bench: {exc}", file=sys.stderr)
+            return SOLVE_ERROR
+        write_records(records, fh)
     return 0
 
 
@@ -178,8 +181,13 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    specs = gen_scenes(args.seed, args.n, args.kinds, args.count)
-    with open(args.out, "w") as fh:
+    try:
+        out = open(args.out, "w")
+    except OSError as exc:
+        print(f"fermatpath gen: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    with out as fh:
+        specs = gen_scenes(args.seed, args.n, args.kinds, args.count)
         save_scenes(specs, fh)
     print(f"wrote {len(specs)} scenes to {args.out}")
     return 0

@@ -111,14 +111,14 @@ def init_params(spec: PathSpec) -> np.ndarray:
     return T
 
 
-def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, eps, stop_when_still: bool = True):
+def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, stop_when_still: bool = True):
     """Batched fixed-point step size; returns (alpha, zero, clamped), each (B,).
 
     `s` holds the current segments. Members whose direction moves no point
-    (`zero`) keep alpha 0, and a trial segment that collapses below `eps` is
-    clamped (`clamped`), so batch control flow stays uniform. With
-    `stop_when_still` the loop ends once no step size changes; the result
-    is the same either way.
+    (`zero`) keep alpha 0, and a trial segment that collapses below the
+    floor `sc.eps` is clamped (`clamped`), so batch control flow stays
+    uniform. With `stop_when_still` the loop ends once no step size
+    changes; the result is the same either way.
 
     At B=1 the loop's cost is its number of numpy calls, so each iteration
     divides `c` and `-a2`, stacked, by the trial norms once and sums both
@@ -147,7 +147,7 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, eps, stop_when_still: b
     c_a2 = np.stack([c, -a2], axis=1)  # (B, 2, n+1)
 
     alpha = np.zeros(B, dtype=dtype)
-    floor = eps[:, None]
+    floor = sc.eps[:, None]
     lowest = np.full(a2.shape, np.inf, dtype=dtype)  # smallest trial segment norms
     seg = np.empty_like(dAp)
     den = np.empty_like(a2)
@@ -194,7 +194,7 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     P = check_params(spec, P)
     sc = BatchScene.of(spec)
     _, s, _ = checked_segments(sc, T[None])
-    alpha, zero, clamped = _fixed_point_alpha(sc, s, P[None], k, sc.eps)
+    alpha, zero, clamped = _fixed_point_alpha(sc, s, P[None], k)
     if zero[0]:
         raise ZeroDirection("direction moves no interaction point")
     if clamped[0]:
@@ -262,10 +262,6 @@ def _bfgs_kernel(
     B, n = T.shape[0], T.shape[1]
     m = 2 * n
 
-    if n == 0:
-        traces = [[] for _ in range(B)] if opts.record_trace else None
-        return T, np.zeros((B, 0, 2), dtype=dtype), traces
-
     checked_segments(sc, T)  # reject degenerate starting points loudly
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     # The update writes into `spare`, which then swaps roles with H.
@@ -286,7 +282,7 @@ def _bfgs_kernel(
         k = live.size
         p = -einsum("bij,bj->bi", H, g)
         alpha, _, _ = _fixed_point_alpha(
-            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters, sc.eps,
+            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters,
             stop_when_still=skip_fixed_points,
         )
         step = alpha[:, None] * p

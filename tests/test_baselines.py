@@ -1,5 +1,7 @@
 """Image method, gradient descent, damped Newton, and the reference solver."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,10 @@ from fermatpath import (
     NoIntersection,
     NotAllPlanes,
     PathSpec,
+    Precision,
     SolveOptions,
+    batch_solve,
+    bfgs_solve,
     gen_scenes,
     gradient_descent,
     image_method,
@@ -22,11 +27,44 @@ from fermatpath import (
     reference_solve,
     reference_solve_batch,
 )
-from fermatpath.baselines import hessian_batch
-from fermatpath.batching import BatchScene
+from fermatpath import baselines, batching
+from fermatpath.batching import BatchScene, checked_segments, hessian_from_segments
 from fermatpath.objective import embed, gradient, hessian
+from fermatpath.solver import _bfgs_kernel
 
-from _oracles import perturb_params
+from _oracles import frozen_newton_polish, perturb_params
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the named `batching` functions through every module that holds them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "fermatpath"]
+    for name in names:
+        real = getattr(batching, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _polish_batch():
+    """Five near-parallel plane bases that reach the polish, interleaved with reflections.
+
+    At e <= 1e-6 the solution's |t| is of order 1/e, and rounding leaves |g|
+    above the reference tolerance through every polish iterate; e = 1e-4
+    converges.
+    """
+    mirrors = gen_scenes(7, 1, Kinds.REFLECTIONS, 5)
+    specs = []
+    for e, mirror in zip((2e-9, 3e-8, 1e-7, 1e-6, 1e-4), mirrors):
+        plane = make_plane([0.0, 0.0, 0.0], [1, 0, 0], [1, e, 0])
+        specs += [PathSpec(start=[0.3, 0.7, 1.0], end=[1.0, 0.2, 1.5], surfaces=(plane,)), mirror]
+    return specs
 
 
 class TestImageMethod:
@@ -98,17 +136,48 @@ class TestNewton:
             rep = newton_solve(spec, init_params(spec), SolveOptions(iterations=30))
             assert rep.final_grad_norm < 1e-10 * (1 + rep.final_length)
 
-    def test_hessian_batch_matches_scalar(self):
+    def test_batched_hessian_matches_scalar(self):
         # Each member of a batch equals its own scalar Hessian bitwise.
         rng = np.random.default_rng(2)
         specs = gen_scenes(22, 3, Kinds.MIXED, 5)
         Ts = [perturb_params(spec, rng, 0.1) for spec in specs]
-        Hb = hessian_batch(BatchScene.from_specs(specs), np.stack(Ts))
+        sc = BatchScene.from_specs(specs)
+        _, s, norms = checked_segments(sc, np.stack(Ts))
+        Hb = hessian_from_segments(sc, s, norms)
         for spec, T, H in zip(specs, Ts, Hb):
             assert H.tobytes() == hessian(spec, T).tobytes()
 
+    @pytest.mark.parametrize("iterations", [1, 6])
+    def test_one_embedding_per_iterate(self, monkeypatch, iterations):
+        # Each iterate is embedded once for g, H and the length; the rest
+        # are the step-halving trial lengths.
+        counts = _count_calls(monkeypatch, "embed_batch", "path_length_batch")
+        spec = gen_scenes(21, 3, Kinds.MIXED, 1)[0]
+        newton_solve(spec, perturb_params(spec, np.random.default_rng(3), 0.3),
+                     SolveOptions(iterations=iterations))
+        assert counts["embed_batch"] - counts["path_length_batch"] == iterations + 1
+
 
 class TestReference:
+    def test_polish_matches_frozen_newton_rounds(self):
+        specs = _polish_batch()
+        sc = BatchScene.from_specs(specs)
+        T0 = np.stack([init_params(s) for s in specs])
+        opts = SolveOptions(
+            iterations=baselines.REFERENCE_BFGS_ITERS,
+            fixed_point_iters=baselines.REFERENCE_FP_ITERS,
+        )
+        T_bfgs, _, _ = _bfgs_kernel(sc, T0, opts)
+        want_T, want_conv, rounds = frozen_newton_polish(
+            sc, T_bfgs, baselines.REFERENCE_GRAD_TOL, baselines.REFERENCE_POLISH_ITERS,
+            baselines.NEWTON_DAMPING, baselines.NEWTON_MAX_HALVINGS,
+        )
+        T, conv = reference_solve_batch(specs)
+        assert rounds == baselines.REFERENCE_POLISH_ITERS  # the polish ran to its limit
+        assert T.tobytes() == want_T.tobytes()
+        assert conv.tolist() == want_conv.tolist()
+        assert conv.tolist() == [False, True] * 4 + [True, True]
+
     def test_stationary_to_tolerance(self):
         for kinds in (Kinds.REFLECTIONS, Kinds.DIFFRACTIONS, Kinds.MIXED):
             specs = gen_scenes(23, 3, kinds, 5)
@@ -155,3 +224,33 @@ class TestReferenceBatchProperties:
         assert conv1[0] == conv[b]
         if conv[b]:
             assert np.array_equal(reference_solve(specs[b]), T[b])
+
+
+@pytest.mark.filterwarnings("error")
+class TestZeroInteractions:
+    """A path with no interactions: every solver returns the straight segment."""
+
+    SPEC = PathSpec(start=[0.0, 0.0, 0.0], end=[1.0, 2.0, 2.0], surfaces=())
+    ITERATIONS = 4
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_iterative_solvers(self, precision):
+        T0 = np.zeros((0, 2))
+        opts = SolveOptions(iterations=self.ITERATIONS, precision=precision, record_trace=True)
+        traced = [bfgs_solve(self.SPEC, T0, opts)] + batch_solve([self.SPEC] * 2, [T0] * 2, opts)
+        untraced = [solve(self.SPEC, T0, opts) for solve in (newton_solve, gradient_descent)]
+        for rep in traced + untraced:
+            assert rep.solution.shape == (0, 2)
+            assert rep.final_length == 3.0
+            assert rep.final_grad_norm == 0.0
+        for rep in traced:
+            assert rep.trace == [(it, 3.0, 0.0) for it in range(self.ITERATIONS)]
+
+    def test_reference(self):
+        T, conv = reference_solve_batch([self.SPEC] * 3)
+        assert T.shape == (3, 0, 2)
+        assert conv.tolist() == [True] * 3
+        assert reference_solve(self.SPEC).shape == (0, 2)
+
+    def test_image_method(self):
+        assert image_method(self.SPEC).shape == (0, 3)

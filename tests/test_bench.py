@@ -408,6 +408,25 @@ class TestCli:
         assert calls == []  # no reference solve started
         assert not (tmp_path / "out.yaml").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--count", "2", "--out"],
+            ["bench", "--batch", "2", "--n", "1", "--solvers", "ours", "--iterations", "5",
+             "--out"],
+        ],
+        ids=["gen", "bench"],
+    )
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, monkeypatch, argv):
+        calls = _reference_missing(monkeypatch, [])
+        code, out, err = _run_cli(argv + [str(tmp_path / "missing" / "out")])
+        assert code == 1
+        assert err.startswith(f"fermatpath {argv[0]}: ")
+        assert "No such file or directory" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert calls == []  # no reference solve started
+
     def test_unknown_command_exit_code(self):
         code, _, _ = _run_cli(["warp"])
         assert code == 1

@@ -1,10 +1,14 @@
-"""Every module of the package uses each name it imports, and none calls `np.einsum`.
+"""Every module of the package uses each name it imports, none calls `np.einsum`,
+and every private function or class is used.
 
 No linter is a dependency, so these are plain `ast` scans. `__init__.py`
 re-exports what it imports and is skipped; an import line marked
 `# noqa: F401` is kept on purpose and is skipped too. The package takes
 `einsum` from `batching`, numpy's C kernel without the dispatch layer;
-`tests/_oracles.py` keeps `np.einsum` as the independent reference.
+`tests/_oracles.py` keeps `np.einsum` as the independent reference. A
+module-level `_name` function or class that nothing in the package
+references outside its own definition is dead code, whatever the tests
+call.
 """
 
 import ast
@@ -68,3 +72,42 @@ def test_scan_finds_numpy_einsum():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_takes_einsum_from_batching(path):
     assert numpy_einsum_uses(path.read_text()) == []
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each module-level private def that no code outside it references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            referenced = any(
+                id(n) not in inside
+                and node.name in (getattr(n, "id", None), getattr(n, "attr", None))
+                for other in trees.values()
+                for n in ast.walk(other)
+            )
+            if not referenced:
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_scan_finds_a_dead_private_def():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\n"
+        "class _Kept:\n    pass\n",
+        "b": "import a\n\ndef public():\n    return a._used(), _Kept\n\n"
+        "def __dunder__():\n    pass\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a._dead"]
+
+
+def test_package_has_no_dead_private_defs():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []

@@ -20,7 +20,6 @@ from fermatpath.batching import (
     BatchScene,
     checked_segments,
     gradient_batch,
-    hessian_batch,
     hessian_from_segments,
     length_param_gradient_from_segments,
     param_vjp_from_segments,
@@ -146,7 +145,8 @@ class TestBatchOfOne:
             T = np.stack(Ts)
             u = rng.normal(size=T.shape)
             _, s, norms = checked_segments(sc, T)
-            G, H, L = gradient_batch(sc, T), hessian_batch(sc, T), path_length_batch(sc, T)
+            G, L = gradient_batch(sc, T), path_length_batch(sc, T)
+            H = hessian_from_segments(sc, s, norms)
             dL = length_param_gradient_from_segments(T, s, norms)
             vjp = param_vjp_from_segments(sc, T, s, norms, u)
             for b, (spec, Tb) in enumerate(group):

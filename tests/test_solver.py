@@ -191,7 +191,7 @@ class TestStepSizeLoop:
     @pytest.mark.parametrize("precision", list(Precision))
     def test_matches_oracle_bytes(self, precision, k, stop_when_still):
         sc, s, P, eps = _step_size_batch(precision.dtype)
-        got = _fixed_point_alpha(sc, s, P, k, eps, stop_when_still=stop_when_still)
+        got = _fixed_point_alpha(sc, s, P, k, stop_when_still=stop_when_still)
         want = fixed_point_alpha(sc, s, P, k, eps)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
