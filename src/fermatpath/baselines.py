@@ -205,7 +205,7 @@ def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
         fixed_point_iters=REFERENCE_FP_ITERS,
         precision=Precision.DOUBLE,
     )
-    T, _, _ = _bfgs_kernel(sc, T0, opts)
+    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
     polish = SolveOptions(iterations=REFERENCE_POLISH_ITERS, precision=Precision.DOUBLE)
     T, _, converged = _newton_kernel(sc, T, polish, tol=REFERENCE_GRAD_TOL)
     return T, converged

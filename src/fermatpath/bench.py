@@ -320,7 +320,7 @@ def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
     opts = SolveOptions(
         iterations=config.iterations, fixed_point_iters=fp, precision=config.precision
     )
-    T, _, _ = _bfgs_kernel(sc, T0, opts)
+    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
     return _interaction_points(sc, T), fp
 
 

@@ -1,11 +1,10 @@
 """Batch BFGS path solver with fixed-point step sizes.
 
 The solver runs a fixed number of iterations for every path in a batch,
-and its results equal that fixed schedule's bitwise. In a batch, a member
-whose step no longer moves it, or a step-size iteration that no longer
-changes any step size, is at an exact fixed point, so it is no longer
-computed. A single-path solve (`bfgs_solve`) runs the whole schedule, so
-its cost is the same for every scene of a given size.
+and its results equal that fixed schedule's bitwise. A member whose step
+no longer moves it, or a step-size iteration that no longer changes any
+step size, is at an exact fixed point, so it is no longer computed. Every
+caller, the single-path `bfgs_solve` included, runs this one schedule.
 The step size along each quasi-Newton direction comes from a fixed-point
 iteration on the exact one-dimensional optimality condition, warm-started
 at zero. Each BFGS iteration embeds the paths once: the clamped segments
@@ -74,7 +73,7 @@ class SolveReport:
     solution: np.ndarray  # (n, 2)
     final_length: float
     final_grad_norm: float
-    iterations: int
+    iterations: int  # iterations run; BFGS stops once the path no longer moves
     trace: list[tuple[int, float, float]] | None = None
 
 
@@ -111,14 +110,14 @@ def init_params(spec: PathSpec) -> np.ndarray:
     return T
 
 
-def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, stop_when_still: bool = True):
+def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     """Batched fixed-point step size; returns (alpha, zero, clamped), each (B,).
 
     `s` holds the current segments. Members whose direction moves no point
     (`zero`) keep alpha 0, and a trial segment that collapses below the
     floor `sc.eps` is clamped (`clamped`), so batch control flow stays
-    uniform. With `stop_when_still` the loop ends once no step size
-    changes; the result is the same either way.
+    uniform. The loop ends once no step size changes; the result is that
+    of all `iters`.
 
     At B=1 the loop's cost is its number of numpy calls, so each iteration
     divides `c` and `-a2`, stacked, by the trial norms once and sums both
@@ -175,7 +174,7 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int, stop_when_still: bool =
             new = np.where(keep, new, alpha)
             # Given s and dAp the update depends on alpha alone, so once no
             # alpha changes, every further iteration would repeat this one.
-            if stop_when_still and new.tobytes() == alpha.tobytes():
+            if new.tobytes() == alpha.tobytes():
                 break
             alpha = new
     return alpha, zero, (lowest <= floor).any(axis=1)
@@ -243,18 +242,17 @@ def _inverse_hessian_update(H, step, y, out, outer):
     return out
 
 
-def _bfgs_kernel(
-    sc: BatchScene, T0: np.ndarray, opts: SolveOptions, skip_fixed_points: bool = True
-):
-    """Run the batch BFGS schedule; returns (T, grad, traces).
+def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
+    """Run the batch BFGS schedule; returns (T, grad, traces, iterations).
 
     A member whose step leaves T bitwise unchanged is at a fixed point of
     its whole state (T, g, H): g is recomputed at the same T, so y = 0, the
-    curvature gate keeps H, and every later iteration repeats exactly. With
-    `skip_fixed_points`, such members are written out and dropped from the
-    working batch, and step-size loops end once no step size changes; no
-    member's arithmetic depends on which others share the batch, so every
-    result equals the full schedule's either way.
+    curvature gate keeps H, and every later iteration repeats exactly. Such
+    members are written out and dropped from the working batch; no member's
+    arithmetic depends on which others share the batch, so every result
+    equals the full schedule's. `iterations` (B,) counts the iterations
+    each member ran: up to and including the one that left it unchanged,
+    or `opts.iterations` if none did.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
@@ -272,6 +270,7 @@ def _bfgs_kernel(
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
     T_out, g_out = np.empty_like(T), np.empty_like(g)
+    ran = np.full(B, opts.iterations)
     if opts.record_trace:
         # (L, |g|) of every member after each iteration; retired members
         # keep their last values, as the full schedule would record.
@@ -281,10 +280,7 @@ def _bfgs_kernel(
     for it in range(opts.iterations):
         k = live.size
         p = -einsum("bij,bj->bi", H, g)
-        alpha, _, _ = _fixed_point_alpha(
-            sc, s, p.reshape(k, n, 2), opts.fixed_point_iters,
-            stop_when_still=skip_fixed_points,
-        )
+        alpha, _, _ = _fixed_point_alpha(sc, s, p.reshape(k, n, 2), opts.fixed_point_iters)
         step = alpha[:, None] * p
         T_new = T + step.reshape(k, n, 2)
         moved = np.any(T_new.view(bits) != T.view(bits), axis=(1, 2))
@@ -300,10 +296,11 @@ def _bfgs_kernel(
             row[1, live] = np.sqrt(einsum("bi,bi->b", g, g))
             hist[it] = row
 
-        if skip_fixed_points and not moved.all():
+        if not moved.all():
             done, kept = np.flatnonzero(~moved), np.flatnonzero(moved)
             T_out[live[done]] = T[done]
             g_out[live[done]] = g[done]
+            ran[live[done]] = it + 1
             live, T, g, H, s = live[kept], T[kept], g[kept], H[kept], s[kept]
             sc = sc.take(kept)
             if live.size == 0:
@@ -319,12 +316,14 @@ def _bfgs_kernel(
             list(zip(range(opts.iterations), lengths, gnorms))
             for lengths, gnorms in zip(hist[:, 0].T.tolist(), hist[:, 1].T.tolist())
         ]
-    return T_out, g_out.reshape(B, n, 2), traces
+    return T_out, g_out.reshape(B, n, 2), traces, ran
 
 
 def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveReport]:
+    """One report per member; `iterations` is each member's count, or one for all."""
     lengths = path_length_batch(sc.astype(T.dtype), T)
     gnorms = np.linalg.norm(g.reshape(T.shape[0], -1), axis=1)
+    iterations = np.broadcast_to(iterations, T.shape[:1]).tolist()
     out = []
     for b in range(T.shape[0]):
         out.append(
@@ -332,7 +331,7 @@ def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveR
                 solution=np.asarray(T[b], dtype=float),
                 final_length=float(lengths[b]),
                 final_grad_norm=float(gnorms[b]),
-                iterations=iterations,
+                iterations=iterations[b],
                 trace=traces[b] if traces is not None else None,
             )
         )
@@ -340,16 +339,14 @@ def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveR
 
 
 def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Minimize path length from T0 over opts.iterations updates.
+    """Minimize path length from T0 over at most opts.iterations updates.
 
-    The batch kernel on a batch of one. Every update is computed, also
-    after the path stops moving, so the cost depends on the scene's size
-    only.
+    The batch kernel on a batch of one: it stops once an update leaves the
+    path bitwise unchanged, and its result equals the whole schedule's.
     """
     T0 = check_params(spec, T0)
     sc = BatchScene.of(spec)
-    T, g, traces = _bfgs_kernel(sc, T0[None], opts, skip_fixed_points=False)
-    return _reports_from_state(sc, T, g, traces, opts.iterations)[0]
+    return _reports_from_state(sc, *_bfgs_kernel(sc, T0[None], opts))[0]
 
 
 def batch_solve(
@@ -358,5 +355,4 @@ def batch_solve(
     """Solve many paths with identical n under one uniform iteration schedule."""
     sc = BatchScene.from_specs(specs)
     T0 = stack_params(specs, T0s)
-    T, g, traces = _bfgs_kernel(sc, T0, opts)
-    return _reports_from_state(sc, T, g, traces, opts.iterations)
+    return _reports_from_state(sc, *_bfgs_kernel(sc, T0, opts))

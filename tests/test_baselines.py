@@ -167,7 +167,7 @@ class TestReference:
             iterations=baselines.REFERENCE_BFGS_ITERS,
             fixed_point_iters=baselines.REFERENCE_FP_ITERS,
         )
-        T_bfgs, _, _ = _bfgs_kernel(sc, T0, opts)
+        T_bfgs, _, _, _ = _bfgs_kernel(sc, T0, opts)
         want_T, want_conv, rounds = frozen_newton_polish(
             sc, T_bfgs, baselines.REFERENCE_GRAD_TOL, baselines.REFERENCE_POLISH_ITERS,
             baselines.NEWTON_DAMPING, baselines.NEWTON_MAX_HALVINGS,

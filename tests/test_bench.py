@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,18 +22,23 @@ from fermatpath import (
     SceneFileError,
     ShapeMismatch,
     SingularHessian,
+    SolveOptions,
     SurfaceKind,
     gen_scenes,
     grad_check,
+    init_params,
     load_scenes,
     read_records,
     run_bench,
     save_scenes,
     write_records,
 )
-from fermatpath import bench, cli, implicit_diff
+from fermatpath import bench, cli, implicit_diff, solver
+from fermatpath.batching import BatchScene, path_length_batch
 from fermatpath.bench import BenchRecord, CSV_HEADER, GradCheckReport
 from fermatpath.cli import main
+
+from _oracles import fixed_schedule_bfgs
 
 
 def _reference_missing(monkeypatch, members):
@@ -304,6 +310,20 @@ _OUT_OF_RANGE = [
 ]
 
 
+def _deep_scene_file(tmp_path, seed=1):
+    """The `deep-file` benchmark's scene file: one MIXED scene per n in 8, 16, 32, 64."""
+    path = tmp_path / "deep.yaml"
+    with open(path, "w") as fh:
+        save_scenes([s for n in (8, 16, 32, 64) for s in gen_scenes(seed, n, Kinds.MIXED, 1)], fh)
+    return str(path)
+
+
+def _benchmark_scene_line():
+    """The pattern perfbench's `deep-file` check parses `fermatpath solve` output with."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path), run_name="perfbench_workloads")["_SCENE_LINE"]
+
+
 class TestCli:
     def test_gen_then_solve(self, tmp_path):
         scene_file = str(tmp_path / "scenes.yaml")
@@ -499,3 +519,35 @@ class TestCli:
         code, _, err = _run_cli(["solve", str(scene_file)])
         assert code == 2
         assert "solver failed" in err
+
+    def test_solve_scene_lines_equal_the_fixed_schedule(self, tmp_path):
+        scene_file = _deep_scene_file(tmp_path)
+        code, out, _ = _run_cli(["solve", scene_file])
+        assert code == 0
+        args = cli.build_parser().parse_args(["solve", scene_file])
+        opts = SolveOptions(
+            iterations=args.iterations, fixed_point_iters=args.fp_iters, precision=args.precision
+        )
+        with open(scene_file) as fh:
+            specs = load_scenes(fh)
+        lines = [line for line in out.splitlines() if line.startswith("scene ")]
+        assert len(lines) == len(specs) == 4
+        scene_line = _benchmark_scene_line()
+        for idx, (line, spec) in enumerate(zip(lines, specs)):
+            assert scene_line.match(line)
+            sc = BatchScene.of(spec)
+            T, g, _, _ = fixed_schedule_bfgs(sc, init_params(spec)[None], opts)
+            length = path_length_batch(sc, T)[0]
+            gnorm = np.linalg.norm(g.reshape(-1))
+            assert line == f"scene {idx}: length={length:.9g} grad_norm={gnorm:.3e}"
+
+    def test_solve_stops_each_path_at_its_fixed_point(self, tmp_path, monkeypatch):
+        scene_file = _deep_scene_file(tmp_path)
+        calls = []
+        real = solver.clamped_segments
+        monkeypatch.setattr(solver, "clamped_segments", lambda *a: calls.append(1) or real(*a))
+        code, _, _ = _run_cli(["solve", scene_file])
+        assert code == 0
+        # The whole schedule embeds each of the 4 paths at its start and
+        # after each of its 100 updates.
+        assert len(calls) < 4 * 101

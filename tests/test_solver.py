@@ -25,7 +25,7 @@ from fermatpath import (
     reference_solve_batch,
 )
 from fermatpath import batching
-from fermatpath.batching import BatchScene, clamped_segments
+from fermatpath.batching import BatchScene, clamped_segments, path_length_batch
 from fermatpath import solver as solver_module
 from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha, _inverse_hessian_update
 from fermatpath.objective import gradient
@@ -186,12 +186,11 @@ class TestStepSizeLoop:
     """The step-size loop equals the plain loop of the oracle byte for byte."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("stop_when_still", [True, False])
     @pytest.mark.parametrize("k", [1, 7, 64])
     @pytest.mark.parametrize("precision", list(Precision))
-    def test_matches_oracle_bytes(self, precision, k, stop_when_still):
+    def test_matches_oracle_bytes(self, precision, k):
         sc, s, P, eps = _step_size_batch(precision.dtype)
-        got = _fixed_point_alpha(sc, s, P, k, stop_when_still=stop_when_still)
+        got = _fixed_point_alpha(sc, s, P, k)
         want = fixed_point_alpha(sc, s, P, k, eps)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -281,10 +280,10 @@ class TestSolver:
         real = batching.embed_batch
         monkeypatch.setattr(batching, "embed_batch", lambda *a: calls.append(1) or real(*a))
         rep = bfgs_solve(spec, init_params(spec), SolveOptions(iterations=100, **extra))
-        assert rep.iterations == 100
-        # The start is checked and embedded once, each iteration embeds once,
-        # and the report takes the final length.
-        assert len(calls) == 103
+        assert rep.iterations < 100
+        # The start is checked and embedded once, each iteration run embeds
+        # once, and the report takes the final length.
+        assert len(calls) == rep.iterations + 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_batch_entry_points_reject_non_finite_guesses(self, bad):
@@ -344,6 +343,7 @@ def _report_bytes(rep):
         rep.solution.tobytes(),
         np.float64(rep.final_length).tobytes(),
         np.float64(rep.final_grad_norm).tobytes(),
+        rep.iterations,
     )
 
 
@@ -383,13 +383,19 @@ def _half_warm_batch(kinds, n, B=12):
     return BatchScene.from_specs(specs), np.stack(T0s)
 
 
+def _iterations_run(still_at, opts):
+    """The iterations a member runs: up to its first still step, else all."""
+    return np.where(still_at < 0, opts.iterations, still_at + 1)
+
+
 def _assert_kernel_matches_fixed_schedule(sc, T0, opts):
-    T, g, traces = _bfgs_kernel(sc, T0, opts)
+    T, g, traces, ran = _bfgs_kernel(sc, T0, opts)
     T_ref, g_ref, traces_ref, still_at = fixed_schedule_bfgs(sc, T0, opts)
     bits = f"u{T.itemsize}"
     assert np.array_equal(T.view(bits), T_ref.view(bits))
     assert np.array_equal(g.view(bits), g_ref.view(bits))
     assert traces == traces_ref
+    assert np.array_equal(ran, _iterations_run(still_at, opts))
     return still_at
 
 
@@ -421,20 +427,44 @@ class TestFixedPointExits:
         still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
         assert np.all((still_at >= 0) & (still_at < 299))
 
-    def test_single_path_solve_computes_the_whole_schedule(self, monkeypatch):
+    def test_single_path_solve_retires_the_warm_member(self, monkeypatch):
         _, T0 = _half_warm_batch(Kinds.REFLECTIONS, 2)
         spec = gen_scenes(41, 2, Kinds.REFLECTIONS, 12)[-1]  # a warm member
         sc = BatchScene.from_specs([spec])
         opts = SolveOptions(iterations=300, fixed_point_iters=64)
+        T, _, _, ran = _bfgs_kernel(sc, T0[-1:], opts)
         calls = []
         real = solver_module.clamped_segments
         monkeypatch.setattr(
             solver_module, "clamped_segments", lambda *a: calls.append(1) or real(*a)
         )
-        T, _, _ = _bfgs_kernel(sc, T0[-1:], opts)
-        assert len(calls) < opts.iterations  # the batch kernel retires it
-        calls.clear()
         rep = bfgs_solve(spec, T0[-1], opts)
-        assert len(calls) == opts.iterations + 1  # the start plus one per update
+        # The start plus one per update run, short of the whole schedule.
+        assert len(calls) == rep.iterations + 1 < opts.iterations + 1
+        assert rep.iterations == ran[0]
         assert np.array_equal(rep.solution.view("u8"), T[0].view("u8"))
-        assert rep.iterations == opts.iterations
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_single_path_solve_matches_fixed_schedule_at_depth(self, seed, n):
+        # The shapes `fermatpath solve` runs on a deep scene file.
+        spec = gen_scenes(seed, n, Kinds.MIXED, 1)[0]
+        sc = BatchScene.from_specs([spec])
+        T0 = init_params(spec)
+        opts = SolveOptions(iterations=100, fixed_point_iters=64, record_trace=True)
+        T_ref, g_ref, (trace_ref,), still_at = fixed_schedule_bfgs(sc, T0[None], opts)
+        length_ref = path_length_batch(sc, T_ref)[0]
+        gnorm_ref = np.linalg.norm(g_ref.reshape(-1))
+        for record_trace in (False, True):
+            rep = bfgs_solve(spec, T0, SolveOptions(
+                iterations=100, fixed_point_iters=64, record_trace=record_trace
+            ))
+            assert np.array_equal(rep.solution.view("u8"), T_ref[0].view("u8"))
+            assert np.float64(rep.final_length).view("u8") == length_ref.view("u8")
+            assert np.float64(rep.final_grad_norm).view("u8") == gnorm_ref.view("u8")
+            assert rep.iterations == _iterations_run(still_at, opts)[0]
+            if record_trace:
+                got = np.array(rep.trace).view("u8")
+                assert np.array_equal(got, np.array(trace_ref).view("u8"))
+            else:
+                assert rep.trace is None
