@@ -314,7 +314,7 @@ def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
         return _interaction_points(sc, T), 0
     if solver == "newton":
         opts = SolveOptions(iterations=config.iterations, precision=config.precision)
-        T, _, _ = _newton_kernel(sc, T0, opts)
+        T, _ = _newton_kernel(sc, T0, opts)
         return _interaction_points(sc, T), 0
     fp = 64 if solver == "ours-64" else config.fixed_point_iters
     opts = SolveOptions(

@@ -5,6 +5,10 @@ and its results equal that fixed schedule's bitwise. A member whose step
 no longer moves it, or a step-size iteration that no longer changes any
 step size, is at an exact fixed point, so it is no longer computed. Every
 caller, the single-path `bfgs_solve` included, runs this one schedule.
+The reference solver (`baselines`) also gives the kernel a stopping
+tolerance: a member near its optimum may never repeat bitwise, so it stops
+once its gradient reaches the noise floor instead. The initial guess is
+the start/end midpoint projected onto each surface by `params_from_points`.
 The step size along each quasi-Newton direction comes from a fixed-point
 iteration on the exact one-dimensional optimality condition, warm-started
 at zero. Each BFGS iteration embeds the paths once: the clamped segments
@@ -78,36 +82,13 @@ class SolveReport:
 
 
 def init_params(spec: PathSpec) -> np.ndarray:
-    """Deterministic initial guess: project the start/end midpoint onto each surface.
+    """Deterministic initial guess: the start/end midpoint projected onto each surface.
 
-    Solves the normal equations of the least-squares projection restricted to
-    active basis columns; inert coordinates start at zero. The Gram matrices
-    and the solves are stacked, one per surface kind (planes 2x2, edges 1x1).
-    Each right-hand side stays one `A.T @ (mid - anchor)` per surface, with
-    `A.T` a fresh C-ordered copy (the layout boolean indexing gives): BLAS
-    `gemv` rounds by the layout and alignment of its operands, so a stacked
-    product, or one on views into the stacked basis, moves the guess by an
-    ulp. A plane whose Gram matrix rounds to singular, though its basis
-    passed the degeneracy check, takes the pseudo-inverse projection
-    `params_from_points` instead.
+    The projection is `params_from_points`' stacked pseudo-inverse, so a
+    nearly parallel plane basis keeps its accuracy; inert coordinates are +0.0.
     """
     mid = 0.5 * (spec.start + spec.end)
-    basis, anchor = spec.basis_tensor, spec.anchor_tensor
-    planes = spec.active_mask[:, 1]  # else an edge: first column only
-    T = np.zeros((spec.n, 2))
-    rhs = np.zeros((spec.n, 2))
-    for i, plane in enumerate(planes.tolist()):
-        k = 2 if plane else 1
-        rhs[i, :k] = basis[i, :, :k].T.copy() @ (mid - anchor[i])
-    for k, idx in ((2, np.flatnonzero(planes)), (1, np.flatnonzero(~planes))):
-        if idx.size:
-            A = basis[idx, :, :k]
-            G = A.transpose(0, 2, 1) @ A
-            try:
-                T[idx, :k] = np.linalg.solve(G, rhs[idx, :k, None])[..., 0]
-            except np.linalg.LinAlgError:
-                return params_from_points(spec, np.broadcast_to(mid, (spec.n, 3)))
-    return T
+    return params_from_points(spec, np.broadcast_to(mid, (spec.n, 3)))
 
 
 def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
@@ -242,7 +223,7 @@ def _inverse_hessian_update(H, step, y, out, outer):
     return out
 
 
-def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
+def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float = 0.0):
     """Run the batch BFGS schedule; returns (T, grad, traces, iterations).
 
     A member whose step leaves T bitwise unchanged is at a fixed point of
@@ -250,9 +231,12 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
     curvature gate keeps H, and every later iteration repeats exactly. Such
     members are written out and dropped from the working batch; no member's
     arithmetic depends on which others share the batch, so every result
-    equals the full schedule's. `iterations` (B,) counts the iterations
-    each member ran: up to and including the one that left it unchanged,
-    or `opts.iterations` if none did.
+    equals the full schedule's. At `tol > 0` a member also stops at the
+    first iterate, T0 included, whose |g| < tol (1 + L), L summed from the
+    clamped segment norms, and leaves the same way; at the default 0 the
+    test is skipped. `iterations` (B,) counts the steps each member took:
+    up to and including the one that left it unchanged, up to the iterate
+    that passed the test, or `opts.iterations`.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
@@ -265,25 +249,44 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
     # The update writes into `spare`, which then swaps roles with H.
     spare, outer = np.empty_like(H), np.empty_like(H)
     # The segments g is computed from are also the next step size's.
-    _, s, norms = clamped_segments(sc, T)
+    x, s, norms = clamped_segments(sc, T)
     g = gradient_from_segments(sc, s, norms).reshape(B, m)
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
     T_out, g_out = np.empty_like(T), np.empty_like(g)
     ran = np.full(B, opts.iterations)
+    still = np.zeros(B, dtype=bool)  # the last step left T bitwise unchanged
     if opts.record_trace:
         # (L, |g|) of every member after each iteration; retired members
-        # keep their last values, as the full schedule would record.
-        row = np.empty((2, B))
+        # keep their last values, as the full schedule would record, and a
+        # member that stops at T0 keeps T0's.
+        L0 = einsum("bk->b", segment_norms(x)[1])
+        row = np.array([L0, np.sqrt(einsum("bi,bi->b", g, g))], dtype=float)
         hist = np.empty((opts.iterations, 2, B))
 
     for it in range(opts.iterations):
+        done = still
+        if tol:
+            gnorm = np.sqrt(einsum("bi,bi->b", g, g))
+            done = done | (gnorm < tol * (1.0 + einsum("bk->b", norms)))
+        if done.any():
+            gone, kept = np.flatnonzero(done), np.flatnonzero(~done)
+            T_out[live[gone]] = T[gone]
+            g_out[live[gone]] = g[gone]
+            ran[live[gone]] = it
+            live, T, g, H, s = live[kept], T[kept], g[kept], H[kept], s[kept]
+            sc = sc.take(kept)
+            if live.size == 0:
+                if opts.record_trace:
+                    hist[it:] = row
+                break
+
         k = live.size
         p = -einsum("bij,bj->bi", H, g)
         alpha, _, _ = _fixed_point_alpha(sc, s, p.reshape(k, n, 2), opts.fixed_point_iters)
         step = alpha[:, None] * p
         T_new = T + step.reshape(k, n, 2)
-        moved = np.any(T_new.view(bits) != T.view(bits), axis=(1, 2))
+        still = np.all(T_new.view(bits) == T.view(bits), axis=(1, 2))
         T = T_new
         x, s, norms = clamped_segments(sc, T)
         g_new = gradient_from_segments(sc, s, norms).reshape(k, m)
@@ -295,18 +298,6 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
             row[0, live] = einsum("bk->b", segment_norms(x)[1])
             row[1, live] = np.sqrt(einsum("bi,bi->b", g, g))
             hist[it] = row
-
-        if not moved.all():
-            done, kept = np.flatnonzero(~moved), np.flatnonzero(moved)
-            T_out[live[done]] = T[done]
-            g_out[live[done]] = g[done]
-            ran[live[done]] = it + 1
-            live, T, g, H, s = live[kept], T[kept], g[kept], H[kept], s[kept]
-            sc = sc.take(kept)
-            if live.size == 0:
-                if opts.record_trace:
-                    hist[it + 1 :] = row
-                break
 
     T_out[live] = T
     g_out[live] = g

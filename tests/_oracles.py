@@ -3,14 +3,12 @@
 Everything here is deliberately implemented from first principles (finite
 differences, golden-section search, a standalone d=1 solver) rather than
 reusing library internals, so tests compare two independent computations.
-The exceptions are `fixed_point_alpha` and `fixed_schedule_bfgs`, the
-step-size loop and the batch BFGS kernel as plain fixed schedules,
-`frozen_newton_polish`, the reference polish as rounds of one Newton step,
-and the
-constructors, `init_params` and the Hessian in their plain numpy or looped
-form, which must share the library's arithmetic to serve as bitwise
-references, and `per_surface_params_from_points`, the projection as one
-`lstsq` per surface.
+The exceptions, which must share the library's arithmetic to serve as
+bitwise references, are `fixed_point_alpha` and `fixed_schedule_bfgs`, the
+step-size loop and the batch BFGS kernel as plain fixed schedules, and the
+constructors and the Hessian in their plain numpy or looped form.
+`per_surface_params_from_points` is the projection, and so the initial
+guess, as one `lstsq` per surface.
 """
 
 import numpy as np
@@ -25,16 +23,7 @@ from fermatpath import (
     init_params,
     path_length,
 )
-from fermatpath.batching import (
-    clamped_segments,
-    embed_batch,
-    gradient_batch,
-    hessian_from_segments,
-    path_length_batch,
-    segment_norms,
-    solve_active,
-    stationary_from_segments,
-)
+from fermatpath.batching import clamped_segments, gradient_batch, path_length_batch
 from fermatpath.geometry import MAX_INTERACTIONS, MIN_ENDPOINT_SEPARATION, PLANE_DEGENERACY_TOL
 from fermatpath.objective import gradient
 
@@ -280,49 +269,6 @@ def fixed_schedule_bfgs(sc, T0, opts):
     return T, g.reshape(B, n, 2), traces if opts.record_trace else None, still_at
 
 
-def frozen_newton_polish(sc, T, tol, rounds, damping, max_halvings):
-    """The reference polish as up to `rounds` rounds of one damped Newton step.
-
-    Before each round, members that pass the stationarity test at `tol`
-    are frozen: their step is zero. Each round embeds the paths once per
-    quantity (gradient, Hessian, length), as plain calls. Returns
-    (T, converged, rounds run).
-    """
-    B, n = T.shape[0], T.shape[1]
-    m = 2 * n
-    active = sc.active.reshape(B, m)
-    dim = active.sum(axis=1).astype(T.dtype)
-
-    def converged_mask(T):
-        s, norms = segment_norms(embed_batch(sc, T))
-        return stationary_from_segments(sc, s, norms, tol)
-
-    converged = converged_mask(T)
-    for r in range(rounds):
-        if np.all(converged):
-            return T, converged, r
-        g = gradient_batch(sc, T)
-        _, s, norms = clamped_segments(sc, T)
-        H = hessian_from_segments(sc, s, norms)
-        lam = damping * np.einsum("bii->b", H) / np.maximum(dim, 1.0)
-        step = -solve_active(H, g.reshape(B, m), active, lam)
-        step = np.where(converged[:, None], 0.0, step)
-        L0 = path_length_batch(sc, T)
-        scale = np.ones(B, dtype=T.dtype)
-        cand = T + step.reshape(B, n, 2)
-        Lc = path_length_batch(sc, cand)
-        for _ in range(max_halvings):
-            worse = Lc > L0
-            if not np.any(worse):
-                break
-            scale = np.where(worse, scale * 0.5, scale)
-            cand = T + scale[:, None, None] * step.reshape(B, n, 2)
-            Lc = path_length_batch(sc, cand)
-        T = np.where((Lc <= L0)[:, None, None], cand, T)
-        converged = converged_mask(T)
-    return T, converged, rounds
-
-
 def vec3(v, name: str) -> np.ndarray:
     """The 3-vector check in its plain numpy form: a float copy, or the exception."""
     a = np.asarray(v, dtype=float)
@@ -388,19 +334,6 @@ def seg_epsilon(start, end, dtype=np.float64):
     """(B,) segment-norm floor of (B, 3) endpoints, computed in float64."""
     scale = np.linalg.norm(end.astype(np.float64) - start.astype(np.float64), axis=1)
     return (1e-12 * (1.0 + scale)).astype(dtype)
-
-
-def per_surface_init_params(spec: PathSpec) -> np.ndarray:
-    """`init_params` as one normal-equation solve per surface."""
-    mid = 0.5 * (spec.start + spec.end)
-    T = np.zeros((spec.n, 2))
-    for i, surf in enumerate(spec.surfaces):
-        act = np.linalg.norm(surf.basis, axis=0) > 0.0
-        A = surf.basis[:, act]
-        G = A.T @ A
-        rhs = A.T @ (mid - surf.anchor)
-        T[i, act] = np.linalg.solve(G, rhs)
-    return T
 
 
 def looped_hessian_from_segments(sc, s, norms):

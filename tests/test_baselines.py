@@ -1,6 +1,7 @@
 """Image method, gradient descent, damped Newton, and the reference solver."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,10 +30,11 @@ from fermatpath import (
 )
 from fermatpath import baselines, batching
 from fermatpath.batching import BatchScene, checked_segments, hessian_from_segments
+from fermatpath.geometry import params_from_points
 from fermatpath.objective import embed, gradient, hessian
 from fermatpath.solver import _bfgs_kernel
 
-from _oracles import frozen_newton_polish, perturb_params
+from _oracles import fixed_schedule_bfgs, perturb_params
 
 
 def _count_calls(monkeypatch, *names):
@@ -52,12 +54,16 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
-def _polish_batch():
-    """Five near-parallel plane bases that reach the polish, interleaved with reflections.
+REFERENCE_OPTIONS = SolveOptions(
+    iterations=baselines.REFERENCE_BFGS_ITERS, fixed_point_iters=baselines.REFERENCE_FP_ITERS
+)
+
+
+def _near_parallel_batch():
+    """Five near-parallel plane bases, interleaved with reflections.
 
     At e <= 1e-6 the solution's |t| is of order 1/e, and rounding leaves |g|
-    above the reference tolerance through every polish iterate; e = 1e-4
-    converges.
+    above the reference tolerance; e = 1e-4 converges.
     """
     mirrors = gen_scenes(7, 1, Kinds.REFLECTIONS, 5)
     specs = []
@@ -159,24 +165,55 @@ class TestNewton:
 
 
 class TestReference:
-    def test_polish_matches_frozen_newton_rounds(self):
-        specs = _polish_batch()
+    @pytest.mark.parametrize("batch", ["near-parallel", "reference"])
+    def test_equals_the_fixed_schedule_where_each_member_stopped(self, batch):
+        # Each member's result is the whole schedule's after the steps it took.
+        specs = (
+            _near_parallel_batch() if batch == "near-parallel"
+            else gen_scenes(105, 5, Kinds.MIXED, 20)
+        )
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
-        opts = SolveOptions(
-            iterations=baselines.REFERENCE_BFGS_ITERS,
-            fixed_point_iters=baselines.REFERENCE_FP_ITERS,
-        )
-        T_bfgs, _, _, _ = _bfgs_kernel(sc, T0, opts)
-        want_T, want_conv, rounds = frozen_newton_polish(
-            sc, T_bfgs, baselines.REFERENCE_GRAD_TOL, baselines.REFERENCE_POLISH_ITERS,
-            baselines.NEWTON_DAMPING, baselines.NEWTON_MAX_HALVINGS,
-        )
+        _, _, _, ran = _bfgs_kernel(sc, T0, REFERENCE_OPTIONS, tol=baselines.REFERENCE_STOP_TOL)
+        want = T0.copy()
+        # Members that stopped at the noise floor rather than at a bitwise fixed point.
+        floor_stops = np.count_nonzero(ran == 0)
+        for k in np.unique(ran[ran > 0]).tolist():
+            T_k, _, _, still_at = fixed_schedule_bfgs(
+                sc, T0, replace(REFERENCE_OPTIONS, iterations=k)
+            )
+            want[ran == k] = T_k[ran == k]
+            if k < baselines.REFERENCE_BFGS_ITERS:
+                floor_stops += np.count_nonzero((ran == k) & (still_at != k - 1))
+        assert floor_stops > 0
         T, conv = reference_solve_batch(specs)
-        assert rounds == baselines.REFERENCE_POLISH_ITERS  # the polish ran to its limit
-        assert T.tobytes() == want_T.tobytes()
-        assert conv.tolist() == want_conv.tolist()
-        assert conv.tolist() == [False, True] * 4 + [True, True]
+        assert T.tobytes() == want.tobytes()
+        if batch == "near-parallel":
+            assert conv.tolist() == [False, True] * 4 + [True, True]
+        else:
+            assert conv.all()
+
+    def test_stop_ends_a_member_that_never_repeats_bitwise(self, monkeypatch):
+        # From the midpoint projections, one member of this batch never reaches
+        # a bitwise fixed point, so without the stop it runs the whole schedule.
+        specs = gen_scenes(4, 5, Kinds.MIXED, 20)
+        T0s = [
+            params_from_points(s, np.broadcast_to(0.5 * (s.start + s.end), (s.n, 3)))
+            for s in specs
+        ]
+        reports = batch_solve(specs, T0s, REFERENCE_OPTIONS)
+        assert max(r.iterations for r in reports) == baselines.REFERENCE_BFGS_ITERS
+        counts = _count_calls(monkeypatch, "clamped_segments")
+        _, conv = reference_solve_batch(specs, T0s)
+        # One embedding at the start and one per iteration of the longest member.
+        assert counts["clamped_segments"] - 1 <= 50
+        assert conv.all()
+
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_restart_from_a_converged_solution_returns_it(self, kinds):
+        for spec in gen_scenes(24, 2, kinds, 10):
+            T1 = reference_solve(spec)
+            assert reference_solve(spec, T1).tobytes() == T1.tobytes()
 
     def test_stationary_to_tolerance(self):
         for kinds in (Kinds.REFLECTIONS, Kinds.DIFFRACTIONS, Kinds.MIXED):

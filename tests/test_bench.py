@@ -24,6 +24,7 @@ from fermatpath import (
     SingularHessian,
     SolveOptions,
     SurfaceKind,
+    bfgs_solve,
     gen_scenes,
     grad_check,
     init_params,
@@ -541,13 +542,39 @@ class TestCli:
             gnorm = np.linalg.norm(g.reshape(-1))
             assert line == f"scene {idx}: length={length:.9g} grad_norm={gnorm:.3e}"
 
-    def test_solve_stops_each_path_at_its_fixed_point(self, tmp_path, monkeypatch):
-        scene_file = _deep_scene_file(tmp_path)
+    def _solve_counting_embeddings(self, monkeypatch, scene_file):
+        """(embeddings `fermatpath solve` makes, iterations `bfgs_solve` reports per scene)."""
+        args = cli.build_parser().parse_args(["solve", scene_file])
+        opts = SolveOptions(
+            iterations=args.iterations, fixed_point_iters=args.fp_iters, precision=args.precision
+        )
+        with open(scene_file) as fh:
+            ran = [bfgs_solve(spec, init_params(spec), opts).iterations for spec in load_scenes(fh)]
         calls = []
         real = solver.clamped_segments
         monkeypatch.setattr(solver, "clamped_segments", lambda *a: calls.append(1) or real(*a))
         code, _, _ = _run_cli(["solve", scene_file])
         assert code == 0
-        # The whole schedule embeds each of the 4 paths at its start and
-        # after each of its 100 updates.
-        assert len(calls) < 4 * 101
+        return len(calls), ran
+
+    def test_solve_stops_each_path_at_its_fixed_point(self, tmp_path, monkeypatch):
+        calls, ran = self._solve_counting_embeddings(monkeypatch, _deep_scene_file(tmp_path))
+        # Each path is embedded at its start and after each update it ran.
+        assert calls == sum(k + 1 for k in ran)
+
+    def test_solve_stops_a_path_that_starts_at_its_optimum(self, tmp_path, monkeypatch):
+        # A mirror through the origin spanned by x and z, under a symmetric
+        # start/end pair: the midpoint projects onto the reflection point,
+        # where g is exactly 0, so the first update leaves the path unchanged.
+        scene_file = tmp_path / "optimum.yaml"
+        scene_file.write_text(
+            "start: [-1.0, 1.0, 0.0]\n"
+            "end: [1.0, 1.0, 0.0]\n"
+            "surfaces:\n"
+            "- kind: plane\n"
+            "  anchor: [0.0, 0.0, 0.0]\n"
+            "  basis: [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]\n"
+        )
+        calls, ran = self._solve_counting_embeddings(monkeypatch, str(scene_file))
+        assert ran == [1]
+        assert calls == 2

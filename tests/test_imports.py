@@ -1,5 +1,5 @@
 """Every module of the package uses each name it imports, none calls `np.einsum`,
-and every private function or class is used.
+and every private function or class and every constant is used.
 
 No linter is a dependency, so these are plain `ast` scans. `__init__.py`
 re-exports what it imports and is skipped; an import line marked
@@ -8,10 +8,12 @@ re-exports what it imports and is skipped; an import line marked
 `tests/_oracles.py` keeps `np.einsum` as the independent reference. A
 module-level `_name` function or class that nothing in the package
 references outside its own definition is dead code, whatever the tests
-call.
+call, and so is a module-level UPPER_CASE constant that nothing in the
+package reads outside its own assignment.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,18 @@ def test_module_takes_einsum_from_batching(path):
     assert numpy_einsum_uses(path.read_text()) == []
 
 
+def _read_outside(name: str, node: ast.AST, trees) -> bool:
+    """Whether any code outside `node` reads `name` as a name or an attribute."""
+    inside = {id(n) for n in ast.walk(node)}
+    return any(
+        id(n) not in inside
+        and isinstance(getattr(n, "ctx", None), ast.Load)
+        and name in (getattr(n, "id", None), getattr(n, "attr", None))
+        for tree in trees
+        for n in ast.walk(tree)
+    )
+
+
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     """`module.name` of each module-level private def that no code outside it references."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
@@ -86,14 +100,7 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
                 and not node.name.startswith("__")
             ):
                 continue
-            inside = {id(n) for n in ast.walk(node)}
-            referenced = any(
-                id(n) not in inside
-                and node.name in (getattr(n, "id", None), getattr(n, "attr", None))
-                for other in trees.values()
-                for n in ast.walk(other)
-            )
-            if not referenced:
+            if not _read_outside(node.name, node, trees.values()):
                 dead.append(f"{module}.{node.name}")
     return dead
 
@@ -111,3 +118,42 @@ def test_scan_finds_a_dead_private_def():
 def test_package_has_no_dead_private_defs():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unreferenced_constants(sources: dict[str, str]) -> list[str]:
+    """`module.NAME` of each module-level constant that no code outside its assignments reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        assigns = {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id):
+                    assigns.setdefault(target.id, []).append(node)
+        for name, nodes in assigns.items():
+            if not any(_read_outside(name, node, trees.values()) for node in nodes):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_scan_finds_a_dead_constant():
+    sources = {
+        "a": "LIMIT = 3\nDEAD = 4\nDEAD = 5\nSELF = SELF_SEED = 1\n_HIDDEN: int = 2\n"
+        "lower = 1\n\ndef f():\n    return LIMIT\n",
+        "b": "import a\n\nx = a._HIDDEN\n",
+    }
+    assert unreferenced_constants(sources) == ["a.DEAD", "a.SELF", "a.SELF_SEED"]
+
+
+def test_package_has_no_dead_constants():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_constants(sources) == []

@@ -28,13 +28,13 @@ from fermatpath import batching
 from fermatpath.batching import BatchScene, clamped_segments, path_length_batch
 from fermatpath import solver as solver_module
 from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha, _inverse_hessian_update
-from fermatpath.objective import gradient
+from fermatpath.objective import embed, gradient
 
 from _oracles import (
     fixed_point_alpha,
     fixed_schedule_bfgs,
     golden_alpha,
-    per_surface_init_params,
+    per_surface_params_from_points,
     perturb_params,
 )
 
@@ -94,9 +94,21 @@ class TestInitParams:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
     @pytest.mark.parametrize("kinds", list(Kinds))
-    def test_matches_per_surface_oracle_bitwise(self, kinds, n):
+    def test_is_the_midpoint_projection_bitwise(self, kinds, n):
         for spec in gen_scenes(23, n, kinds, 40 if n < 64 else 8):
-            assert init_params(spec).tobytes() == per_surface_init_params(spec).tobytes()
+            mid = 0.5 * (spec.start + spec.end)
+            want = params_from_points(spec, np.broadcast_to(mid, (n, 3)))
+            assert init_params(spec).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("e", [3e-8, 1e-7, 1e-6])
+    def test_accurate_on_a_nearly_parallel_plane_basis(self, e):
+        # The basis is ill-conditioned; the guess must still be the
+        # projection that one `lstsq` per surface finds.
+        plane = make_plane([0.0, 0.0, 0.0], [1, 0, 0], [1, e, 0])
+        spec = PathSpec(start=[0.3, 0.7, 1.0], end=[1.0, 0.2, 1.5], surfaces=(plane,))
+        mid = 0.5 * (spec.start + spec.end)
+        want = embed(spec, per_surface_params_from_points(spec, mid[None]))
+        assert np.max(np.abs(embed(spec, init_params(spec)) - want)) <= 1e-8
 
 
 class TestLineSearch:
@@ -426,6 +438,27 @@ class TestFixedPointExits:
         opts = SolveOptions(iterations=300, fixed_point_iters=64, record_trace=True)
         still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
         assert np.all((still_at >= 0) & (still_at < 299))
+
+    def test_a_member_already_below_the_stop_takes_no_step(self):
+        # A mirror through the origin spanned by x and z, under a symmetric
+        # start/end pair: g is exactly 0 at the projected midpoint.
+        mirror = PathSpec(
+            start=[-1.0, 1.0, 0.0],
+            end=[1.0, 1.0, 0.0],
+            surfaces=(make_plane([0.0, 0.0, 0.0], [1, 0, 0], [0, 0, 1]),),
+        )
+        specs = [mirror, gen_scenes(41, 1, Kinds.REFLECTIONS, 1)[0]]
+        sc = BatchScene.from_specs(specs)
+        T0 = np.stack([init_params(s) for s in specs])
+        opts = SolveOptions(iterations=5, record_trace=True)
+        T, g, traces, ran = _bfgs_kernel(sc, T0, opts, tol=1e-15)
+        T_ref, g_ref, traces_ref, _ = fixed_schedule_bfgs(sc, T0, opts)
+        assert ran.tolist() == [0, opts.iterations]
+        assert T[0].tobytes() == T0[0].tobytes() and not g[0].any()
+        assert traces[0] == [(it, path_length(mirror, T0[0]), 0.0) for it in range(5)]
+        # The other member runs the whole schedule, as if alone.
+        assert T[1].tobytes() == T_ref[1].tobytes() and g[1].tobytes() == g_ref[1].tobytes()
+        assert traces[1] == traces_ref[1]
 
     def test_single_path_solve_retires_the_warm_member(self, monkeypatch):
         _, T0 = _half_warm_batch(Kinds.REFLECTIONS, 2)
