@@ -16,12 +16,14 @@ the new gradient is computed from are also the next step size's. At B=1
 the cost is the number of numpy calls, so the step-size loop makes as few
 as it can without changing a bit. For the same reason `einsum` is numpy's
 C kernel called directly, without the dispatch layer that `np.einsum` adds
-(see `batching`), and the step-size loop and the inverse-Hessian update
-write into buffers they allocate once instead of into fresh arrays. Both
-keep every operation and its order, which is what keeps the results
-bitwise equal to the plain expressions in `tests/_oracles.py`. The scalar
-entry point is the batch kernel applied to a batch of one, so batched and
-per-path results agree bitwise.
+(see `batching`), and the step-size loop writes into buffers it allocates
+once instead of into fresh arrays, keeping every operation and its order.
+The inverse-Hessian update is the rank-two product H + U W^T, one batched
+`matmul` into the kernel's spare (B, 2n, 2n) buffer, so the kernel holds
+two such arrays; it rounds differently from the textbook three-term form.
+Both equal the plain expressions in `tests/_oracles.py` bitwise. The
+scalar entry point is the batch kernel applied to a batch of one, so
+batched and per-path results agree bitwise.
 """
 
 from __future__ import annotations
@@ -182,37 +184,45 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     return float(alpha[0])
 
 
-def _inverse_hessian_update(H, step, y, out, outer):
+def _inverse_hessian_update(H, step, y, out):
     """BFGS update of the (k, m, m) inverse Hessians `H`, written into `out`.
 
     A member whose curvature `step . y` fails the gate, or whose update is
-    not finite, keeps its `H`. Returns `out`; `outer` is scratch of the same
-    shape. With `H`, these are the three (k, m, m) arrays the update needs,
-    and the kernel reuses them across iterations.
+    not finite, keeps its `H`. Returns `out`. With `H`, these are the two
+    (k, m, m) arrays the kernel holds, reused across iterations.
 
-    The result equals `np.where(ok, H - rho (sHy + sHy^T) + (rho^2 yHy +
-    rho) ss^T, H)`, with `ok` including `np.all(np.isfinite(...))`, bitwise:
-    each operation is the one that expression makes, in the same order.
-    A finite sum over a member's entries implies every entry is finite, so
-    the entrywise test runs only on members whose sum is not (an update of
-    finite entries whose sum overflows still passes it).
+    The update is the rank-two form H + U W^T (Nocedal & Wright, ch. 6),
+    with U = [s, Hy] and W = [c s - rho Hy, -rho s], c = rho^2 yHy + rho:
+    one batched (k, m, 2) @ (k, 2, m) product written into `out`, then
+    `+= H`. The state is bandwidth-bound, and this streams it twice where
+    the three-term form H - rho (sHy + sHy^T) + c ss^T streams it about
+    eight times; the two differ only in rounding. The result equals
+    `np.where(ok, H + U @ W^T, H)`, with `ok` including
+    `np.all(np.isfinite(...))`, bitwise. A finite sum over a member's
+    entries implies every entry is finite, so the entrywise test runs only
+    on members whose sum is not (an update of finite entries whose sum
+    overflows still passes it).
     """
     dtype = H.dtype.type
+    k, m = step.shape
     sy = einsum("bi,bi->b", step, y)
     s_norm = np.sqrt(einsum("bi,bi->b", step, step))
     y_norm = np.sqrt(einsum("bi,bi->b", y, y))
     ok = sy > dtype(1e-12) * s_norm * y_norm
     rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
+    U = np.empty((k, m, 2), dtype=H.dtype)
+    Wt = np.empty((k, 2, m), dtype=H.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         Hy = einsum("bij,bj->bi", H, y)
         yHy = einsum("bi,bi->b", y, Hy)
-        einsum("bi,bj->bij", step, Hy, out=outer)
-        np.add(outer, np.swapaxes(outer, 1, 2), out=out)
-        np.multiply(rho[:, None, None], out, out=out)
-        np.subtract(H, out, out=out)
-        einsum("bi,bj->bij", step, step, out=outer)
-        np.multiply((rho * rho * yHy + rho)[:, None, None], outer, out=outer)
-        out += outer
+        U[:, :, 0] = step
+        U[:, :, 1] = Hy
+        neg_rho = -rho[:, None]
+        np.multiply((rho * rho * yHy + rho)[:, None], step, out=Wt[:, 0])
+        Wt[:, 0] += neg_rho * Hy  # c s - rho Hy, bitwise: a + (-b) is a - b
+        np.multiply(neg_rho, step, out=Wt[:, 1])
+        np.matmul(U, Wt, out=out)
+        out += H
         # Near-zero curvature can overflow the rank-two terms in single
         # precision; treat those updates as skipped.
         unsure = np.flatnonzero(ok & ~np.isfinite(einsum("bij->b", out)))
@@ -244,12 +254,14 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float 
     B, n = T.shape[0], T.shape[1]
     m = 2 * n
 
-    checked_segments(sc, T)  # reject degenerate starting points loudly
+    # Degenerate starting points raise. Once none does, every norm is above
+    # the floor, so these are also the clamped norms, bitwise. The segments
+    # g is computed from are also the next step size's.
+    x, s, norms = checked_segments(sc, T)
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
-    # The update writes into `spare`, which then swaps roles with H.
-    spare, outer = np.empty_like(H), np.empty_like(H)
-    # The segments g is computed from are also the next step size's.
-    x, s, norms = clamped_segments(sc, T)
+    # The update and compaction write into `spare`, which then swaps roles
+    # with H: these are the kernel's only two (B, m, m) arrays.
+    spare = np.empty_like(H)
     g = gradient_from_segments(sc, s, norms).reshape(B, m)
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
@@ -274,7 +286,8 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float 
             T_out[live[gone]] = T[gone]
             g_out[live[gone]] = g[gone]
             ran[live[gone]] = it
-            live, T, g, H, s = live[kept], T[kept], g[kept], H[kept], s[kept]
+            live, T, g, s = live[kept], T[kept], g[kept], s[kept]
+            H, spare = np.take(H, kept, axis=0, out=spare[: kept.size], mode="clip"), H
             sc = sc.take(kept)
             if live.size == 0:
                 if opts.record_trace:
@@ -290,7 +303,7 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float 
         T = T_new
         x, s, norms = clamped_segments(sc, T)
         g_new = gradient_from_segments(sc, s, norms).reshape(k, m)
-        H, spare = _inverse_hessian_update(H, step, g_new - g, spare[:k], outer[:k]), H
+        H, spare = _inverse_hessian_update(H, step, g_new - g, spare[:k]), H
         g = g_new
 
         if opts.record_trace:

@@ -5,7 +5,8 @@ differences, golden-section search, a standalone d=1 solver) rather than
 reusing library internals, so tests compare two independent computations.
 The exceptions, which must share the library's arithmetic to serve as
 bitwise references, are `fixed_point_alpha` and `fixed_schedule_bfgs`, the
-step-size loop and the batch BFGS kernel as plain fixed schedules, and the
+step-size loop and the batch BFGS kernel as plain fixed schedules,
+`inverse_hessian_update`, the kernel's rank-two update, and the
 constructors and the Hessian in their plain numpy or looped form.
 `per_surface_params_from_points` is the projection, and so the initial
 guess, as one `lstsq` per surface.
@@ -212,6 +213,53 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
     return alpha, zero, clamped
 
 
+def _curvature_gate(step, y):
+    """(ok, rho): the BFGS curvature gate and 1 / (s.y) where it passes, else 0."""
+    dtype = step.dtype.type
+    sy = np.einsum("bi,bi->b", step, y)
+    sn = np.sqrt(np.einsum("bi,bi->b", step, step))
+    yn = np.sqrt(np.einsum("bi,bi->b", y, y))
+    ok = sy > dtype(1e-12) * sn * yn
+    return ok, np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
+
+
+def inverse_hessian_update(H, step, y):
+    """The batch BFGS inverse-Hessian update and its acceptance rule, plainly.
+
+    The update is the rank-two product H + U W^T with U = [s, Hy] and
+    W = [c s - rho Hy, -rho s], c = rho^2 yHy + rho. A member that fails
+    the curvature gate, or whose update is not finite, keeps H. Returns
+    (the next H, the update before the acceptance rule).
+    """
+    ok, rho = _curvature_gate(step, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Hy = np.einsum("bij,bj->bi", H, y)
+        yHy = np.einsum("bi,bi->b", y, Hy)
+        c = rho * rho * yHy + rho
+        U = np.stack([step, Hy], axis=2)
+        Wt = np.stack([c[:, None] * step - rho[:, None] * Hy, -rho[:, None] * step], axis=1)
+        Hn = H + np.matmul(U, Wt)
+    ok = ok & np.all(np.isfinite(Hn), axis=(1, 2))
+    return np.where(ok[:, None, None], Hn, H), Hn
+
+
+def three_term_inverse_hessian_update(H, step, y):
+    """The same update as H - rho (sHy + sHy^T) + c ss^T, before the acceptance rule.
+
+    The textbook three-term form; the rank-two product equals it up to rounding.
+    """
+    _, rho = _curvature_gate(step, y)
+    Hy = np.einsum("bij,bj->bi", H, y)
+    yHy = np.einsum("bi,bi->b", y, Hy)
+    sHy = np.einsum("bi,bj->bij", step, Hy)
+    ssT = np.einsum("bi,bj->bij", step, step)
+    return (
+        H
+        - rho[:, None, None] * (sHy + np.swapaxes(sHy, 1, 2))
+        + (rho * rho * yHy + rho)[:, None, None] * ssT
+    )
+
+
 def fixed_schedule_bfgs(sc, T0, opts):
     """The batch BFGS kernel with no early exit of any kind.
 
@@ -242,24 +290,7 @@ def fixed_schedule_bfgs(sc, T0, opts):
         still_at = np.where((still_at < 0) & still, it, still_at)
         T = T_new
         g_new = gradient_batch(sc, T).reshape(B, m)
-        y = g_new - g
-        sy = np.einsum("bi,bi->b", step, y)
-        sn = np.sqrt(np.einsum("bi,bi->b", step, step))
-        yn = np.sqrt(np.einsum("bi,bi->b", y, y))
-        ok = sy > dtype(1e-12) * sn * yn
-        rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Hy = np.einsum("bij,bj->bi", H, y)
-            yHy = np.einsum("bi,bi->b", y, Hy)
-            sHy = np.einsum("bi,bj->bij", step, Hy)
-            ssT = np.einsum("bi,bj->bij", step, step)
-            Hn = (
-                H
-                - rho[:, None, None] * (sHy + np.swapaxes(sHy, 1, 2))
-                + (rho * rho * yHy + rho)[:, None, None] * ssT
-            )
-        ok = ok & np.all(np.isfinite(Hn), axis=(1, 2))
-        H = np.where(ok[:, None, None], Hn, H)
+        H, _ = inverse_hessian_update(H, step, g_new - g)
         g = g_new
         if opts.record_trace:
             lengths = path_length_batch(sc, T)

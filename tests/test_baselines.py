@@ -203,10 +203,11 @@ class TestReference:
         ]
         reports = batch_solve(specs, T0s, REFERENCE_OPTIONS)
         assert max(r.iterations for r in reports) == baselines.REFERENCE_BFGS_ITERS
-        counts = _count_calls(monkeypatch, "clamped_segments")
+        counts = _count_calls(monkeypatch, "checked_segments", "clamped_segments")
         _, conv = reference_solve_batch(specs, T0s)
         # One embedding at the start and one per iteration of the longest member.
-        assert counts["clamped_segments"] - 1 <= 50
+        assert counts["checked_segments"] == 1
+        assert counts["clamped_segments"] <= 50
         assert conv.all()
 
     @pytest.mark.parametrize("kinds", list(Kinds))

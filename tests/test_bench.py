@@ -551,8 +551,9 @@ class TestCli:
         with open(scene_file) as fh:
             ran = [bfgs_solve(spec, init_params(spec), opts).iterations for spec in load_scenes(fh)]
         calls = []
-        real = solver.clamped_segments
-        monkeypatch.setattr(solver, "clamped_segments", lambda *a: calls.append(1) or real(*a))
+        for name in ("checked_segments", "clamped_segments"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, _real=real: calls.append(1) or _real(*a))
         code, _, _ = _run_cli(["solve", scene_file])
         assert code == 0
         return len(calls), ran

@@ -1,5 +1,7 @@
 """BFGS solver, fixed-point line search, and batch/scalar agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,8 +36,10 @@ from _oracles import (
     fixed_point_alpha,
     fixed_schedule_bfgs,
     golden_alpha,
+    inverse_hessian_update,
     per_surface_params_from_points,
     perturb_params,
+    three_term_inverse_hessian_update,
 )
 
 
@@ -213,30 +217,21 @@ class TestStepSizeLoop:
         assert clamped[7] == (k > 1)
 
 
-def _inverse_update_oracle(H, step, y):
-    """The update and acceptance rule of `fixed_schedule_bfgs`, on given inputs."""
-    dtype = H.dtype.type
-    sy = np.einsum("bi,bi->b", step, y)
-    sn = np.sqrt(np.einsum("bi,bi->b", step, step))
-    yn = np.sqrt(np.einsum("bi,bi->b", y, y))
-    ok = sy > dtype(1e-12) * sn * yn
-    rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Hy = np.einsum("bij,bj->bi", H, y)
-        yHy = np.einsum("bi,bi->b", y, Hy)
-        sHy = np.einsum("bi,bj->bij", step, Hy)
-        ssT = np.einsum("bi,bj->bij", step, step)
-        Hn = (
-            H
-            - rho[:, None, None] * (sHy + np.swapaxes(sHy, 1, 2))
-            + (rho * rho * yHy + rho)[:, None, None] * ssT
-        )
-    ok = ok & np.all(np.isfinite(Hn), axis=(1, 2))
-    return np.where(ok[:, None, None], Hn, H), Hn
+def _spd_update_inputs(rng, B, n, dtype):
+    """(H, step, y) with SPD H and positive curvature, y = M step for SPD M."""
+    m = 2 * n
+
+    def spd():
+        A = rng.normal(size=(B, m, m))
+        return A @ np.swapaxes(A, 1, 2) / m + np.eye(m)
+
+    step = rng.normal(size=(B, m))
+    y = np.einsum("bij,bj->bi", spd(), step)
+    return spd().astype(dtype), step.astype(dtype), y.astype(dtype)
 
 
 class TestInverseHessianUpdate:
-    """The lean update's finiteness shortcut equals the entrywise rule byte for byte."""
+    """The rank-two update, its gate and its finiteness rule."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("precision", list(Precision))
@@ -258,14 +253,51 @@ class TestInverseHessianUpdate:
         step[3] = rng.normal(size=4)
         y[3] = step[3] + 0.1 * rng.normal(size=4)
 
-        got = _inverse_hessian_update(H, step, y, np.empty_like(H), np.empty_like(H))
-        want, updated = _inverse_update_oracle(H, step, y)
+        got = _inverse_hessian_update(H, step, y, np.empty_like(H))
+        want, updated = inverse_hessian_update(H, step, y)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         with np.errstate(over="ignore"):
             assert np.isfinite(updated[0]).all() and not np.isfinite(updated[0].sum())
         assert not np.isfinite(updated[1]).all()
         assert [np.array_equal(got[b], H[b]) for b in range(4)] == [False, True, True, False]
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_equals_the_three_term_form_to_rounding(self, precision, n):
+        # The rank-two product and the three-term form round differently;
+        # on well-scaled states they agree to a few ulps of each member's
+        # largest entry (at most 5.1 ulps seen, at n=1).
+        dtype = precision.dtype
+        H, step, y = _spd_update_inputs(np.random.default_rng(n), 50, n, dtype)
+        got = _inverse_hessian_update(H, step, y, np.empty_like(H))
+        want = three_term_inverse_hessian_update(H, step, y)
+        scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+        assert got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 32 * np.finfo(dtype).eps * scale)
+        assert not np.any([np.array_equal(got[b], H[b]) for b in range(50)])
+
+    @given(
+        seed=st.integers(0, 2**16),
+        B=st.integers(1, 64),
+        n=st.integers(1, 64),
+        precision=st.sampled_from(list(Precision)),
+        offsets=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_member_equals_its_batch_of_one(self, seed, B, n, precision, offsets, data):
+        # The product runs one BLAS call per member; neither the batch size
+        # nor where `out` sits in a larger buffer may change a member's bits.
+        H, step, y = _spd_update_inputs(np.random.default_rng(seed), B, n, precision.dtype)
+        b = data.draw(st.integers(0, B - 1), label="member")
+        batch_buf = np.empty((B + offsets[0],) + H.shape[1:], dtype=H.dtype)
+        one_buf = np.empty((1 + offsets[1],) + H.shape[1:], dtype=H.dtype)
+        got = _inverse_hessian_update(H, step, y, batch_buf[offsets[0] :])
+        one = _inverse_hessian_update(
+            H[b : b + 1].copy(), step[b : b + 1].copy(), y[b : b + 1].copy(), one_buf[offsets[1] :]
+        )
+        assert one.tobytes() == got[b : b + 1].tobytes()
 
 
 class TestSolver:
@@ -293,9 +325,25 @@ class TestSolver:
         monkeypatch.setattr(batching, "embed_batch", lambda *a: calls.append(1) or real(*a))
         rep = bfgs_solve(spec, init_params(spec), SolveOptions(iterations=100, **extra))
         assert rep.iterations < 100
-        # The start is checked and embedded once, each iteration run embeds
-        # once, and the report takes the final length.
-        assert len(calls) == rep.iterations + 3
+        # The start is embedded once, each iteration run embeds once, and
+        # the report takes the final length.
+        assert len(calls) == rep.iterations + 2
+
+    def test_kernel_holds_two_inverse_hessian_arrays(self):
+        # H and the spare buffer the update and the compaction write into.
+        B, n, m = 100, 64, 128
+        specs = gen_scenes(5, n, Kinds.MIXED, B)
+        sc = BatchScene.from_specs(specs)
+        T0 = np.stack([init_params(s) for s in specs])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, _, ran = _bfgs_kernel(sc, T0, SolveOptions(iterations=5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ran.max() == 5
+        assert peak < 2.5 * B * m * m * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_batch_entry_points_reject_non_finite_guesses(self, bad):
@@ -467,10 +515,11 @@ class TestFixedPointExits:
         opts = SolveOptions(iterations=300, fixed_point_iters=64)
         T, _, _, ran = _bfgs_kernel(sc, T0[-1:], opts)
         calls = []
-        real = solver_module.clamped_segments
-        monkeypatch.setattr(
-            solver_module, "clamped_segments", lambda *a: calls.append(1) or real(*a)
-        )
+        for name in ("checked_segments", "clamped_segments"):
+            real = getattr(solver_module, name)
+            monkeypatch.setattr(
+                solver_module, name, lambda *a, _real=real: calls.append(1) or _real(*a)
+            )
         rep = bfgs_solve(spec, T0[-1], opts)
         # The start plus one per update run, short of the whole schedule.
         assert len(calls) == rep.iterations + 1 < opts.iterations + 1
