@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Time the phases of the batch BFGS kernel over batch sizes and depths.
 
-For the length of a run, the four phase functions that `solver._bfgs_kernel`
-looks up as module globals are wrapped with timers: the fixed-point step
-size (`_fixed_point_alpha`), the inverse-Hessian update
-(`_inverse_hessian_update`), the embedding (`clamped_segments`) and the
-gradient (`gradient_from_segments`). The kernel's remaining time, `rest`, is
-the search direction and the bookkeeping. Each cell runs `_bfgs_kernel` on a
-MIXED batch from `gen_scenes` and keeps the median over repetitions of the
+For the length of a run, the phase functions that `solver._bfgs_kernel`
+looks up as module globals are wrapped with perfbench's spans
+(`perfbench/tracing.py`): the fixed-point step size (`_fixed_point_alpha`),
+the inverse-Hessian update (`_inverse_hessian_update`), the embedding
+(`checked_segments` and `clamped_segments`, whichever embeds the start) and
+the gradient (`gradient_from_segments`). Each phase is the self time of its
+spans. The kernel's remaining time, `rest`, is the search direction and the
+bookkeeping. Each cell runs `_bfgs_kernel` on a MIXED batch from
+`gen_scenes` (seed `SEED`) and keeps the median over repetitions of the
 kernel time and of each phase. The kernel itself is not changed, so the
-script measures any commit whose kernel uses those four names.
+script measures any commit whose kernel uses those names.
 
 The result is written to `BENCH_<label>.json`, with the machine, the
 numpy/BLAS versions, the git sha and every cell of the grid B x n x fp
@@ -31,6 +33,10 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+SEED = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 GRID_BATCHES = (1, 100, 1000, 10000)
 GRID_DEPTHS = (1, 2, 4, 8, 16, 32, 64)
@@ -39,10 +45,10 @@ GRID_FPS = (1, 64)
 # not run: B=10000 at n=64 needs 2.6 GB before anything else.
 STATE_LIMIT_BYTES = 1 << 30
 PHASES = {
-    "step_size": "_fixed_point_alpha",
-    "h_update": "_inverse_hessian_update",
-    "embed": "clamped_segments",
-    "gradient": "gradient_from_segments",
+    "step_size": ("_fixed_point_alpha",),
+    "h_update": ("_inverse_hessian_update",),
+    "embed": ("checked_segments", "clamped_segments"),
+    "gradient": ("gradient_from_segments",),
 }
 
 
@@ -55,7 +61,6 @@ def parse_args():
     p.add_argument("--fps", type=int, nargs="+", default=list(GRID_FPS))
     p.add_argument("--iterations", type=int, default=20)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=5)
     return p.parse_args()
 
 
@@ -74,50 +79,31 @@ def git_state(path: Path):
     return sha, bool(status.strip())
 
 
-class PhaseTimers:
-    """Wraps the kernel's phase functions in `solver` with timers while active."""
-
-    def __init__(self, solver):
-        self.solver = solver
-        self.seconds = dict.fromkeys(PHASES, 0.0)
-
-    def _timed(self, phase, fn):
-        def wrapper(*args):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                self.seconds[phase] += time.perf_counter() - t0
-
-        return wrapper
-
-    def __enter__(self):
-        self.real = {name: getattr(self.solver, name) for name in PHASES.values()}
-        for phase, name in PHASES.items():
-            setattr(self.solver, name, self._timed(phase, self.real[name]))
-        return self
-
-    def __exit__(self, *exc):
-        for name, fn in self.real.items():
-            setattr(self.solver, name, fn)
-
-
 def run_cell(solver, sc, T0, opts, reps):
     """Median kernel and phase seconds over `reps` runs, and the member iterations run."""
-    kernel, phases = [], {phase: [] for phase in (*PHASES, "rest")}
-    for _ in range(reps):
-        with PhaseTimers(solver) as timers:
+    tracer = tracing.Tracer()
+    undo = tracing.install(
+        tracer,
+        [(phase, "solver", name, True, None) for phase, names in PHASES.items() for name in names],
+    )
+    kernel = []
+    try:
+        for rep in range(reps):
+            tracer.begin(rep)
             t0 = time.perf_counter()
             ran = solver._bfgs_kernel(sc, T0, opts)[3]
-            total = time.perf_counter() - t0
-        kernel.append(total)
-        for phase, s in timers.seconds.items():
-            phases[phase].append(s)
-        phases["rest"].append(total - sum(timers.seconds.values()))
+            kernel.append(time.perf_counter() - t0)
+            tracer.end()
+    finally:
+        tracing.uninstall(undo)
+    table = tracing.per_request(tracer)
+    per_rep = [{phase: table[rep][phase][1] for phase in PHASES} for rep in range(reps)]
+    for seconds, total in zip(per_rep, kernel):
+        seconds["rest"] = total - sum(seconds.values())
     return {
         "member_iterations": int(ran.sum()),
         "kernel_s": statistics.median(kernel),
-        "phases_s": {phase: statistics.median(v) for phase, v in phases.items()},
+        "phases_s": {phase: statistics.median(r[phase] for r in per_rep) for phase in per_rep[0]},
     }
 
 
@@ -140,7 +126,7 @@ def main():
     wanted = set(args.batches)
     cells, skipped = [], []
     # Warm up BLAS and numpy's lazy set-up outside every timed cell.
-    warm = gen_scenes(args.seed, 1, Kinds.MIXED, 1)
+    warm = gen_scenes(SEED, 1, Kinds.MIXED, 1)
     solver._bfgs_kernel(
         BatchScene.from_specs(warm), init_params(warm[0])[None], SolveOptions(iterations=2)
     )
@@ -155,7 +141,7 @@ def main():
             if reason:
                 skipped += [{"B": B, "n": n, "fp": fp, "reason": reason} for fp in args.fps]
                 continue
-            specs = gen_scenes(args.seed, n, Kinds.MIXED, B)
+            specs = gen_scenes(SEED, n, Kinds.MIXED, B)
             sc = BatchScene.from_specs(specs)
             T0 = np.stack([init_params(s) for s in specs])
             for fp in args.fps:
@@ -183,7 +169,7 @@ def main():
         "threads": {var: os.environ[var] for var in THREAD_VARS},
         "grid": {
             "kinds": "mixed",
-            "seed": args.seed,
+            "seed": SEED,
             "iterations": args.iterations,
             "reps": args.reps,
             "batches": sorted(wanted),

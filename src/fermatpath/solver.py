@@ -20,8 +20,9 @@ C kernel called directly, without the dispatch layer that `np.einsum` adds
 once instead of into fresh arrays, keeping every operation and its order.
 The inverse-Hessian update is the rank-two product H + U W^T, one batched
 `matmul` into the kernel's spare (B, 2n, 2n) buffer, so the kernel holds
-two such arrays; it rounds differently from the textbook three-term form.
-Both equal the plain expressions in `tests/_oracles.py` bitwise. The
+two such arrays; it keeps H bitwise symmetric and rounds differently from
+the textbook three-term form. Both equal the plain expressions in
+`tests/_oracles.py` bitwise. The
 scalar entry point is the batch kernel applied to a batch of one, so
 batched and per-path results agree bitwise.
 """
@@ -191,17 +192,21 @@ def _inverse_hessian_update(H, step, y, out):
     not finite, keeps its `H`. Returns `out`. With `H`, these are the two
     (k, m, m) arrays the kernel holds, reused across iterations.
 
-    The update is the rank-two form H + U W^T (Nocedal & Wright, ch. 6),
-    with U = [s, Hy] and W = [c s - rho Hy, -rho s], c = rho^2 yHy + rho:
+    The update is the rank-two form H + U W^T (Nocedal & Wright, ch. 6):
     one batched (k, m, 2) @ (k, 2, m) product written into `out`, then
     `+= H`. The state is bandwidth-bound, and this streams it twice where
-    the three-term form H - rho (sHy + sHy^T) + c ss^T streams it about
-    eight times; the two differ only in rounding. The result equals
-    `np.where(ok, H + U @ W^T, H)`, with `ok` including
-    `np.all(np.isfinite(...))`, bitwise. A finite sum over a member's
-    entries implies every entry is finite, so the entrywise test runs only
-    on members whose sum is not (an update of finite entries whose sum
-    overflows still passes it).
+    the three-term form H - rho (sHy + sHy^T) + c ss^T, c = rho^2 yHy + rho,
+    streams it about eight times; the two differ only in rounding. The
+    rank-two term is factored so that H stays bitwise symmetric: with
+    t = 1 + rho yHy (so c = rho t) and a = s - Hy / t, it is
+    rho t aa^T - (rho / t) Hy Hy^T = sign(t) (PP^T - QQ^T), where
+    P = sqrt|rho t| a and Q = sqrt|rho / t| Hy. So U = [P, Q] and
+    W = sign(t) [P, -Q], and entries (i, j) and (j, i) are sums of the same
+    two products. The result equals `np.where(ok, H + U @ W^T, H)`, with
+    `ok` including `np.all(np.isfinite(...))`, bitwise. A finite sum over a
+    member's entries implies every entry is finite, so the entrywise test
+    runs only on members whose sum is not (an update of finite entries
+    whose sum overflows still passes it).
     """
     dtype = H.dtype.type
     k, m = step.shape
@@ -212,15 +217,17 @@ def _inverse_hessian_update(H, step, y, out):
     rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
     U = np.empty((k, m, 2), dtype=H.dtype)
     Wt = np.empty((k, 2, m), dtype=H.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         Hy = einsum("bij,bj->bi", H, y)
-        yHy = einsum("bi,bi->b", y, Hy)
-        U[:, :, 0] = step
-        U[:, :, 1] = Hy
-        neg_rho = -rho[:, None]
-        np.multiply((rho * rho * yHy + rho)[:, None], step, out=Wt[:, 0])
-        Wt[:, 0] += neg_rho * Hy  # c s - rho Hy, bitwise: a + (-b) is a - b
-        np.multiply(neg_rho, step, out=Wt[:, 1])
+        t = rho * einsum("bi,bi->b", y, Hy) + dtype(1)
+        sign = np.sign(t)
+        r, q = np.sqrt(np.abs(rho * t)), np.sqrt(np.abs(rho / t))
+        a = step - Hy / t[:, None]
+        np.multiply(r[:, None], a, out=U[:, :, 0])
+        np.multiply(q[:, None], Hy, out=U[:, :, 1])
+        # sign(t) P and -sign(t) Q, bitwise: scaling by +-1 is exact.
+        np.multiply((sign * r)[:, None], a, out=Wt[:, 0])
+        np.multiply((-sign * q)[:, None], Hy, out=Wt[:, 1])
         np.matmul(U, Wt, out=out)
         out += H
         # Near-zero curvature can overflow the rank-two terms in single
@@ -257,7 +264,7 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float 
     # Degenerate starting points raise. Once none does, every norm is above
     # the floor, so these are also the clamped norms, bitwise. The segments
     # g is computed from are also the next step size's.
-    x, s, norms = checked_segments(sc, T)
+    _, s, norms = checked_segments(sc, T)
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     # The update and compaction write into `spare`, which then swaps roles
     # with H: these are the kernel's only two (B, m, m) arrays.
@@ -272,7 +279,7 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float 
         # (L, |g|) of every member after each iteration; retired members
         # keep their last values, as the full schedule would record, and a
         # member that stops at T0 keeps T0's.
-        L0 = einsum("bk->b", segment_norms(x)[1])
+        L0 = einsum("bk->b", norms)
         row = np.array([L0, np.sqrt(einsum("bi,bi->b", g, g))], dtype=float)
         hist = np.empty((opts.iterations, 2, B))
 

@@ -226,18 +226,21 @@ def _curvature_gate(step, y):
 def inverse_hessian_update(H, step, y):
     """The batch BFGS inverse-Hessian update and its acceptance rule, plainly.
 
-    The update is the rank-two product H + U W^T with U = [s, Hy] and
-    W = [c s - rho Hy, -rho s], c = rho^2 yHy + rho. A member that fails
-    the curvature gate, or whose update is not finite, keeps H. Returns
-    (the next H, the update before the acceptance rule).
+    The update is the rank-two product H + U W^T with U = [P, Q] and
+    W = sign(t) [P, -Q], where t = 1 + rho yHy, P = sqrt|rho t| (s - Hy / t)
+    and Q = sqrt|rho / t| Hy. A member that fails the curvature gate, or
+    whose update is not finite, keeps H. Returns (the next H, the update
+    before the acceptance rule).
     """
     ok, rho = _curvature_gate(step, y)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         Hy = np.einsum("bij,bj->bi", H, y)
-        yHy = np.einsum("bi,bi->b", y, Hy)
-        c = rho * rho * yHy + rho
-        U = np.stack([step, Hy], axis=2)
-        Wt = np.stack([c[:, None] * step - rho[:, None] * Hy, -rho[:, None] * step], axis=1)
+        t = rho * np.einsum("bi,bi->b", y, Hy) + 1
+        P = np.sqrt(np.abs(rho * t))[:, None] * (step - Hy / t[:, None])
+        Q = np.sqrt(np.abs(rho / t))[:, None] * Hy
+        sign = np.sign(t)[:, None]
+        U = np.stack([P, Q], axis=2)
+        Wt = np.stack([sign * P, -sign * Q], axis=1)
         Hn = H + np.matmul(U, Wt)
     ok = ok & np.all(np.isfinite(Hn), axis=(1, 2))
     return np.where(ok[:, None, None], Hn, H), Hn

@@ -196,7 +196,7 @@ class TestReference:
     def test_stop_ends_a_member_that_never_repeats_bitwise(self, monkeypatch):
         # From the midpoint projections, one member of this batch never reaches
         # a bitwise fixed point, so without the stop it runs the whole schedule.
-        specs = gen_scenes(4, 5, Kinds.MIXED, 20)
+        specs = gen_scenes(1, 5, Kinds.MIXED, 20)
         T0s = [
             params_from_points(s, np.broadcast_to(0.5 * (s.start + s.end), (s.n, 3)))
             for s in specs

@@ -223,7 +223,8 @@ def _spd_update_inputs(rng, B, n, dtype):
 
     def spd():
         A = rng.normal(size=(B, m, m))
-        return A @ np.swapaxes(A, 1, 2) / m + np.eye(m)
+        S = A @ np.swapaxes(A, 1, 2) / m + np.eye(m)
+        return (S + np.swapaxes(S, 1, 2)) / 2  # bitwise symmetric
 
     step = rng.normal(size=(B, m))
     y = np.einsum("bij,bj->bi", spd(), step)
@@ -244,7 +245,7 @@ class TestInverseHessianUpdate:
         # 0: finite entries whose sum overflows; the update stands.
         H[0, 0, 0] = H[0, 1, 1] = dtype(0.6) * info.max
         step[0, 2], y[0, 2:] = 0.5, (1.0, 0.25)
-        # 1: near-zero curvature; rho^2 overflows an entry, so H stays.
+        # 1: near-zero curvature; rho t, about rho^2, overflows, so H stays.
         step[1, 0], y[1, 0] = dtype(0.01) * np.sqrt(info.tiny), 1.0
         # 2: negative curvature fails the gate.
         step[2, 0], y[2, 0] = 1.0, -1.0
@@ -267,7 +268,7 @@ class TestInverseHessianUpdate:
     def test_equals_the_three_term_form_to_rounding(self, precision, n):
         # The rank-two product and the three-term form round differently;
         # on well-scaled states they agree to a few ulps of each member's
-        # largest entry (at most 5.1 ulps seen, at n=1).
+        # largest entry (at most 4.2 ulps seen, at n=1).
         dtype = precision.dtype
         H, step, y = _spd_update_inputs(np.random.default_rng(n), 50, n, dtype)
         got = _inverse_hessian_update(H, step, y, np.empty_like(H))
@@ -298,6 +299,28 @@ class TestInverseHessianUpdate:
             H[b : b + 1].copy(), step[b : b + 1].copy(), y[b : b + 1].copy(), one_buf[offsets[1] :]
         )
         assert one.tobytes() == got[b : b + 1].tobytes()
+        # A symmetric H stays bitwise symmetric.
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_kernel_keeps_every_inverse_hessian_symmetric(self, monkeypatch, precision):
+        # Near the noise floor rho = 1 / (s.y) is huge, and an update whose
+        # (i, j) and (j, i) entries round differently grows an antisymmetric
+        # part as large as H itself in single precision.
+        real = solver_module._inverse_hessian_update
+        asymmetric = []
+
+        def update(H, step, y, out):
+            out = real(H, step, y, out)
+            asymmetric.append(not np.array_equal(out, np.swapaxes(out, 1, 2)))
+            return out
+
+        monkeypatch.setattr(solver_module, "_inverse_hessian_update", update)
+        specs = gen_scenes(1, 5, Kinds.MIXED, 50)
+        sc = BatchScene.from_specs(specs)
+        T0 = np.stack([init_params(s) for s in specs])
+        _bfgs_kernel(sc, T0, SolveOptions(iterations=300, precision=precision))
+        assert len(asymmetric) > 100 and not any(asymmetric)
 
 
 class TestSolver:
