@@ -39,6 +39,7 @@ from .solver import (
     batch_solve,
     bfgs_solve,
     init_params,
+    init_params_batch,
     line_search_alpha,
 )
 from .baselines import (

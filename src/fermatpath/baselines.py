@@ -42,7 +42,7 @@ from .solver import (
     SolveReport,
     _bfgs_kernel,
     _reports_from_state,
-    init_params,
+    init_params_batch,
 )
 
 PARALLEL_TOL = 1e-12
@@ -91,7 +91,7 @@ def image_method(spec: PathSpec) -> np.ndarray:
     """Exact reflection points (n, 3) via successive mirroring."""
     if any(s.kind is not SurfaceKind.PLANE for s in spec.surfaces):
         raise NotAllPlanes("image method handles planar reflections only")
-    return image_points_batch(BatchScene.of(spec))[0]
+    return image_points_batch(spec.batch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def gradient_descent(
 ) -> SolveReport:
     """Fixed-step gradient descent baseline (step from the initial gradient)."""
     T0 = check_params(spec, T0)
-    sc = BatchScene.of(spec)
+    sc = spec.batch
     T, g = _gd_kernel(sc, T0[None], opts)
     return _reports_from_state(sc, T, g, None, opts.iterations)[0]
 
@@ -174,7 +174,7 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions):
 def newton_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Damped Newton on active coordinates with step halving."""
     T0 = check_params(spec, T0)
-    sc = BatchScene.of(spec)
+    sc = spec.batch
     T, g = _newton_kernel(sc, T0[None], opts)
     return _reports_from_state(sc, T, g, None, opts.iterations)[0]
 
@@ -193,9 +193,7 @@ def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
     paths whose gradient norm is below REFERENCE_GRAD_TOL (1 + L).
     """
     sc = BatchScene.from_specs(specs)
-    if T0s is None:
-        T0s = [init_params(s) for s in specs]
-    T0 = stack_params(specs, T0s)
+    T0 = init_params_batch(sc) if T0s is None else stack_params(specs, T0s)
     opts = SolveOptions(
         iterations=REFERENCE_BFGS_ITERS,
         fixed_point_iters=REFERENCE_FP_ITERS,

@@ -1,11 +1,11 @@
-"""Stacked-array view of many path specs sharing the same interaction count.
+"""Path length, its derivatives, and the active-coordinate solve over a `BatchScene`.
 
-The batch layout mirrors the single-path types: basis (B, n, 3, 2),
-anchor (B, n, 3), start/end (B, 3). This module holds the one
-implementation of the path length, each of its derivatives (taken from the
-segments, so a caller embeds a path once), the stationarity test and the
-solve on the active coordinates. `objective` and `implicit_diff` call them
-on a batch of one that views a spec's arrays (`BatchScene.of`). The kernels
+A `BatchScene` (defined in `geometry`, importable from here) stacks B paths
+of n interactions: basis (B, n, 3, 2), anchor (B, n, 3), start/end (B, 3).
+This module holds the one implementation of the path length, each of its
+derivatives (taken from the segments, so a caller embeds a path once), the
+stationarity test and the solve on the active coordinates. `objective` and
+`implicit_diff` call them on a spec's batch of one (`spec.batch`). The kernels
 use einsum contractions whose reduction order does not depend on the batch
 size, so each member of a batch equals its own batch of one bitwise. None
 loops over the interactions in Python: every interaction has the same n x 2
@@ -20,99 +20,21 @@ about half the cost of a call at B=1. Every module of the package takes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy._core.multiarray import c_einsum as einsum
 
-from .errors import DegenerateSegment, NonUniformBatch, ShapeMismatch
-from .geometry import PathSpec, segment_floor
-
-
-@dataclass(frozen=True)
-class BatchScene:
-    basis: np.ndarray  # (B, n, 3, 2)
-    anchor: np.ndarray  # (B, n, 3)
-    start: np.ndarray  # (B, 3)
-    end: np.ndarray  # (B, 3)
-    eps: np.ndarray  # (B,) segment-norm floor 1e-12 (1 + |end - start|), in dtype
-    active: np.ndarray  # (B, n, 2) bool: coordinates whose basis column is nonzero
-
-    @classmethod
-    def from_specs(cls, specs: Sequence[PathSpec]) -> "BatchScene":
-        if not specs:
-            raise NonUniformBatch("empty batch")
-        n = specs[0].n
-        if any(s.n != n for s in specs):
-            raise NonUniformBatch("batch members have differing interaction counts")
-        return cls(
-            basis=np.stack([s.basis_tensor for s in specs]),
-            anchor=np.stack([s.anchor_tensor for s in specs]),
-            start=np.stack([s.start for s in specs]),
-            end=np.stack([s.end for s in specs]),
-            eps=np.array([s._eps for s in specs]),
-            active=np.stack([s.active_mask for s in specs]),
-        )
-
-    @classmethod
-    def of(cls, spec: PathSpec) -> "BatchScene":
-        """A batch of one that views the spec's read-only arrays, without copying them."""
-        return cls(
-            spec.basis_tensor[None],
-            spec.anchor_tensor[None],
-            spec.start[None],
-            spec.end[None],
-            np.array([spec._eps]),
-            spec.active_mask[None],
-        )
-
-    @property
-    def size(self) -> int:
-        return self.start.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def dtype(self):
-        return self.basis.dtype
-
-    def astype(self, dtype) -> "BatchScene":
-        """The batch in `dtype`.
-
-        The floor is recomputed from the cast endpoints, as it always was:
-        casting the float64 floor to float32 instead changes its last bit
-        for about one member in six.
-        """
-        if self.dtype == dtype:
-            return self
-        start, end = self.start.astype(dtype), self.end.astype(dtype)
-        return BatchScene(
-            self.basis.astype(dtype),
-            self.anchor.astype(dtype),
-            start,
-            end,
-            segment_floor(start, end).astype(dtype),
-            self.active,
-        )
-
-    def take(self, idx) -> "BatchScene":
-        """The members selected by an index array or boolean mask."""
-        return BatchScene(
-            self.basis[idx],
-            self.anchor[idx],
-            self.start[idx],
-            self.end[idx],
-            self.eps[idx],
-            self.active[idx],
-        )
+from .errors import DegenerateSegment, ShapeMismatch
+from .geometry import BatchScene, PathSpec
 
 
 def stack_params(specs: Sequence[PathSpec], T0s) -> np.ndarray:
     """Stack per-path n x 2 parameter arrays into a (B, n, 2) array of finite values."""
-    T = np.stack([np.asarray(t, dtype=float) for t in T0s])
+    try:
+        T = np.array(T0s, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"params do not stack into a float array: {exc}") from exc
     if T.shape != (len(specs), specs[0].n, 2):
         raise ShapeMismatch(f"bad stacked parameter shape {T.shape}")
     finite = np.isfinite(T).reshape(len(T), -1).all(axis=1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -128,8 +129,11 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"fermatpath bench: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    created = args.out is not None and not os.path.exists(args.out)
     try:
-        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+        # Append mode fails at once on an unwritable path without truncating
+        # the file; it is overwritten only once the run has succeeded.
+        out = open(args.out, "a", newline="") if args.out else nullcontext(sys.stdout)
     except OSError as exc:
         print(f"fermatpath bench: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -138,7 +142,11 @@ def _cmd_bench(args) -> int:
             records = run_bench(config)
         except FermatPathError as exc:
             print(f"fermatpath bench: {exc}", file=sys.stderr)
+            if created:
+                os.remove(args.out)
             return SOLVE_ERROR
+        if args.out:
+            fh.truncate(0)
         write_records(records, fh)
     return 0
 

@@ -1,4 +1,4 @@
-"""Planar interactors, path specifications, and the parametric embedding.
+"""Planar interactors, path specifications, and their stacked batch form.
 
 Every interaction surface stores a 3x2 basis matrix and an anchor point.
 Straight edges keep an exactly-zero second basis column so that every path
@@ -12,20 +12,26 @@ what `np.linalg.norm` computes internally, and a cross product with the
 float operations `np.cross` performs. The dot product must stay the BLAS
 `dot`: summing the three products in Python floats rounds differently
 (OpenBLAS fuses multiply and add), and that would change which random
-scenes `bench.gen_scenes` accepts. `params_from_points`, the inverse of
-`objective.embed`, works on the stacked arrays: one masked pseudo-inverse solve for
-all surfaces.
+scenes `bench.gen_scenes` accepts.
+
+A `PathSpec` stacks its surfaces' arrays once and carries them as a
+`BatchScene` of one (`spec.batch`), the one array form that every
+derivative and solver reads; `BatchScene.from_specs` concatenates the
+members' batches. `params_from_points_batch`, the inverse of the
+embedding, projects the points of a whole batch with one masked
+pseudo-inverse solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBasis, ShapeMismatch
+from .errors import DegenerateBasis, NonUniformBatch, ShapeMismatch
 
 # Relative cross-product threshold below which a plane basis is rejected.
 PLANE_DEGENERACY_TOL = 1e-9
@@ -75,7 +81,7 @@ def _as_vec3(v, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Surface:
     """One planar interactor: x(t) = basis @ t + anchor."""
 
@@ -133,13 +139,72 @@ def segment_floor(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return 1e-12 * (1.0 + scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+class BatchScene:
+    """Stacked arrays of B paths sharing the same interaction count n."""
+
+    basis: np.ndarray  # (B, n, 3, 2)
+    anchor: np.ndarray  # (B, n, 3)
+    start: np.ndarray  # (B, 3)
+    end: np.ndarray  # (B, 3)
+    eps: np.ndarray  # (B,) segment-norm floor 1e-12 (1 + |end - start|), in dtype
+    active: np.ndarray  # (B, n, 2) bool: coordinates whose basis column is nonzero
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[PathSpec]) -> BatchScene:
+        """The members' batches of one, concatenated."""
+        if not specs:
+            raise NonUniformBatch("empty batch")
+        n = specs[0].n
+        if any(s.n != n for s in specs):
+            raise NonUniformBatch("batch members have differing interaction counts")
+        batches = [s.batch for s in specs]
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
+
+    @property
+    def size(self) -> int:
+        return self.start.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def dtype(self):
+        return self.basis.dtype
+
+    def astype(self, dtype) -> BatchScene:
+        """The batch in `dtype`.
+
+        The floor is recomputed from the cast endpoints, as it always was:
+        casting the float64 floor to float32 instead changes its last bit
+        for about one member in six.
+        """
+        if self.dtype == dtype:
+            return self
+        basis, anchor = self.basis.astype(dtype), self.anchor.astype(dtype)
+        start, end = self.start.astype(dtype), self.end.astype(dtype)
+        eps = segment_floor(start, end).astype(dtype)
+        return BatchScene(basis, anchor, start, end, eps, self.active)
+
+    def take(self, idx) -> BatchScene:
+        """The members selected by an index array or boolean mask."""
+        return BatchScene(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+
+@dataclass(frozen=True, slots=True)
 class PathSpec:
     """Start point, end point, and an ordered candidate interaction sequence."""
 
     start: np.ndarray
     end: np.ndarray
     surfaces: tuple[Surface, ...]
+    # Stacked once and read-only. `batch`, the path as a batch of one that
+    # every derivative reads, views these (n, ...) arrays.
+    basis_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3, 2)
+    anchor_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
+    active_mask: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2) non-inert
+    batch: BatchScene = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         start = _as_vec3(self.start, "start")
@@ -152,40 +217,30 @@ class PathSpec:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "surfaces", surfaces)
-        # Stacked once; every derivative reads these read-only arrays.
         n = len(surfaces)
         basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
         anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
         active = np.linalg.norm(basis, axis=1) > 0.0  # each surface's `active`
-        # The segment-norm floor `BatchScene.eps` carries, as a float.
-        object.__setattr__(self, "_eps", float(segment_floor(start[None], end[None])[0]))
-        for name, a in (("_basis", basis), ("_anchor", anchor), ("_active", active)):
+        eps = segment_floor(start[None], end[None])
+        named = ("basis_tensor", basis), ("anchor_tensor", anchor), ("active_mask", active)
+        for name, a in named:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        eps.setflags(write=False)
+        batch = BatchScene(basis[None], anchor[None], start[None], end[None], eps, active[None])
+        object.__setattr__(self, "batch", batch)
 
     @property
     def n(self) -> int:
         return len(self.surfaces)
 
-    @property
-    def basis_tensor(self) -> np.ndarray:
-        """(n, 3, 2) stack of basis matrices, read-only."""
-        return self._basis
-
-    @property
-    def anchor_tensor(self) -> np.ndarray:
-        """(n, 3) stack of anchors, read-only."""
-        return self._anchor
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """(n, 2) read-only boolean mask of non-inert parametric coordinates."""
-        return self._active
-
 
 def check_params(spec: PathSpec, T) -> np.ndarray:
     """Validate an n x 2 parameter array against its spec and return it as float."""
-    T = np.asarray(T, dtype=float)
+    try:
+        T = np.asarray(T, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"params are not a float array: {exc}") from exc
     if T.shape != (spec.n, 2):
         raise ShapeMismatch(f"params must have shape ({spec.n}, 2), got {T.shape}")
     if not np.all(np.isfinite(T)):
@@ -193,15 +248,20 @@ def check_params(spec: PathSpec, T) -> np.ndarray:
     return T
 
 
-def params_from_points(spec: PathSpec, points) -> np.ndarray:
-    """Least-squares parametric coordinates of given interaction points.
+def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
+    """(B, n, 2) least-squares parametric coordinates of (B, n, 3) interaction points.
 
-    `points` is an (n, 3) array; inert coordinates come back as +0.0. One
-    stacked pseudo-inverse, an SVD solve like `lstsq`, projects every
-    point, so nearly parallel plane bases stay accurate.
+    Inert coordinates come back as +0.0. One stacked pseudo-inverse, an SVD
+    solve like `lstsq`, projects every point, so nearly parallel plane
+    bases stay accurate; each member equals its own batch of one bitwise.
     """
+    rhs = (points - sc.anchor)[..., None]
+    return np.where(sc.active, (np.linalg.pinv(sc.basis) @ rhs)[..., 0], 0.0)
+
+
+def params_from_points(spec: PathSpec, points) -> np.ndarray:
+    """`params_from_points_batch` of one path's (n, 3) points."""
     points = np.asarray(points, dtype=float)
     if points.shape != (spec.n, 3):
         raise ShapeMismatch(f"points must have shape ({spec.n}, 3), got {points.shape}")
-    rhs = (points - spec.anchor_tensor)[..., None]
-    return np.where(spec.active_mask, (np.linalg.pinv(spec.basis_tensor) @ rhs)[..., 0], 0.0)
+    return params_from_points_batch(spec.batch, points[None])[0]

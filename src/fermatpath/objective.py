@@ -5,7 +5,7 @@ directions u_i = s_i / |s_i|, the parametric gradient row is
 A_i^T (u_{i-1} - u_i) and the Hessian is block-tridiagonal with
 P_i = I - u_i u_i^T appearing in every block. The embedding, the length
 and each derivative have one implementation, in `batching`; each scalar
-call here runs it on a batch of one that views the spec's arrays, so it
+call here runs it on the spec's batch of one (`spec.batch`), so it
 equals the batched kernel bitwise. Unlike the batched kernels, which
 clamp, the scalar derivatives raise DegenerateSegment when consecutive
 path points (nearly) coincide. The forms are validated against finite
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import (
-    BatchScene,
     checked_segments,
     embed_batch,
     gradient_from_segments,
@@ -34,7 +33,7 @@ from .geometry import PathSpec, check_params
 def _checked(spec: PathSpec, T):
     """(batch of one, T, segments, norms) of one path; refuses degenerate paths."""
     T = check_params(spec, T)[None]
-    sc = BatchScene.of(spec)
+    sc = spec.batch
     _, s, norms = checked_segments(sc, T)
     return sc, T, s, norms
 
@@ -46,13 +45,13 @@ def embed(spec: PathSpec, T) -> np.ndarray:
     column is exactly zero.
     """
     T = check_params(spec, T)
-    return embed_batch(BatchScene.of(spec), T[None])[0]
+    return embed_batch(spec.batch, T[None])[0]
 
 
 def path_length(spec: PathSpec, T) -> float:
     """Total Euclidean length of the embedded path."""
     T = check_params(spec, T)
-    return float(path_length_batch(BatchScene.of(spec), T[None])[0])
+    return float(path_length_batch(spec.batch, T[None])[0])
 
 
 def gradient(spec: PathSpec, T) -> np.ndarray:

@@ -8,7 +8,8 @@ caller, the single-path `bfgs_solve` included, runs this one schedule.
 The reference solver (`baselines`) also gives the kernel a stopping
 tolerance: a member near its optimum may never repeat bitwise, so it stops
 once its gradient reaches the noise floor instead. The initial guess is
-the start/end midpoint projected onto each surface by `params_from_points`.
+the start/end midpoint projected onto each surface, one stacked projection
+per batch (`init_params_batch`).
 The step size along each quasi-Newton direction comes from a fixed-point
 iteration on the exact one-dimensional optimality condition, warm-started
 at zero. Each BFGS iteration embeds the paths once: the clamped segments
@@ -49,7 +50,7 @@ from .batching import (
 # `gradient_batch` is unused here but stays importable: the benchmark's tracer test reads it.
 from .batching import gradient_batch  # noqa: F401
 from .errors import DegenerateSegment, ZeroDirection
-from .geometry import PathSpec, check_params, params_from_points
+from .geometry import PathSpec, check_params, params_from_points_batch
 
 
 class Precision(Enum):
@@ -84,14 +85,19 @@ class SolveReport:
     trace: list[tuple[int, float, float]] | None = None
 
 
-def init_params(spec: PathSpec) -> np.ndarray:
-    """Deterministic initial guess: the start/end midpoint projected onto each surface.
+def init_params_batch(sc: BatchScene) -> np.ndarray:
+    """(B, n, 2) initial guesses: each start/end midpoint projected onto each surface.
 
-    The projection is `params_from_points`' stacked pseudo-inverse, so a
-    nearly parallel plane basis keeps its accuracy; inert coordinates are +0.0.
+    The projection is `params_from_points_batch`' stacked pseudo-inverse, so
+    a nearly parallel plane basis keeps its accuracy; inert coordinates are +0.0.
     """
-    mid = 0.5 * (spec.start + spec.end)
-    return params_from_points(spec, np.broadcast_to(mid, (spec.n, 3)))
+    mid = 0.5 * (sc.start + sc.end)
+    return params_from_points_batch(sc, np.broadcast_to(mid[:, None], sc.anchor.shape))
+
+
+def init_params(spec: PathSpec) -> np.ndarray:
+    """`init_params_batch` of one path: its (n, 2) initial guess."""
+    return init_params_batch(spec.batch)[0]
 
 
 def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
@@ -175,7 +181,7 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
         raise ValueError("k must be >= 1")
     T = check_params(spec, T)
     P = check_params(spec, P)
-    sc = BatchScene.of(spec)
+    sc = spec.batch
     _, s, _ = checked_segments(sc, T[None])
     alpha, zero, clamped = _fixed_point_alpha(sc, s, P[None], k)
     if zero[0]:
@@ -356,7 +362,7 @@ def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> Solve
     path bitwise unchanged, and its result equals the whole schedule's.
     """
     T0 = check_params(spec, T0)
-    sc = BatchScene.of(spec)
+    sc = spec.batch
     return _reports_from_state(sc, *_bfgs_kernel(sc, T0[None], opts))[0]
 
 

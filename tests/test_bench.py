@@ -35,21 +35,21 @@ from fermatpath import (
     write_records,
 )
 from fermatpath import bench, cli, implicit_diff, solver
-from fermatpath.batching import BatchScene, path_length_batch
+from fermatpath.batching import path_length_batch
 from fermatpath.bench import BenchRecord, CSV_HEADER, GradCheckReport
 from fermatpath.cli import main
 
 from _oracles import fixed_schedule_bfgs
 
 
-def _reference_missing(monkeypatch, members):
-    """Make the first reference solve report `members` as unconverged."""
+def _reference_missing(monkeypatch, members, call=0):
+    """Make reference solve number `call` (the first by default) report `members` as unconverged."""
     real = bench.reference_solve_batch
     calls = []
 
     def reference_solve_batch(specs, T0s=None):
         T, converged = real(specs, T0s)
-        if not calls:
+        if len(calls) == call:
             converged = converged.copy()
             converged[members] = False
         calls.append(len(specs))
@@ -277,6 +277,16 @@ class TestGradCheck:
         assert not report.passed
         assert calls == [2]  # no re-solve of an empty batch
 
+    def test_unconverged_re_solve_leaves_its_instance_unchecked(self, monkeypatch):
+        # The second reference solve is the finite-difference re-solve of
+        # both instances; its first member is a perturbation of instance 0.
+        calls = _reference_missing(monkeypatch, [0], call=1)
+        report = grad_check(2, 1, Kinds.MIXED, 2)
+        assert calls[0] == 2 and len(calls) == 2
+        assert report.count == 1
+        assert report.vjp_max_rel_error <= report.tolerance
+        assert not report.passed
+
     def test_bad_count(self):
         with pytest.raises(ValueError):
             grad_check(2, 1, Kinds.MIXED, 0)
@@ -387,6 +397,13 @@ class TestCli:
         assert code == 3
         assert out.startswith("FAIL: 2 of 2 scenes checked")
 
+    def test_grad_check_unconverged_re_solve_exit_code(self, monkeypatch):
+        _reference_missing(monkeypatch, [0], call=1)
+        code, out, err = _run_cli(["grad-check", "--seed", "2", "--n", "1", "--count", "2"])
+        assert code == 3
+        assert out.startswith("FAIL: 1 of 2 scenes checked")
+        assert "Traceback" not in err
+
     def test_bench_reference_failure_exit_code(self, monkeypatch):
         _reference_missing(monkeypatch, [0])
         code, _, err = _run_cli(
@@ -405,6 +422,20 @@ class TestCli:
         assert code == 2
         assert "regularized Newton solve failed" in err
         assert out == ""
+
+    def test_failed_bench_leaves_its_out_file_unchanged(self, tmp_path, monkeypatch):
+        _newton_fails(monkeypatch)
+        out_file = tmp_path / "results.csv"
+        out_file.write_text("kept\n")
+        argv = ["bench", "--seed", "1", "--batch", "2", "--n", "1", "--solvers", "newton",
+                "--iterations", "5"]
+        code, _, err = _run_cli(argv + ["--out", str(out_file)])
+        assert code == 2
+        assert "regularized Newton solve failed" in err
+        assert out_file.read_text() == "kept\n"
+        code, _, _ = _run_cli(argv + ["--out", str(tmp_path / "new.csv")])
+        assert code == 2
+        assert not (tmp_path / "new.csv").exists()
 
     def test_usage_error_exit_code(self):
         code, _, _ = _run_cli(["bench", "--precision", "half"])
@@ -536,7 +567,7 @@ class TestCli:
         scene_line = _benchmark_scene_line()
         for idx, (line, spec) in enumerate(zip(lines, specs)):
             assert scene_line.match(line)
-            sc = BatchScene.of(spec)
+            sc = spec.batch
             T, g, _, _ = fixed_schedule_bfgs(sc, init_params(spec)[None], opts)
             length = path_length_batch(sc, T)[0]
             gnorm = np.linalg.norm(g.reshape(-1))

@@ -12,6 +12,7 @@ from fermatpath import (
     ShapeMismatch,
     Surface,
     SurfaceKind,
+    bfgs_solve,
     embed,
     gen_scenes,
     make_edge,
@@ -120,6 +121,12 @@ class TestCheckParams:
         T[0, 0] = np.nan
         with pytest.raises(ShapeMismatch):
             check_params(_simple_spec(), T)
+
+    def test_non_numeric(self):
+        with pytest.raises(ShapeMismatch):
+            check_params(_simple_spec(), "abc")
+        with pytest.raises(ShapeMismatch):
+            bfgs_solve(_simple_spec(), "abc")
 
 
 class TestEmbed:
@@ -316,7 +323,7 @@ class TestConstructorsMatchOracle:
         def built():
             spec = PathSpec(start=start, end=end, surfaces=surfaces)
             arrays = (spec.start, spec.end, spec.basis_tensor, spec.anchor_tensor)
-            return *arrays, spec.active_mask, np.array([spec._eps])
+            return *arrays, spec.active_mask, spec.batch.eps
 
         _same_outcome(built, lambda: oracle.path_spec(start, end, surfaces))
 
@@ -339,9 +346,9 @@ class TestBatchSceneCarriesFloorAndMask:
         assert _bytes(sc.eps) == _bytes(oracle.seg_epsilon(sc.start, sc.end, sc.dtype))
         assert _bytes(sc.active) == _bytes(np.linalg.norm(sc.basis, axis=2) > 0.0)
 
-    def test_of_from_specs_take_and_astype(self):
+    def test_batch_of_one_from_specs_take_and_astype(self):
         specs = gen_scenes(5, 3, Kinds.MIXED, 40)
-        for sc in (BatchScene.of(specs[7]), BatchScene.from_specs(specs)):
+        for sc in (specs[7].batch, BatchScene.from_specs(specs)):
             self._assert_carried(sc)
             self._assert_carried(sc.take(np.arange(sc.size)[::-2]))
             self._assert_carried(sc.take(np.arange(sc.size) % 3 == 0))

@@ -1,6 +1,9 @@
 """Every module of the package uses each name it imports, none calls `np.einsum`,
 and every private function or class and every constant is used.
 
+Every runtime dependency in `pyproject.toml` is imported by the package;
+a library only the tests use belongs in the `test` extra.
+
 No linter is a dependency, so these are plain `ast` scans. `__init__.py`
 re-exports what it imports and is skipped; an import line marked
 `# noqa: F401` is kept on purpose and is skipped too. The package takes
@@ -14,6 +17,7 @@ package reads outside its own assignment.
 
 import ast
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -157,3 +161,26 @@ def test_scan_finds_a_dead_constant():
 def test_package_has_no_dead_constants():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_constants(sources) == []
+
+
+# Distribution names whose import name differs.
+IMPORT_NAMES = {"pyyaml": "yaml"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports, relative imports excluded."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_runtime_dependency_is_imported_by_the_package():
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    deps = [re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+            for d in pyproject["project"]["dependencies"]]
+    imported = set().union(*(imported_modules(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert [d for d in deps if IMPORT_NAMES.get(d, d) not in imported] == []

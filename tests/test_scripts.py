@@ -12,20 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(fermatpath.__file__).resolve().parents[1]
 
 
-def test_gradient_timing_runs():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "gradient_timing.py"),
-         "--batch", "3", "--depths", "16", "--reps", "1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["iterations", "solve_ms", "grad_ms"]
-    assert [row.split()[0] for row in rows] == ["16"]
-
-
 def test_kernel_phases_writes_the_bench_file(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "kernel_phases.py"),

@@ -19,6 +19,7 @@ from fermatpath import (
     bfgs_solve,
     gen_scenes,
     init_params,
+    init_params_batch,
     line_search_alpha,
     make_edge,
     make_plane,
@@ -80,7 +81,7 @@ class TestInitParams:
         T0 = init_params(spec)
         assert T0[0, 1] == 0.0
 
-    def test_singular_gram_matrix_falls_back_to_the_projection(self):
+    def test_plane_with_a_singular_gram_matrix_gets_the_projection(self):
         # The plane passes the degeneracy check, but A^T A rounds to singular.
         spec = PathSpec(
             start=[0.0, 0.0, 1.0],
@@ -103,6 +104,13 @@ class TestInitParams:
             mid = 0.5 * (spec.start + spec.end)
             want = params_from_points(spec, np.broadcast_to(mid, (n, 3)))
             assert init_params(spec).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("B", [1, 20, 1000])
+    def test_batch_form_equals_each_spec_bitwise(self, B, n):
+        specs = gen_scenes(31, n, Kinds.MIXED, B)
+        want = np.stack([init_params(s) for s in specs])
+        assert init_params_batch(BatchScene.from_specs(specs)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("e", [3e-8, 1e-7, 1e-6])
     def test_accurate_on_a_nearly_parallel_plane_basis(self, e):
@@ -375,6 +383,18 @@ class TestSolver:
         T0s[2][1, 0] = bad
         for solve in (batch_solve, reference_solve_batch):
             with pytest.raises(ShapeMismatch, match="batch member 2 "):
+                solve(specs, T0s)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda T0s: T0s[:2] + [T0s[2][:1]] + T0s[3:], lambda T0s: []],
+        ids=["one-member-misshapen", "empty"],
+    )
+    def test_batch_entry_points_reject_malformed_guesses(self, bad):
+        specs = gen_scenes(8, 2, Kinds.MIXED, 4)
+        T0s = bad([init_params(s) for s in specs])
+        for solve in (batch_solve, reference_solve_batch):
+            with pytest.raises(ShapeMismatch):
                 solve(specs, T0s)
 
     def test_batch_matches_scalar_bitwise(self):
