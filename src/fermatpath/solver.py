@@ -1,15 +1,14 @@
 """Batch BFGS path solver with fixed-point step sizes.
 
-The solver runs a fixed number of iterations for every path in a batch,
-and its results equal that fixed schedule's bitwise. A member whose step
-no longer moves it, or a step-size iteration that no longer changes any
-step size, is at an exact fixed point, so it is no longer computed. Every
-caller, the single-path `bfgs_solve` included, runs this one schedule.
-The reference solver (`baselines`) also gives the kernel a stopping
-tolerance: a member near its optimum may never repeat bitwise, so it stops
-once its gradient reaches the noise floor instead. The initial guess is
-the start/end midpoint projected onto each surface, one stacked projection
-per batch (`init_params_batch`).
+The solver runs one iteration schedule for every path in a batch, and a
+member leaves it at the first of two exits: an iterate whose gradient is
+at the noise floor, |g| < NOISE_FLOOR_TOL (1 + L), or a step that leaves
+it bitwise unchanged, an exact fixed point. Each result equals the fixed
+schedule's, run to that member's exit, bitwise. A step-size loop ends once
+no step size changes. Every caller, the single-path `bfgs_solve` and the
+reference (`baselines`) included, runs this one schedule. The initial
+guess is the start/end midpoint projected onto each surface, one stacked
+projection per batch (`init_params_batch`).
 The step size along each quasi-Newton direction comes from a fixed-point
 iteration on the exact one-dimensional optimality condition, warm-started
 at zero. Each BFGS iteration embeds the paths once: the clamped segments
@@ -52,6 +51,8 @@ from .batching import gradient_batch  # noqa: F401
 from .errors import DegenerateSegment, ZeroDirection
 from .geometry import PathSpec, check_params, params_from_points_batch
 
+NOISE_FLOOR_TOL = 1e-15  # about 4.5 float64 epsilons
+
 
 class Precision(Enum):
     SINGLE = "single"
@@ -81,7 +82,7 @@ class SolveReport:
     solution: np.ndarray  # (n, 2)
     final_length: float
     final_grad_norm: float
-    iterations: int  # iterations run; BFGS stops once the path no longer moves
+    iterations: int  # iterations run; BFGS stops at the noise floor or a fixed point
     trace: list[tuple[int, float, float]] | None = None
 
 
@@ -246,20 +247,21 @@ def _inverse_hessian_update(H, step, y, out):
     return out
 
 
-def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float = 0.0):
+def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
     """Run the batch BFGS schedule; returns (T, grad, traces, iterations).
 
-    A member whose step leaves T bitwise unchanged is at a fixed point of
-    its whole state (T, g, H): g is recomputed at the same T, so y = 0, the
-    curvature gate keeps H, and every later iteration repeats exactly. Such
-    members are written out and dropped from the working batch; no member's
-    arithmetic depends on which others share the batch, so every result
-    equals the full schedule's. At `tol > 0` a member also stops at the
-    first iterate, T0 included, whose |g| < tol (1 + L), L summed from the
-    clamped segment norms, and leaves the same way; at the default 0 the
-    test is skipped. `iterations` (B,) counts the steps each member took:
-    up to and including the one that left it unchanged, up to the iterate
-    that passed the test, or `opts.iterations`.
+    A member leaves the schedule at the first of two exits. At the noise
+    floor: the first iterate, T0 included, whose |g| < NOISE_FLOOR_TOL
+    (1 + L), L summed from the clamped segment norms; a member whose optimum
+    sits at a parameter of 0 reaches it without ever repeating bitwise. At a
+    fixed point: a step that leaves T bitwise unchanged, so that g is
+    recomputed at the same T, y = 0, the curvature gate keeps H, and every
+    later iteration would repeat exactly. Such members are written out and
+    dropped from the working batch; no member's arithmetic depends on which
+    others share the batch, so every result equals the fixed schedule's
+    stopped at that member's exit. `iterations` (B,) counts the steps each
+    member took: up to the iterate that passed the floor test, up to and
+    including the one that left it unchanged, or `opts.iterations`.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
@@ -290,10 +292,8 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions, tol: float 
         hist = np.empty((opts.iterations, 2, B))
 
     for it in range(opts.iterations):
-        done = still
-        if tol:
-            gnorm = np.sqrt(einsum("bi,bi->b", g, g))
-            done = done | (gnorm < tol * (1.0 + einsum("bk->b", norms)))
+        gnorm = np.sqrt(einsum("bi,bi->b", g, g))
+        done = still | (gnorm < NOISE_FLOOR_TOL * (1.0 + einsum("bk->b", norms)))
         if done.any():
             gone, kept = np.flatnonzero(done), np.flatnonzero(~done)
             T_out[live[gone]] = T[gone]
@@ -358,8 +358,8 @@ def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveR
 def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Minimize path length from T0 over at most opts.iterations updates.
 
-    The batch kernel on a batch of one: it stops once an update leaves the
-    path bitwise unchanged, and its result equals the whole schedule's.
+    The batch kernel on a batch of one: it stops at the noise floor or at a
+    fixed point, and its result equals the fixed schedule's run to that exit.
     """
     T0 = check_params(spec, T0)
     sc = spec.batch
@@ -369,7 +369,7 @@ def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> Solve
 def batch_solve(
     specs: Sequence[PathSpec], T0s, opts: SolveOptions = SolveOptions()
 ) -> list[SolveReport]:
-    """Solve many paths with identical n under one uniform iteration schedule."""
+    """Solve many paths with identical n; each leaves the schedule at its own exit."""
     sc = BatchScene.from_specs(specs)
     T0 = stack_params(specs, T0s)
     return _reports_from_state(sc, *_bfgs_kernel(sc, T0, opts))

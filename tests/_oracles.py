@@ -1,19 +1,21 @@
 """Independent numerical oracles used across the test suite.
 
 Everything here is deliberately implemented from first principles (finite
-differences, golden-section search, a standalone d=1 solver) rather than
-reusing library internals, so tests compare two independent computations.
-The exceptions, which must share the library's arithmetic to serve as
-bitwise references, are `fixed_point_alpha` and `fixed_schedule_bfgs`, the
-step-size loop and the batch BFGS kernel as plain fixed schedules,
-`inverse_hessian_update`, the kernel's rank-two update, and the
-constructors and the Hessian in their plain numpy or looped form.
+differences, a bisection for the exact step size, a standalone d=1 solver)
+rather than reusing library internals, so tests compare two independent
+computations. The exceptions, which must share the library's arithmetic to
+serve as bitwise references, are `fixed_point_alpha` and
+`fixed_schedule_bfgs`, the step-size loop and the batch BFGS kernel as
+plain fixed schedules, `stopped_schedule_bfgs`, the fixed schedule run to
+each member's exit, `inverse_hessian_update`, the kernel's rank-two update,
+and the constructors and the Hessian in their plain numpy or looped form.
 `per_surface_params_from_points` is the projection, and so the initial
 guess, as one `lstsq` per surface.
 """
 
+from dataclasses import replace
+
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from fermatpath import (
     DegenerateBasis,
@@ -27,6 +29,7 @@ from fermatpath import (
 from fermatpath.batching import clamped_segments, gradient_batch, path_length_batch
 from fermatpath.geometry import MAX_INTERACTIONS, MIN_ENDPOINT_SEPARATION, PLANE_DEGENERACY_TOL
 from fermatpath.objective import gradient
+from fermatpath.solver import NOISE_FLOOR_TOL
 
 
 def fd_gradient(spec: PathSpec, T, h: float = 1e-6) -> np.ndarray:
@@ -57,15 +60,40 @@ def fd_hessian(spec: PathSpec, T, h: float = 1e-5) -> np.ndarray:
     return H
 
 
-def golden_alpha(spec: PathSpec, T, P, bracket=(0.0, 1e-3), xtol=1e-12) -> float:
-    """Golden-section minimizer of the path length along direction P."""
-    res = minimize_scalar(
-        lambda a: path_length(spec, T + a * P),
-        bracket=bracket,
-        method="golden",
-        options={"xtol": xtol},
-    )
-    return float(res.x)
+def bisection_alpha(spec: PathSpec, T, P) -> float:
+    """The exact step size along direction P, by bisection on the sign of phi'.
+
+    The path length along P is phi(a) = sum_k |s_k + a d_k|, with s_k the
+    segments at T and d_k what P adds to them, so
+    phi'(a) = sum_k (s_k + a d_k) . d_k / |s_k + a d_k|. phi is convex, so
+    phi' does not decrease; P must be a descent direction (phi'(0) < 0).
+    The bracket [0, hi] doubles hi until phi'(hi) > 0, then halves until
+    its midpoint rounds to an end.
+    """
+    T, P = np.asarray(T, dtype=float), np.asarray(P, dtype=float)
+    A = spec.basis_tensor
+    x = np.concatenate([spec.start[None], np.einsum("nij,nj->ni", A, T) + spec.anchor_tensor,
+                        spec.end[None]])
+    w = np.concatenate([np.zeros((1, 3)), np.einsum("nij,nj->ni", A, P), np.zeros((1, 3))])
+    s, d = np.diff(x, axis=0), np.diff(w, axis=0)
+
+    def slope(a):
+        v = s + a * d
+        return np.sum(np.sum(v * d, axis=1) / np.linalg.norm(v, axis=1))
+
+    if not slope(0.0) < 0.0:
+        raise ValueError("P is not a descent direction")
+    lo, hi = 0.0, 1e-3
+    while slope(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if slope(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
 
 
 def perturb_params(spec: PathSpec, rng, scale: float) -> np.ndarray:
@@ -268,9 +296,11 @@ def fixed_schedule_bfgs(sc, T0, opts):
 
     Every member runs all opts.iterations iterations and every step size
     all opts.fixed_point_iters fixed-point iterations, with the library's
-    update rules. Returns (T, g, traces, still_at): still_at[b] is the
-    first iteration whose step left member b's parameters bitwise
-    unchanged, or -1 if none did.
+    update rules. Returns (T, g, traces, still_at, floor_at): still_at[b]
+    is the first iteration whose step left member b's parameters bitwise
+    unchanged, and floor_at[b] the first iterate, from T0 (0) to the last
+    (opts.iterations), whose |g| < NOISE_FLOOR_TOL (1 + L), L summed from
+    the clamped segment norms; each is -1 if there is none.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
@@ -283,9 +313,18 @@ def fixed_schedule_bfgs(sc, T0, opts):
     g = gradient_batch(sc, T).reshape(B, m)
     traces = [[] for _ in range(B)]
     still_at = np.full(B, -1)
+    floor_at = np.full(B, -1)
+
+    def note_floor(it, g, norms):
+        at_floor = np.sqrt(np.einsum("bi,bi->b", g, g)) < NOISE_FLOOR_TOL * (
+            1.0 + np.einsum("bk->b", norms)
+        )
+        return np.where((floor_at < 0) & at_floor, it, floor_at)
+
     for it in range(opts.iterations):
         p = -np.einsum("bij,bj->bi", H, g)
-        _, s, _ = clamped_segments(sc, T)
+        _, s, norms = clamped_segments(sc, T)
+        floor_at = note_floor(it, g, norms)
         alpha, _, _ = fixed_point_alpha(sc, s, p.reshape(B, n, 2), opts.fixed_point_iters, eps)
         step = alpha[:, None] * p
         T_new = T + step.reshape(B, n, 2)
@@ -300,7 +339,48 @@ def fixed_schedule_bfgs(sc, T0, opts):
             gnorms = np.sqrt(np.einsum("bi,bi->b", g, g))
             for b in range(B):
                 traces[b].append((it, float(lengths[b]), float(gnorms[b])))
-    return T, g.reshape(B, n, 2), traces if opts.record_trace else None, still_at
+    floor_at = note_floor(opts.iterations, g, clamped_segments(sc, T)[2])
+    return T, g.reshape(B, n, 2), traces if opts.record_trace else None, still_at, floor_at
+
+
+def iterations_to_exit(still_at, floor_at, iterations):
+    """(B,) iterations each member runs: to its first floor iterate or still step, at most all."""
+    return np.minimum(
+        np.where(still_at >= 0, still_at + 1, iterations),
+        np.where(floor_at >= 0, floor_at, iterations),
+    )
+
+
+def stopped_schedule_bfgs(sc, T0, opts):
+    """The batch BFGS kernel's results, from the fixed schedule run to each exit.
+
+    Member b stops after ran[b] iterations: at floor_at[b], after the step
+    still_at[b], or at the end of the schedule, whichever comes first. Its
+    T and g are those of `fixed_schedule_bfgs` run for ran[b] iterations
+    (T0 and its gradient at 0), and its trace repeats its last (L, |g|)
+    to the end of the schedule. Returns (T, g, traces, ran, still_at,
+    floor_at), the last two from the whole schedule.
+    """
+    dtype = opts.precision.dtype
+    T, g, traces, still_at, floor_at = fixed_schedule_bfgs(sc, T0, opts)
+    full = opts.iterations
+    ran = iterations_to_exit(still_at, floor_at, full)
+    for k in np.unique(ran[ran < full]).tolist():
+        if k:
+            T_k, g_k, traces_k, _, _ = fixed_schedule_bfgs(sc, T0, replace(opts, iterations=k))
+        else:
+            sc_k = sc.astype(dtype)
+            T_k = np.array(T0, dtype=dtype)
+            g_k = gradient_batch(sc_k, T_k)
+            g_flat = g_k.reshape(len(T_k), -1)
+            L, gnorms = path_length_batch(sc_k, T_k), np.sqrt(np.einsum("bi,bi->b", g_flat, g_flat))
+            traces_k = [[(-1, float(a), float(b))] for a, b in zip(L, gnorms)]
+        for b in np.flatnonzero(ran == k).tolist():
+            T[b], g[b] = T_k[b], g_k[b]
+            if traces is not None:
+                last = traces_k[b][-1][1:]
+                traces[b] = traces_k[b][:k] + [(it, *last) for it in range(k, full)]
+    return T, g, traces, ran, still_at, floor_at
 
 
 def vec3(v, name: str) -> np.ndarray:

@@ -29,7 +29,7 @@ from fermatpath.implicit_diff import grad_length_wrt_params
 from fermatpath.objective import gradient, hessian
 from fermatpath.solver import _bfgs_kernel, line_search_alpha
 
-from _oracles import fd_gradient, fd_hessian, golden_alpha, perturb_params, reduced_edge_bfgs
+from _oracles import bisection_alpha, fd_gradient, fd_hessian, perturb_params, reduced_edge_bfgs
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -194,7 +194,7 @@ def test_criterion_5_fixed_point_line_search():
                     T = rep.solution + rng.normal(size=(n, 2)) * 1e-3 * spec.active_mask
                     g = gradient_batch(scb, T[None])[0]
                     P = -g / np.linalg.norm(g)
-                    astar = golden_alpha(spec, T, P)
+                    astar = bisection_alpha(spec, T, P)
                     a1 = line_search_alpha(spec, T, P, k=1)
                     a64 = line_search_alpha(spec, T, P, k=64)
                     n_instances += 1
@@ -204,7 +204,7 @@ def test_criterion_5_fixed_point_line_search():
     elapsed = time.perf_counter() - t0
     frac = n_within_1pct / n_instances
     ok = n_instances == 1000 and worst64 <= 1e-6 and frac >= 0.90 and elapsed < 10.0
-    _report(5, "fixed-point line search vs golden section", ok,
+    _report(5, "fixed-point line search vs the exact step", ok,
             f"k=64 worst {worst64:.1e}, k=1 within 1%: {frac:.3f}, {elapsed:.1f}s")
     assert n_instances == 1000
     assert worst64 <= 1e-6

@@ -34,7 +34,7 @@ from fermatpath.geometry import params_from_points
 from fermatpath.objective import embed, gradient, hessian
 from fermatpath.solver import _bfgs_kernel
 
-from _oracles import fixed_schedule_bfgs, perturb_params
+from _oracles import fixed_schedule_bfgs, iterations_to_exit, perturb_params
 
 
 def _count_calls(monkeypatch, *names):
@@ -174,17 +174,19 @@ class TestReference:
         )
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
-        _, _, _, ran = _bfgs_kernel(sc, T0, REFERENCE_OPTIONS, tol=baselines.REFERENCE_STOP_TOL)
+        _, _, _, ran = _bfgs_kernel(sc, T0, REFERENCE_OPTIONS)
         want = T0.copy()
         # Members that stopped at the noise floor rather than at a bitwise fixed point.
-        floor_stops = np.count_nonzero(ran == 0)
-        for k in np.unique(ran[ran > 0]).tolist():
-            T_k, _, _, still_at = fixed_schedule_bfgs(
-                sc, T0, replace(REFERENCE_OPTIONS, iterations=k)
+        floor_stops = 0
+        for k in np.unique(ran).tolist():
+            T_k, _, _, still_at, floor_at = fixed_schedule_bfgs(
+                sc, T0, replace(REFERENCE_OPTIONS, iterations=max(k, 1))
             )
-            want[ran == k] = T_k[ran == k]
-            if k < baselines.REFERENCE_BFGS_ITERS:
-                floor_stops += np.count_nonzero((ran == k) & (still_at != k - 1))
+            # The fixed schedule's first exit of each such member is at iterate k.
+            assert np.all(iterations_to_exit(still_at, floor_at, k)[ran == k] == k)
+            if k:
+                want[ran == k] = T_k[ran == k]
+            floor_stops += np.count_nonzero((ran == k) & (floor_at == k))
         assert floor_stops > 0
         T, conv = reference_solve_batch(specs)
         assert T.tobytes() == want.tobytes()
@@ -201,8 +203,8 @@ class TestReference:
             params_from_points(s, np.broadcast_to(0.5 * (s.start + s.end), (s.n, 3)))
             for s in specs
         ]
-        reports = batch_solve(specs, T0s, REFERENCE_OPTIONS)
-        assert max(r.iterations for r in reports) == baselines.REFERENCE_BFGS_ITERS
+        still_at = fixed_schedule_bfgs(BatchScene.from_specs(specs), T0s, REFERENCE_OPTIONS)[3]
+        assert np.any(still_at < 0)
         counts = _count_calls(monkeypatch, "checked_segments", "clamped_segments")
         _, conv = reference_solve_batch(specs, T0s)
         # One embedding at the start and one per iteration of the longest member.

@@ -39,7 +39,7 @@ from fermatpath.batching import path_length_batch
 from fermatpath.bench import BenchRecord, CSV_HEADER, GradCheckReport
 from fermatpath.cli import main
 
-from _oracles import fixed_schedule_bfgs
+from _oracles import stopped_schedule_bfgs
 
 
 def _reference_missing(monkeypatch, members, call=0):
@@ -552,14 +552,20 @@ class TestCli:
         assert code == 2
         assert "solver failed" in err
 
+    @staticmethod
+    def _solve_options(scene_file):
+        """The `SolveOptions` that `fermatpath solve` runs on `scene_file` with."""
+        args = cli.build_parser().parse_args(["solve", scene_file])
+        return SolveOptions(
+            iterations=args.iterations, fixed_point_iters=args.fp_iters, precision=args.precision
+        )
+
     def test_solve_scene_lines_equal_the_fixed_schedule(self, tmp_path):
+        # Each line is the fixed schedule's, run to that path's exit.
         scene_file = _deep_scene_file(tmp_path)
         code, out, _ = _run_cli(["solve", scene_file])
         assert code == 0
-        args = cli.build_parser().parse_args(["solve", scene_file])
-        opts = SolveOptions(
-            iterations=args.iterations, fixed_point_iters=args.fp_iters, precision=args.precision
-        )
+        opts = self._solve_options(scene_file)
         with open(scene_file) as fh:
             specs = load_scenes(fh)
         lines = [line for line in out.splitlines() if line.startswith("scene ")]
@@ -568,17 +574,14 @@ class TestCli:
         for idx, (line, spec) in enumerate(zip(lines, specs)):
             assert scene_line.match(line)
             sc = spec.batch
-            T, g, _, _ = fixed_schedule_bfgs(sc, init_params(spec)[None], opts)
+            T, g = stopped_schedule_bfgs(sc, init_params(spec)[None], opts)[:2]
             length = path_length_batch(sc, T)[0]
             gnorm = np.linalg.norm(g.reshape(-1))
             assert line == f"scene {idx}: length={length:.9g} grad_norm={gnorm:.3e}"
 
     def _solve_counting_embeddings(self, monkeypatch, scene_file):
         """(embeddings `fermatpath solve` makes, iterations `bfgs_solve` reports per scene)."""
-        args = cli.build_parser().parse_args(["solve", scene_file])
-        opts = SolveOptions(
-            iterations=args.iterations, fixed_point_iters=args.fp_iters, precision=args.precision
-        )
+        opts = self._solve_options(scene_file)
         with open(scene_file) as fh:
             ran = [bfgs_solve(spec, init_params(spec), opts).iterations for spec in load_scenes(fh)]
         calls = []
@@ -597,7 +600,7 @@ class TestCli:
     def test_solve_stops_a_path_that_starts_at_its_optimum(self, tmp_path, monkeypatch):
         # A mirror through the origin spanned by x and z, under a symmetric
         # start/end pair: the midpoint projects onto the reflection point,
-        # where g is exactly 0, so the first update leaves the path unchanged.
+        # where g is exactly 0, so the path stops at its start, before any update.
         scene_file = tmp_path / "optimum.yaml"
         scene_file.write_text(
             "start: [-1.0, 1.0, 0.0]\n"
@@ -608,5 +611,11 @@ class TestCli:
             "  basis: [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]\n"
         )
         calls, ran = self._solve_counting_embeddings(monkeypatch, str(scene_file))
-        assert ran == [1]
-        assert calls == 2
+        with open(scene_file) as fh:
+            (spec,) = load_scenes(fh)
+        oracle = stopped_schedule_bfgs(
+            spec.batch, init_params(spec)[None], self._solve_options(str(scene_file))
+        )
+        ran_ref, floor_at = oracle[3], oracle[5]
+        assert ran == ran_ref.tolist() == [0] and floor_at.tolist() == [0]
+        assert calls == 1

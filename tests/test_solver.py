@@ -28,18 +28,28 @@ from fermatpath import (
     reference_solve_batch,
 )
 from fermatpath import batching
-from fermatpath.batching import BatchScene, clamped_segments, path_length_batch
+from fermatpath.batching import (
+    BatchScene,
+    clamped_segments,
+    embed_batch,
+    path_length_batch,
+    segment_norms,
+    stationary_from_segments,
+)
+from fermatpath.implicit_diff import STATIONARITY_TOL
 from fermatpath import solver as solver_module
 from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha, _inverse_hessian_update
 from fermatpath.objective import embed, gradient
 
 from _oracles import (
+    bisection_alpha,
     fixed_point_alpha,
     fixed_schedule_bfgs,
-    golden_alpha,
     inverse_hessian_update,
+    iterations_to_exit,
     per_surface_params_from_points,
     perturb_params,
+    stopped_schedule_bfgs,
     three_term_inverse_hessian_update,
 )
 
@@ -133,14 +143,14 @@ class TestLineSearch:
         P = np.array([[0.0, -1.0]])
         assert line_search_alpha(spec, T, P, k=1) == pytest.approx(2.0, abs=1e-12)
 
-    def test_matches_golden_section_near_optimum(self):
+    def test_matches_the_exact_step_near_optimum(self):
         spec = gen_scenes(8, 3, Kinds.MIXED, 1)[0]
         rep = bfgs_solve(spec, init_params(spec), SolveOptions(iterations=60, fixed_point_iters=64))
         rng = np.random.default_rng(1)
         T = rep.solution + rng.normal(size=(3, 2)) * 1e-3 * spec.active_mask
         g = gradient(spec, T)
         P = -g / np.linalg.norm(g)
-        astar = golden_alpha(spec, T, P)
+        astar = bisection_alpha(spec, T, P)
         a64 = line_search_alpha(spec, T, P, k=64)
         assert a64 == pytest.approx(astar, abs=1e-6 * (1 + abs(astar)))
 
@@ -486,20 +496,18 @@ def _half_warm_batch(kinds, n, B=12):
     return BatchScene.from_specs(specs), np.stack(T0s)
 
 
-def _iterations_run(still_at, opts):
-    """The iterations a member runs: up to its first still step, else all."""
-    return np.where(still_at < 0, opts.iterations, still_at + 1)
-
-
 def _assert_kernel_matches_fixed_schedule(sc, T0, opts):
+    """The kernel equals the fixed schedule run to each member's exit; returns that oracle."""
     T, g, traces, ran = _bfgs_kernel(sc, T0, opts)
-    T_ref, g_ref, traces_ref, still_at = fixed_schedule_bfgs(sc, T0, opts)
+    ref = stopped_schedule_bfgs(sc, T0, opts)
+    T_ref, g_ref, traces_ref, ran_ref = ref[:4]
     bits = f"u{T.itemsize}"
     assert np.array_equal(T.view(bits), T_ref.view(bits))
     assert np.array_equal(g.view(bits), g_ref.view(bits))
     assert traces == traces_ref
-    assert np.array_equal(ran, _iterations_run(still_at, opts))
-    return still_at
+    # Each member stops where the floor test first passes, or after its first still step.
+    assert np.array_equal(ran, ran_ref)
+    return ref
 
 
 class TestFixedPointExits:
@@ -515,20 +523,20 @@ class TestFixedPointExits:
         opts = SolveOptions(
             iterations=40, fixed_point_iters=fp, precision=precision, record_trace=record_trace
         )
-        still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
-        assert np.any(still_at >= 0)  # the retirement path ran
+        ran = _assert_kernel_matches_fixed_schedule(sc, T0, opts)[3]
+        assert np.any(ran < opts.iterations)  # the retirement path ran
 
     def test_retiring_and_running_members_in_one_batch(self):
         sc, T0 = _half_warm_batch(Kinds.MIXED, 8)
         opts = SolveOptions(iterations=40, fixed_point_iters=1, record_trace=True)
-        still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
-        assert np.any(still_at >= 0) and np.any(still_at < 0)
+        ran = _assert_kernel_matches_fixed_schedule(sc, T0, opts)[3]
+        assert np.any(ran < opts.iterations) and np.any(ran == opts.iterations)
 
     def test_all_members_retire_before_the_schedule_ends(self):
         sc, T0 = _half_warm_batch(Kinds.REFLECTIONS, 2)
         opts = SolveOptions(iterations=300, fixed_point_iters=64, record_trace=True)
-        still_at = _assert_kernel_matches_fixed_schedule(sc, T0, opts)
-        assert np.all((still_at >= 0) & (still_at < 299))
+        ran = _assert_kernel_matches_fixed_schedule(sc, T0, opts)[3]
+        assert np.all(ran < opts.iterations)
 
     def test_a_member_already_below_the_stop_takes_no_step(self):
         # A mirror through the origin spanned by x and z, under a symmetric
@@ -542,9 +550,9 @@ class TestFixedPointExits:
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
         opts = SolveOptions(iterations=5, record_trace=True)
-        T, g, traces, ran = _bfgs_kernel(sc, T0, opts, tol=1e-15)
-        T_ref, g_ref, traces_ref, _ = fixed_schedule_bfgs(sc, T0, opts)
-        assert ran.tolist() == [0, opts.iterations]
+        T, g, traces, ran = _bfgs_kernel(sc, T0, opts)
+        T_ref, g_ref, traces_ref, _, floor_at = fixed_schedule_bfgs(sc, T0, opts)
+        assert ran.tolist() == [0, opts.iterations] and floor_at.tolist() == [0, -1]
         assert T[0].tobytes() == T0[0].tobytes() and not g[0].any()
         assert traces[0] == [(it, path_length(mirror, T0[0]), 0.0) for it in range(5)]
         # The other member runs the whole schedule, as if alone.
@@ -556,7 +564,7 @@ class TestFixedPointExits:
         spec = gen_scenes(41, 2, Kinds.REFLECTIONS, 12)[-1]  # a warm member
         sc = BatchScene.from_specs([spec])
         opts = SolveOptions(iterations=300, fixed_point_iters=64)
-        T, _, _, ran = _bfgs_kernel(sc, T0[-1:], opts)
+        T, _, _, ran, _, _ = stopped_schedule_bfgs(sc, T0[-1:], opts)
         calls = []
         for name in ("checked_segments", "clamped_segments"):
             real = getattr(solver_module, name)
@@ -577,7 +585,7 @@ class TestFixedPointExits:
         sc = BatchScene.from_specs([spec])
         T0 = init_params(spec)
         opts = SolveOptions(iterations=100, fixed_point_iters=64, record_trace=True)
-        T_ref, g_ref, (trace_ref,), still_at = fixed_schedule_bfgs(sc, T0[None], opts)
+        T_ref, g_ref, (trace_ref,), ran, _, _ = stopped_schedule_bfgs(sc, T0[None], opts)
         length_ref = path_length_batch(sc, T_ref)[0]
         gnorm_ref = np.linalg.norm(g_ref.reshape(-1))
         for record_trace in (False, True):
@@ -587,9 +595,49 @@ class TestFixedPointExits:
             assert np.array_equal(rep.solution.view("u8"), T_ref[0].view("u8"))
             assert np.float64(rep.final_length).view("u8") == length_ref.view("u8")
             assert np.float64(rep.final_grad_norm).view("u8") == gnorm_ref.view("u8")
-            assert rep.iterations == _iterations_run(still_at, opts)[0]
+            assert rep.iterations == ran[0]
             if record_trace:
                 got = np.array(rep.trace).view("u8")
                 assert np.array_equal(got, np.array(trace_ref).view("u8"))
             else:
                 assert rep.trace is None
+
+
+def _failed_stationarity(sc, T):
+    """(B,) members whose |g| is not below STATIONARITY_TOL (1 + L) at T."""
+    s, norms = segment_norms(embed_batch(sc, T))
+    return ~stationary_from_segments(sc, s, norms, STATIONARITY_TOL)
+
+
+class TestNoiseFloorStop:
+    """The noise-floor exit moves no verdict and no single-precision bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_keeps_every_stationarity_verdict(self, seed):
+        specs = gen_scenes(seed, 5, Kinds.MIXED, 200)
+        sc = BatchScene.from_specs(specs)
+        T0 = init_params_batch(sc)
+        opts = SolveOptions()
+        T = np.stack([r.solution for r in batch_solve(specs, T0, opts)])
+        T_ref, _, _, _, floor_at = fixed_schedule_bfgs(sc, T0, opts)
+        failed = _failed_stationarity(sc, T)
+        assert failed.any() and np.any(floor_at >= 0)  # both sides of the verdict occur
+        assert np.array_equal(failed, _failed_stationarity(sc, T_ref))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_single_precision_equals_the_fixed_schedule(self, seed):
+        # 1e-15 (1 + L) is below any |g| float32 reaches, except g == 0, which
+        # the fixed schedule keeps: its next step is zero.
+        specs = gen_scenes(seed, 5, Kinds.MIXED, 200)
+        sc = BatchScene.from_specs(specs)
+        T0 = init_params_batch(sc)
+        opts = SolveOptions(precision=Precision.SINGLE)
+        reports = batch_solve(specs, T0, opts)
+        T_ref, g_ref, _, still_at, floor_at = fixed_schedule_bfgs(sc, T0, opts)
+        T = np.stack([r.solution for r in reports])
+        assert np.array_equal(T.view("u8"), T_ref.astype(float).view("u8"))
+        gnorms = np.linalg.norm(g_ref.reshape(len(specs), -1), axis=1).astype(float)
+        assert [r.final_grad_norm for r in reports] == gnorms.tolist()
+        ran = [r.iterations for r in reports]
+        assert ran == iterations_to_exit(still_at, floor_at, opts.iterations).tolist()
+        assert not g_ref[floor_at >= 0].any()
