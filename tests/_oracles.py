@@ -315,16 +315,14 @@ def fixed_schedule_bfgs(sc, T0, opts):
     still_at = np.full(B, -1)
     floor_at = np.full(B, -1)
 
-    def note_floor(it, g, norms):
-        at_floor = np.sqrt(np.einsum("bi,bi->b", g, g)) < NOISE_FLOOR_TOL * (
-            1.0 + np.einsum("bk->b", norms)
-        )
-        return np.where((floor_at < 0) & at_floor, it, floor_at)
+    def at_floor(g, norms):
+        gnorm = np.sqrt(np.einsum("bi,bi->b", g, g))
+        return gnorm < NOISE_FLOOR_TOL * (1.0 + np.einsum("bk->b", norms))
 
     for it in range(opts.iterations):
         p = -np.einsum("bij,bj->bi", H, g)
         _, s, norms = clamped_segments(sc, T)
-        floor_at = note_floor(it, g, norms)
+        floor_at = np.where((floor_at < 0) & at_floor(g, norms), it, floor_at)
         alpha, _, _ = fixed_point_alpha(sc, s, p.reshape(B, n, 2), opts.fixed_point_iters, eps)
         step = alpha[:, None] * p
         T_new = T + step.reshape(B, n, 2)
@@ -339,7 +337,8 @@ def fixed_schedule_bfgs(sc, T0, opts):
             gnorms = np.sqrt(np.einsum("bi,bi->b", g, g))
             for b in range(B):
                 traces[b].append((it, float(lengths[b]), float(gnorms[b])))
-    floor_at = note_floor(opts.iterations, g, clamped_segments(sc, T)[2])
+    last = at_floor(g, clamped_segments(sc, T)[2])
+    floor_at = np.where((floor_at < 0) & last, opts.iterations, floor_at)
     return T, g.reshape(B, n, 2), traces if opts.record_trace else None, still_at, floor_at
 
 
@@ -368,13 +367,13 @@ def stopped_schedule_bfgs(sc, T0, opts):
     for k in np.unique(ran[ran < full]).tolist():
         if k:
             T_k, g_k, traces_k, _, _ = fixed_schedule_bfgs(sc, T0, replace(opts, iterations=k))
-        else:
+        else:  # stopped at T0: one trace entry holds T0's (L, |g|)
             sc_k = sc.astype(dtype)
             T_k = np.array(T0, dtype=dtype)
             g_k = gradient_batch(sc_k, T_k)
             g_flat = g_k.reshape(len(T_k), -1)
             L, gnorms = path_length_batch(sc_k, T_k), np.sqrt(np.einsum("bi,bi->b", g_flat, g_flat))
-            traces_k = [[(-1, float(a), float(b))] for a, b in zip(L, gnorms)]
+            traces_k = [[(0, float(a), float(b))] for a, b in zip(L, gnorms)]
         for b in np.flatnonzero(ran == k).tolist():
             T[b], g[b] = T_k[b], g_k[b]
             if traces is not None:
