@@ -25,6 +25,10 @@ from .solver import Precision, SolveOptions, bfgs_solve, init_params
 USAGE_ERROR = 1
 SOLVE_ERROR = 2
 CHECK_FAILED = 3
+FP_ITERS_HELP = (
+    "cap on step-size evaluations (1: the paper's fixed-point step; in double "
+    "precision further evaluations are Newton steps that stop once converged)"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,14 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--solvers", type=str, nargs="+", default=["ours", "ours-64", "gd", "newton"]
     )
     b.add_argument("--iterations", type=_positive_int, default=100)
-    b.add_argument("--fp-iters", type=_positive_int, default=1)
+    b.add_argument("--fp-iters", type=_positive_int, default=1, help=FP_ITERS_HELP)
     b.add_argument("--precision", type=_precision, default=Precision.SINGLE)
     b.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
 
     s = sub.add_parser("solve", help="solve scenes from a file and print paths")
     s.add_argument("scene_file", type=str)
     s.add_argument("--iterations", type=_positive_int, default=100)
-    s.add_argument("--fp-iters", type=_positive_int, default=64)
+    s.add_argument("--fp-iters", type=_positive_int, default=64, help=FP_ITERS_HELP)
     s.add_argument("--precision", type=_precision, default=Precision.DOUBLE)
 
     g = sub.add_parser("grad-check", help="implicit-differentiation oracle check")

@@ -210,8 +210,17 @@ def reduced_edge_bfgs(sc, T0r, iters: int, fp_iters: int) -> np.ndarray:
     return T
 
 
-def fixed_point_alpha(sc, s, P, iters: int, eps):
-    """The step-size loop in its plain form, with no early exit of any kind.
+def direction_segments(sc, P):
+    """(B, n+1, 3) what the (B, n, 2) directions P add to each segment."""
+    B = P.shape[0]
+    w = np.einsum("bnij,bnj->bni", sc.basis, P)
+    pad = np.zeros((B, 1, 3), dtype=P.dtype)
+    wp = np.concatenate([pad, w, pad], axis=1)
+    return wp[:, 1:] - wp[:, :-1]
+
+
+def fixed_point_map_alpha(sc, s, P, iters: int, eps):
+    """The paper's step-size loop in its plain form, with no early exit of any kind.
 
     Runs all `iters` fixed-point iterations from alpha = 0 along the (B, n, 2)
     directions P from the segments s. Returns (alpha, zero, clamped) like
@@ -219,16 +228,12 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
     clamped members whose trial segment norm fell to the floor `eps`.
     """
     dtype = s.dtype
-    B = P.shape[0]
-    w = np.einsum("bnij,bnj->bni", sc.basis, P)
-    pad = np.zeros((B, 1, 3), dtype=dtype)
-    wp = np.concatenate([pad, w, pad], axis=1)
-    dAp = wp[:, 1:] - wp[:, :-1]
+    dAp = direction_segments(sc, P)
     a2 = np.einsum("bki,bki->bk", dAp, dAp)
     c = np.einsum("bki,bki->bk", dAp, s)
     zero = np.einsum("bk->b", a2) <= np.finfo(dtype).tiny
-    alpha = np.zeros(B, dtype=dtype)
-    clamped = np.zeros(B, dtype=bool)
+    alpha = np.zeros(P.shape[0], dtype=dtype)
+    clamped = np.zeros(P.shape[0], dtype=bool)
     for _ in range(iters):
         seg = s + alpha[:, None, None] * dAp
         norms = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
@@ -239,6 +244,83 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
         new = -num / np.where(zero, np.ones_like(dsum), dsum)
         alpha = np.where(zero | ~np.isfinite(new), alpha, new)
     return alpha, zero, clamped
+
+
+def _slope_terms(s, dAp, alpha, eps):
+    """Trial norms, floored norms and e_k / den_k at the (B,) step sizes alpha."""
+    seg = s + alpha[:, None, None] * dAp
+    norms = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
+    den = np.maximum(norms, eps[:, None])
+    return norms, den, np.einsum("bki,bki->bk", seg, dAp) / den
+
+
+def step_slope(sc, s, P, alpha, eps):
+    """(phi'(alpha), sum_k |d_k|), each (B,), by the arithmetic of `fixed_point_alpha`."""
+    dAp = direction_segments(sc, P)
+    scale = np.einsum("bk->b", np.sqrt(np.einsum("bki,bki->bk", dAp, dAp)))
+    return np.einsum("bk->b", _slope_terms(s, dAp, alpha, eps)[2]), scale
+
+
+def fixed_point_alpha(sc, s, P, iters: int, eps):
+    """The library's step size in its plain form: (alpha, zero, clamped, evaluations).
+
+    Single precision, and a cap of one evaluation, run `fixed_point_map_alpha`.
+    Otherwise the first evaluation is its first iteration, and each further
+    one is a safeguarded Newton step on phi'(a) = sum_k e_k / den_k, with
+    e_k = (s_k + a d_k) . d_k and den_k the trial norm floored at `eps`:
+    Newton's value if it lies in the bracket [lo, hi] that the signs of phi'
+    have set and moves at most half as far as the Newton or midpoint step two
+    such steps back, else the bracket's midpoint, or while the bracket is
+    open on one side the fixed-point image. A member stops at |phi'| <= 8 eps sum_k |d_k| (without the
+    step), at a value that is not finite (keeping alpha), after a step of at
+    most 4 eps |alpha|, or after `iters` evaluations; only running members
+    count towards `clamped`. `evaluations` (B,) counts the evaluations each
+    member used, so a member at `iters` hit the cap.
+    """
+    dtype = s.dtype
+    B = P.shape[0]
+    first, zero, clamped = fixed_point_map_alpha(sc, s, P, 1, eps)
+    if dtype == np.float32 or iters == 1:
+        alpha, zero, clamped = fixed_point_map_alpha(sc, s, P, iters, eps)
+        return alpha, zero, clamped, np.full(B, iters)
+    dAp = direction_segments(sc, P)
+    a2 = np.einsum("bki,bki->bk", dAp, dAp)
+    c = np.einsum("bki,bki->bk", dAp, s)
+    slope0 = np.einsum("bk->b", c / np.maximum(np.sqrt(np.einsum("bki,bki->bk", s, s)), eps[:, None]))
+    ulp = np.finfo(dtype).eps
+    tol = 8 * ulp * np.einsum("bk->b", np.sqrt(a2))
+    active = ~zero & np.isfinite(first)
+    alpha = first
+    lo = np.where(slope0 < 0, 0.0, -np.inf)
+    hi = np.where(slope0 > 0, 0.0, np.inf)
+    half_last = half_before = np.full(B, np.inf)
+    evaluations = np.ones(B, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(iters - 1):
+            norms, den, ratio = _slope_terms(s, dAp, alpha, eps)
+            clamped |= active & np.any(norms <= eps[:, None], axis=1)
+            slope = np.einsum("bk->b", ratio)
+            d1 = np.einsum("bk->b", a2 / den)
+            curvature = d1 - np.einsum("bk->b", ratio * ratio / den)
+            fixed = alpha - slope / d1
+            newton = alpha - slope / curvature
+            lo = np.where(slope < 0, alpha, lo)
+            hi = np.where(slope > 0, alpha, hi)
+            # alpha is an end of [lo, hi]: Newton's value lies inside it and
+            # moves at most half_before iff this holds (never for phi'' <= 0).
+            use_newton = np.abs(slope) <= np.minimum(hi - lo, half_before) * curvature
+            two_sided = hi - lo < np.inf
+            mid = lo + 0.5 * (hi - lo)
+            new = np.where(use_newton, newton, np.where(two_sided, mid, fixed))
+            step = np.abs(new - alpha)
+            evaluations += active
+            moves = active & (np.abs(slope) > tol) & np.isfinite(new)
+            alpha = np.where(moves, new, alpha)
+            active = moves & (step > 4 * ulp * np.abs(alpha))
+            guarded = use_newton | two_sided
+            half_before = np.where(guarded, half_last, half_before)
+            half_last = np.where(guarded, 0.5 * step, half_last)
+    return alpha, zero, clamped, evaluations
 
 
 def _curvature_gate(step, y):
@@ -323,7 +405,7 @@ def fixed_schedule_bfgs(sc, T0, opts):
         p = -np.einsum("bij,bj->bi", H, g)
         _, s, norms = clamped_segments(sc, T)
         floor_at = np.where((floor_at < 0) & at_floor(g, norms), it, floor_at)
-        alpha, _, _ = fixed_point_alpha(sc, s, p.reshape(B, n, 2), opts.fixed_point_iters, eps)
+        alpha = fixed_point_alpha(sc, s, p.reshape(B, n, 2), opts.fixed_point_iters, eps)[0]
         step = alpha[:, None] * p
         T_new = T + step.reshape(B, n, 2)
         still = np.all(T_new.view(bits) == T.view(bits), axis=(1, 2))

@@ -196,9 +196,10 @@ class TestReference:
             assert conv.all()
 
     def test_stop_ends_a_member_that_never_repeats_bitwise(self, monkeypatch):
-        # From the midpoint projections, one member of this batch never reaches
-        # a bitwise fixed point, so without the stop it runs the whole schedule.
-        specs = gen_scenes(1, 5, Kinds.MIXED, 20)
+        # From the midpoint projections, one member of this batch (member 18)
+        # never reaches a bitwise fixed point, so without the stop it runs the
+        # whole schedule.
+        specs = gen_scenes(3, 5, Kinds.MIXED, 20)
         T0s = [
             params_from_points(s, np.broadcast_to(0.5 * (s.start + s.end), (s.n, 3)))
             for s in specs
@@ -211,6 +212,26 @@ class TestReference:
         assert counts["checked_segments"] == 1
         assert counts["clamped_segments"] <= 50
         assert conv.all()
+
+    def test_single_edge_matches_the_closed_form(self):
+        # Evidence that does not come from the BFGS kernel: unfolding a path
+        # about its edge makes it straight (Keller's law of edge diffraction).
+        # With s and e the endpoints' positions along the edge and r_s and r_e
+        # their distances from it, the point is at t* = s + (e - s) r_s / (r_s + r_e).
+        specs = gen_scenes(5, 1, Kinds.DIFFRACTIONS, 1000)
+        sc = BatchScene.from_specs(specs)
+        T, conv = reference_solve_batch(specs)
+        assert conv.all()
+        u, anchor = sc.basis[:, 0, :, 0], sc.anchor[:, 0]
+
+        def along_and_off(p):
+            t = np.einsum("bi,bi->b", p - anchor, u) / np.einsum("bi,bi->b", u, u)
+            return t, np.linalg.norm(p - anchor - t[:, None] * u, axis=1)
+
+        (s, r_s), (e, r_e) = along_and_off(sc.start), along_and_off(sc.end)
+        t_star = s + (e - s) * r_s / (r_s + r_e)
+        err = np.abs(T[:, 0, 0] - t_star) * np.linalg.norm(u, axis=1)
+        assert err.mean() <= 1e-14 and err.max() <= 1e-12
 
     @pytest.mark.parametrize("kinds", list(Kinds))
     def test_restart_from_a_converged_solution_returns_it(self, kinds):

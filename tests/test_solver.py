@@ -43,12 +43,15 @@ from fermatpath.objective import embed, gradient
 
 from _oracles import (
     bisection_alpha,
+    direction_segments,
     fixed_point_alpha,
+    fixed_point_map_alpha,
     fixed_schedule_bfgs,
     inverse_hessian_update,
     iterations_to_exit,
     per_surface_params_from_points,
     perturb_params,
+    step_slope,
     stopped_schedule_bfgs,
     three_term_inverse_hessian_update,
 )
@@ -225,14 +228,115 @@ class TestStepSizeLoop:
     def test_matches_oracle_bytes(self, precision, k):
         sc, s, P, eps = _step_size_batch(precision.dtype)
         got = _fixed_point_alpha(sc, s, P, k)
-        want = fixed_point_alpha(sc, s, P, k, eps)
-        for a, b in zip(got, want):
+        want = fixed_point_alpha(sc, s, P, k, eps)[:3]
+        for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
         alpha, zero, clamped = got
         assert np.array_equal(zero, np.arange(8) // 2 == 2)
         assert alpha[6] == 0.0 and np.signbit(alpha[6])
         assert clamped[7] == (k > 1)
+
+    @pytest.mark.parametrize(
+        "precision, k",
+        [(Precision.DOUBLE, 1)] + [(Precision.SINGLE, k) for k in (1, 2, 7, 64)],
+    )
+    def test_is_the_fixed_point_map_where_newton_does_not_run(self, precision, k):
+        # fp=1 and single precision keep the paper's loop, bitwise.
+        sc, s, P, eps = _step_size_batch(precision.dtype)
+        got = _fixed_point_alpha(sc, s, P, k)
+        want = fixed_point_map_alpha(sc, s, P, k, eps)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_each_member_stops_on_its_own(self):
+        # Members 0-3 converge in a few evaluations; the zero directions
+        # (4-5) stop after the first, and so do members 6-7 after the second:
+        # 6 sits at its root, and 7's trial segment collapses onto the floor.
+        sc, s, P, eps = _step_size_batch(np.float64)
+        evaluations = fixed_point_alpha(sc, s, P, 64, eps)[3]
+        assert evaluations.tolist() == [6, 7, 6, 6, 1, 1, 2, 2]
+        batch = _fixed_point_alpha(sc, s, P, 64)
+        for b in range(8):
+            one = _fixed_point_alpha(sc.take([b]), s[b : b + 1], P[b : b + 1], 64)
+            assert [a.tobytes() for a in one] == [a[b : b + 1].tobytes() for a in batch]
+
+
+EPS64 = np.finfo(np.float64).eps
+
+
+def _record_step_sizes(monkeypatch):
+    """Record (sc, s, P, iters, alpha) of every step-size call the kernel makes."""
+    calls = []
+    real = solver_module._fixed_point_alpha
+
+    def recording(sc, s, P, iters):
+        out = real(sc, s, P, iters)
+        calls.append((sc, s, P, iters, out[0]))
+        return out
+
+    monkeypatch.setattr(solver_module, "_fixed_point_alpha", recording)
+    return calls
+
+
+class TestStepSizeAccuracy:
+    """Newton after the first step is never less accurate than the fixed-point map at its cap."""
+
+    def _check(self, calls):
+        """Compare every recorded call with the fixed-point map; returns (members, capped calls)."""
+        members = capped = 0
+        for sc, s, P, iters, alpha in calls:
+            _, zero, _, evaluations = fixed_point_alpha(sc, s, P, iters, sc.eps)
+            fixed = fixed_point_map_alpha(sc, s, P, iters, sc.eps)[0]
+            got, scale = step_slope(sc, s, P, alpha, sc.eps)
+            want = step_slope(sc, s, P, fixed, sc.eps)[0]
+            # |phi'| / sum_k |d_k| <= max(the fixed point's, 8 eps), unscaled.
+            assert np.all((np.abs(got) <= np.maximum(np.abs(want), 8 * EPS64 * scale))[~zero])
+            members += int(np.count_nonzero(~zero))
+            capped += bool(np.any(evaluations == iters))
+        return members, capped
+
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_batch_of_a_thousand(self, monkeypatch, kinds):
+        calls = _record_step_sizes(monkeypatch)
+        specs = gen_scenes(5, 5, kinds, 1000)
+        batch_solve(specs, init_params_batch(BatchScene.from_specs(specs)),
+                    SolveOptions(iterations=30, fixed_point_iters=64))
+        members, capped = self._check(calls)
+        print(f"step sizes at B=1000 ({kinds.value}): {len(calls)} calls, {members} members, "
+              f"{capped} calls at the cap")
+        assert members > 10000 and capped == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_deep_file_scenes(self, monkeypatch, seed):
+        # The solves `fermatpath solve` runs on a deep scene file.
+        calls = _record_step_sizes(monkeypatch)
+        for n in (8, 16, 32, 64):
+            spec = gen_scenes(seed, n, Kinds.MIXED, 1)[0]
+            bfgs_solve(spec, init_params(spec), SolveOptions(iterations=100, fixed_point_iters=64))
+        members, capped = self._check(calls)
+        assert members == len(calls) > 100 and capped == 0
+
+    def test_a_trial_segment_near_a_kink(self):
+        # The first step of DIFFRACTIONS seed 5, member 520: at the root one
+        # trial segment is 0.038 long, so phi'' changes fast across the
+        # bracket. Newton without the guard on its step length, falling back
+        # to the fixed-point image before the midpoint, stalls there at a
+        # normalised |phi'| of 0.43 after 64 evaluations.
+        spec = gen_scenes(5, 5, Kinds.DIFFRACTIONS, 1000)[520]
+        sc = spec.batch
+        T = init_params(spec)[None]
+        _, s, _ = clamped_segments(sc, T)
+        P = -gradient(spec, T[0])[None]  # the first BFGS direction, H = I
+        alpha, _, clamped, evaluations = fixed_point_alpha(sc, s, P, 64, sc.eps)
+        assert _fixed_point_alpha(sc, s, P, 64)[0].tobytes() == alpha.tobytes()
+        exact = bisection_alpha(spec, T[0], P[0])
+        seg = s + alpha[:, None, None] * direction_segments(sc, P)
+        assert 0.03 < np.linalg.norm(seg, axis=2).min() < 0.04 and not clamped[0]
+        assert abs(alpha[0] - exact) <= 4 * EPS64 * exact
+        slope, scale = step_slope(sc, s, P, alpha, sc.eps)
+        assert abs(slope[0]) <= 8 * EPS64 * scale[0]
+        assert evaluations[0] <= 12
 
 
 def _spd_update_inputs(rng, B, n, dtype):
