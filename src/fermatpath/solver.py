@@ -201,13 +201,15 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     return alpha, zero, (lowest <= floor).any(axis=1)
 
 
-# Scaling phi' by these marks the bracket end an evaluation replaces: lo where phi' < 0, hi where > 0.
+# Scaling phi' by these marks the bracket end an evaluation replaces:
+# lo where phi' < 0, hi where phi' > 0.
 _BRACKET_SIGNS = np.array([1.0, -1.0])
 _OPEN_BRACKET = np.array([-np.inf, np.inf])
 # Operands of the Newton loop's control, which runs in float64 only: a 0-d
 # array costs less per numpy call than a Python float.
 _HALF, _INF = np.array(0.5), np.array(np.inf)
-_EIGHT_ULPS, _FOUR_ULPS = np.array(8 * np.finfo(np.float64).eps), np.array(4 * np.finfo(np.float64).eps)
+_EIGHT_ULPS = np.array(8 * np.finfo(np.float64).eps)
+_FOUR_ULPS = np.array(4 * np.finfo(np.float64).eps)
 
 
 def _bracketed_newton(s, dAp, a2, alpha, slope0, active, lowest, floor, evals: int):

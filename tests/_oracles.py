@@ -269,13 +269,14 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
     one is a safeguarded Newton step on phi'(a) = sum_k e_k / den_k, with
     e_k = (s_k + a d_k) . d_k and den_k the trial norm floored at `eps`:
     Newton's value if it lies in the bracket [lo, hi] that the signs of phi'
-    have set and moves at most half as far as the Newton or midpoint step two
-    such steps back, else the bracket's midpoint, or while the bracket is
-    open on one side the fixed-point image. A member stops at |phi'| <= 8 eps sum_k |d_k| (without the
-    step), at a value that is not finite (keeping alpha), after a step of at
-    most 4 eps |alpha|, or after `iters` evaluations; only running members
-    count towards `clamped`. `evaluations` (B,) counts the evaluations each
-    member used, so a member at `iters` hit the cap.
+    have set and moves at most half as far as the Newton or midpoint step
+    two such steps back, else the bracket's midpoint, or while the bracket
+    is open on one side the fixed-point image. A member stops at
+    |phi'| <= 8 eps sum_k |d_k| (without the step), at a value that is not
+    finite (keeping alpha), after a step of at most 4 eps |alpha|, or after
+    `iters` evaluations; only running members count towards `clamped`.
+    `evaluations` (B,) counts the evaluations each member used, so a member
+    at `iters` hit the cap.
     """
     dtype = s.dtype
     B = P.shape[0]
@@ -286,7 +287,8 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
     dAp = direction_segments(sc, P)
     a2 = np.einsum("bki,bki->bk", dAp, dAp)
     c = np.einsum("bki,bki->bk", dAp, s)
-    slope0 = np.einsum("bk->b", c / np.maximum(np.sqrt(np.einsum("bki,bki->bk", s, s)), eps[:, None]))
+    norms0 = np.sqrt(np.einsum("bki,bki->bk", s, s))
+    slope0 = np.einsum("bk->b", c / np.maximum(norms0, eps[:, None]))
     ulp = np.finfo(dtype).eps
     tol = 8 * ulp * np.einsum("bk->b", np.sqrt(a2))
     active = ~zero & np.isfinite(first)
