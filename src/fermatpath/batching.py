@@ -4,12 +4,14 @@ A `BatchScene` (defined in `geometry`, importable from here) stacks B paths
 of n interactions: basis (B, n, 3, 2), anchor (B, n, 3), start/end (B, 3).
 This module holds the one implementation of the path length, each of its
 derivatives (taken from the segments, so a caller embeds a path once), the
-stationarity test and the solve on the active coordinates. `objective` and
-`implicit_diff` call them on a spec's batch of one (`spec.batch`). The kernels
-use einsum contractions whose reduction order does not depend on the batch
-size, so each member of a batch equals its own batch of one bitwise. None
-loops over the interactions in Python: every interaction has the same n x 2
-layout, so each derivative is one vectorised computation over (B, n).
+segment change along a direction (`direction_segments`, shared by the step
+size and the scene VJP), the stationarity test and the solve on the active
+coordinates. `objective` and `implicit_diff` call them on a spec's batch of
+one (`spec.batch`). The kernels use einsum contractions whose reduction
+order does not depend on the batch size, so each member of a batch equals
+its own batch of one bitwise. None loops over the interactions in Python:
+every interaction has the same n x 2 layout, so each derivative is one
+vectorised computation over (B, n).
 
 `einsum` is numpy's C kernel `c_einsum`, the function `np.einsum` hands
 its arguments to unchanged when `optimize` is off, so results are the same
@@ -47,6 +49,14 @@ def embed_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
     """(B, n+2, 3) path points for a (B, n, 2) parameter batch."""
     mid = einsum("bnij,bnj->bni", sc.basis, T) + sc.anchor
     return np.concatenate([sc.start[:, None], mid, sc.end[:, None]], axis=1)
+
+
+def direction_segments(sc: BatchScene, P: np.ndarray) -> np.ndarray:
+    """(B, n+1, 3) segment change along P (B, n, 2): point i moves by A_i p_i, the ends stay."""
+    w = einsum("bnij,bnj->bni", sc.basis, P)
+    ends = np.zeros((P.shape[0], 1, 3), dtype=w.dtype)
+    x = np.concatenate([ends, w, ends], axis=1)
+    return x[:, 1:] - x[:, :-1]
 
 
 def segment_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,9 +144,7 @@ def param_vjp_from_segments(sc: BatchScene, T, s, norms, u):
     w.r.t. the scene.
     """
     uhat = s / norms[..., None]
-    ends = np.zeros_like(s[:, :1])  # the endpoints do not move
-    dx = np.concatenate([ends, einsum("bnij,bnj->bni", sc.basis, u), ends], axis=1)
-    ds = np.diff(dx, axis=1)
+    ds = direction_segments(sc, u)
     # w_k = P_k ds_k / |s_k| per segment, with P_k = I - uhat_k uhat_k^T
     w = (ds - uhat * einsum("bki,bki->bk", uhat, ds)[..., None]) / norms[..., None]
     # z_j = w_{j-1} - w_j collects point perturbations; q_j the direction term

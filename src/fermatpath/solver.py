@@ -22,8 +22,9 @@ clamped segments the new gradient is computed from are also the next step
 size's. At B=1 the cost is the number of numpy calls, so the step-size
 loop makes as few as it can. For the same reason `einsum` is numpy's
 C kernel called directly, without the dispatch layer that `np.einsum` adds
-(see `batching`), and the step-size loop writes into buffers it allocates
-once instead of into fresh arrays.
+(see `batching`), and the Newton loop writes into buffers it allocates once
+instead of into fresh arrays. The fixed-point evaluation is plain numpy: in
+double precision it runs once per call.
 The inverse-Hessian update is the rank-two product H + U W^T, one batched
 `matmul` into the kernel's spare (B, 2n, 2n) buffer, so the kernel holds
 two such arrays; it keeps H bitwise symmetric and rounds differently from
@@ -45,6 +46,7 @@ from .batching import (
     BatchScene,
     checked_segments,
     clamped_segments,
+    direction_segments,
     einsum,
     gradient_from_segments,
     path_length_batch,
@@ -136,59 +138,40 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     ordering of fp=4 and fp=64 (acceptance criterion 8) would rest on
     rounding.
 
-    At B=1 the fixed-point loop's cost is its number of numpy calls, so each iteration
-    divides `c` and `-a2`, stacked, by the trial norms once and sums both
-    rows in one reduction. The step is `num / -dsum`: negation and division
-    are exact, so it equals `-num / dsum` bitwise, signed zeros included
-    (folding the minus into `c` would turn a -0.0 step into +0.0). The
-    trial segments, their norms, the quotients and the sums live in buffers
-    allocated once per call, which each iteration overwrites with `out=`,
-    and `einsum` skips numpy's dispatch (see `batching`). Each buffered
-    operation is the one it replaces, in the same order: the trial segment
-    is `alpha * dAp`, then `+= s`, which equals `s + alpha * dAp` bitwise
-    because addition commutes.
+    Each evaluation divides `c` and `-a2`, stacked, by the trial norms once
+    and sums both rows in one reduction. The step is `num / -dsum`: negation
+    and division are exact, so it equals `-num / dsum` bitwise, signed
+    zeros included (folding the minus into `c` would turn a -0.0 step into
+    +0.0). The loop allocates fresh arrays rather than writing into buffers:
+    in double precision it runs once, and `_bracketed_newton`, which keeps
+    buffers, makes the further evaluations. Only float32 solves with a cap
+    above 1 run it more often, and they pay for the plain form: about 15%
+    per call at B=1, n=64 and about 5% at B=200 and 1000 (one BLAS thread).
     """
     dtype = s.dtype
-    B, n = P.shape[0], P.shape[1]
-    w = einsum("bnij,bnj->bni", sc.basis, P)  # A_i p_i at interior points
-    wp = np.concatenate(
-        [np.zeros((B, 1, 3), dtype=dtype), w, np.zeros((B, 1, 3), dtype=dtype)], axis=1
-    )
-    dAp = wp[:, 1:] - wp[:, :-1]  # (B, n+1, 3)
+    dAp = direction_segments(sc, P)
     a2 = einsum("bki,bki->bk", dAp, dAp)
     c = einsum("bki,bki->bk", dAp, s)
-    total = einsum("bk->b", a2)
-    zero = total <= np.finfo(dtype).tiny
-    moving = ~zero if zero.any() else None
+    zero = einsum("bk->b", a2) <= np.finfo(dtype).tiny
     c_a2 = np.stack([c, -a2], axis=1)  # (B, 2, n+1)
 
-    alpha = np.zeros(B, dtype=dtype)
+    alpha = np.zeros(P.shape[0], dtype=dtype)
     floor = sc.eps[:, None]
     lowest = np.full(a2.shape, np.inf, dtype=dtype)  # smallest trial segment norms
-    seg = np.empty_like(dAp)
-    den = np.empty_like(a2)
-    quot = np.empty_like(c_a2)
-    sums = np.empty((B, 2), dtype=dtype)  # (num, -dsum)
-    den_rows, num, neg_dsum = den[:, None], sums[:, 0], sums[:, 1]
     single = dtype == np.float32
     # A zero direction divides 0 by 0; its step is discarded below.
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(iters if single else 1):
-            np.multiply(alpha[:, None, None], dAp, out=seg)
-            seg += s
             # Trial points may transiently collapse a segment when the
             # iteration is not contracting; clamp instead of aborting the
             # whole batch.
-            einsum("bki,bki->bk", seg, seg, out=den)
-            np.sqrt(den, out=den)
-            np.fmin(lowest, den, out=lowest)
-            np.maximum(den, floor, out=den)
-            np.divide(c_a2, den_rows, out=quot)
-            einsum("bjk->bj", quot, out=sums)
+            seg = alpha[:, None, None] * dAp + s
+            den = np.sqrt(einsum("bki,bki->bk", seg, seg))
+            lowest = np.fmin(lowest, den)
+            den = np.maximum(den, floor)
+            num, neg_dsum = einsum("bjk->bj", c_a2 / den[:, None]).T
             new = num / neg_dsum
-            keep = np.isfinite(new)
-            if moving is not None:
-                keep &= moving
+            keep = np.isfinite(new) & ~zero
             new = np.where(keep, new, alpha)
             # Given s and dAp the update depends on alpha alone, so once no
             # alpha changes, every further iteration would repeat this one.
@@ -197,7 +180,7 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
             alpha = new
     if not single and iters > 1:
         # num is phi'(0): the first evaluation's slope brackets the root.
-        alpha = _bracketed_newton(s, dAp, a2, new, num, keep, lowest, floor, iters - 1)
+        alpha = _bracketed_newton(s, dAp, a2, alpha, num, keep, lowest, floor, iters - 1)
     return alpha, zero, (lowest <= floor).any(axis=1)
 
 

@@ -24,7 +24,16 @@ from fermatpath import (
     write_records,
 )
 from fermatpath.baselines import image_points_batch, reference_solve_batch
-from fermatpath.batching import BatchScene, embed_batch, gradient_batch, stack_params
+from fermatpath.batching import (
+    BatchScene,
+    clamped_segments,
+    embed_batch,
+    gradient_batch,
+    gradient_from_segments,
+    hessian_from_segments,
+    solve_active,
+    stack_params,
+)
 from fermatpath.implicit_diff import grad_length_wrt_params
 from fermatpath.objective import gradient, hessian
 from fermatpath.solver import _bfgs_kernel, line_search_alpha
@@ -172,6 +181,31 @@ def test_criterion_4_mixed_sequences():
             f"mean err {worst_mean:.1e}, trace lengths {sorted(trace_lengths)}")
     assert worst_mean < 1e-6
     assert uniform_ok
+
+
+def test_newton_step_estimate_on_the_scenes_of_criteria_3_and_4():
+    # Criteria 3 and 4 compare the solve with the reference, which is the
+    # same kernel run longer, so an error the two share reads 0 there. The
+    # Newton step u = H^-1 g, mapped to point displacements |A_i u_i|,
+    # estimates each point's distance from the optimum without the BFGS
+    # arithmetic.
+    for kinds in (Kinds.DIFFRACTIONS, Kinds.MIXED):
+        worst_mean = worst_max = 0.0
+        for n in (1, 2, 3, 4, 5):
+            specs = gen_scenes(5, n, kinds, 1000)
+            sc, _, T, _ = _solved_points(specs)
+            _, s, norms = clamped_segments(sc, T)
+            g = gradient_from_segments(sc, s, norms).reshape(len(specs), 2 * n)
+            H = hessian_from_segments(sc, s, norms)
+            active = sc.active.reshape(g.shape)
+            u = solve_active(H, g, active, np.zeros(len(specs))).reshape(T.shape)
+            est = np.linalg.norm(np.einsum("bnij,bnj->bni", sc.basis, u), axis=2)
+            worst_mean = max(worst_mean, float(est.mean()))
+            worst_max = max(worst_max, float(est.max()))
+        print(f"Newton-step estimate ({kinds.name.lower()}): "
+              f"mean {worst_mean:.1e}, max {worst_max:.1e}", flush=True)
+        assert worst_mean <= 1e-13
+        assert worst_max <= 1e-11
 
 
 def test_criterion_5_fixed_point_line_search():

@@ -249,6 +249,16 @@ class TestStepSizeLoop:
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_direction_segments_match_oracle_bytes(self, precision):
+        # The one segment change along a direction, shared by the step size
+        # and the scene VJP.
+        sc, _, P, _ = _step_size_batch(precision.dtype)
+        got = batching.direction_segments(sc, P)
+        want = direction_segments(sc, P)
+        assert got.dtype == want.dtype == precision.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_each_member_stops_on_its_own(self):
         # Members 0-3 converge in a few evaluations; the zero directions
         # (4-5) stop after the first, and so do members 6-7 after the second:
@@ -744,3 +754,27 @@ class TestNoiseFloorStop:
         ran = [r.iterations for r in reports]
         assert ran == iterations_to_exit(still_at, floor_at, opts.iterations).tolist()
         assert not g_ref[floor_at >= 0].any()
+
+
+class TestFailureCounts:
+    """The benchmark's shapes leave at most the recorded number of members unstationary.
+
+    Counts by `stationary_from_segments` at `STATIONARITY_TOL`, the rule
+    |g| < tol (1 + L) that the benchmark's checks apply, so a change that
+    adds failing members fails here before it reaches the benchmark.
+    """
+
+    @pytest.mark.parametrize("seed, most", [(1, 26), (2, 40), (3, 26), (4, 38)])
+    def test_bulk_mixed_shape(self, seed, most):
+        specs = gen_scenes(seed, 5, Kinds.MIXED, 1000)
+        sc = BatchScene.from_specs(specs)
+        T = np.stack([r.solution for r in batch_solve(specs, init_params_batch(sc))])
+        assert np.count_nonzero(_failed_stationarity(sc, T)) <= most
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_grad_batch_shape(self, seed):
+        specs = gen_scenes(seed, 4, Kinds.MIXED, 200)
+        sc = BatchScene.from_specs(specs)
+        opts = SolveOptions(iterations=16, fixed_point_iters=64)
+        T = np.stack([r.solution for r in batch_solve(specs, init_params_batch(sc), opts)])
+        assert not _failed_stationarity(sc, T).any()
