@@ -19,16 +19,13 @@ rounding floor of that slope or after a step of about 4 ulps. In single
 precision every evaluation is the fixed-point step, and the loop ends once
 no step size changes. Each BFGS iteration embeds the paths once: the
 clamped segments the new gradient is computed from are also the next step
-size's. At B=1 the cost is the number of numpy calls, so the step-size
-loop makes as few as it can. For the same reason `einsum` is numpy's
-C kernel called directly, without the dispatch layer that `np.einsum` adds
-(see `batching`), and the Newton loop writes into buffers it allocates once
-instead of into fresh arrays. The fixed-point evaluation is plain numpy: in
-double precision it runs once per call.
-The inverse-Hessian update is the rank-two product H + U W^T, one batched
-`matmul` into the kernel's spare (B, 2n, 2n) buffer, so the kernel holds
-two such arrays; it keeps H bitwise symmetric and rounds differently from
-the textbook three-term form. The step size and the update equal the plain
+size's. The step size is one function of plain numpy on fresh arrays. At
+B=1 the cost is the number of numpy calls, so `einsum` is numpy's C kernel
+called directly, without the dispatch layer that `np.einsum` adds (see
+`batching`). The inverse-Hessian update is the rank-two product
+H + U W^T, one batched `matmul` into the kernel's spare (B, 2n, 2n) buffer,
+so the kernel holds two such arrays; it keeps H bitwise symmetric and
+rounds differently from the textbook three-term form. The step size and the update equal the plain
 expressions in `tests/_oracles.py` bitwise. The scalar entry point is the
 batch kernel applied to a batch of one, so batched and per-path results
 agree bitwise.
@@ -113,40 +110,46 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     """Batched step size along P from the segments `s`; returns (alpha, zero, clamped), each (B,).
 
     The step size solves the exact one-dimensional optimality condition
-    phi'(alpha) = sum_k e_k / |s_k + alpha d_k| = 0, where d_k is what P adds
-    to segment k and e_k = (s_k + alpha d_k) . d_k. `iters` caps the number
-    of evaluations of phi'. Members whose direction moves no point (`zero`)
-    keep alpha 0, and a trial segment that collapses below the floor `sc.eps`
-    is clamped (`clamped`), so batch control flow stays uniform.
+    phi'(alpha) = sum_k e_k / den_k = 0, where d_k is what P adds to segment
+    k, e_k = (s_k + alpha d_k) . d_k and den_k = |s_k + alpha d_k|. `iters`
+    caps the evaluations of phi'. Members whose direction moves no point
+    (`zero`) keep alpha 0, and a trial segment that collapses below the
+    floor `sc.eps` is clamped (`clamped`), so batch control flow stays
+    uniform. Every evaluation is plain numpy on fresh arrays.
 
     The first evaluation is the paper's fixed-point step from alpha = 0,
-    alpha - phi'/D1 with D1 = sum_k |d_k|^2 / |s_k + alpha d_k|, so a budget
-    of one evaluation is the paper's step size bitwise. In double precision
-    the remaining evaluations run `_bracketed_newton`, which converges
-    quadratically where the fixed-point map converges only linearly: on
-    single-path solves of n = 8 to 64 a call takes about 4 evaluations in
-    place of about 36.
+    alpha - phi'/D1 with D1 = sum_k |d_k|^2 / den_k, so a budget of one is
+    the paper's step size bitwise. It sums the stacked rows `c` and `-a2`
+    over the trial norms in one reduction, and the step is `num / -dsum`,
+    which equals `-num / dsum` bitwise, signed zeros included (folding the
+    minus into `c` would turn a -0.0 step into +0.0).
 
     In single precision every evaluation is the fixed-point step, and the
     loop ends once no step size changes, which gives the result of all
-    `iters`. This is the one fork, and it is kept for the float32 solves'
-    sake: Newton makes a float32 solve at fp=4 as accurate as one at fp=64,
-    so both sit at the float32 floor, where which of the two reads the
-    smaller error is rounding: on criterion 8's reflections (seed 3,
-    B=200), fp=4 read 6.04e-7 and fp=64 6.10e-7 at n=1. A larger budget then
-    no longer buys accuracy in single precision, and the benchmark's
-    ordering of fp=4 and fp=64 (acceptance criterion 8) would rest on
-    rounding.
+    `iters`. This fork is kept for the float32 solves' sake: Newton makes a
+    float32 solve at fp=4 as accurate as one at fp=64, so both sit at the
+    float32 floor, where which reads the smaller error is rounding (on
+    criterion 8's reflections, seed 3, B=200, n=1: 6.04e-7 at fp=4, 6.10e-7
+    at fp=64), and criterion 8's ordering of fp=4 and fp=64 would rest on it.
 
-    Each evaluation divides `c` and `-a2`, stacked, by the trial norms once
-    and sums both rows in one reduction. The step is `num / -dsum`: negation
-    and division are exact, so it equals `-num / dsum` bitwise, signed
-    zeros included (folding the minus into `c` would turn a -0.0 step into
-    +0.0). The loop allocates fresh arrays rather than writing into buffers:
-    in double precision it runs once, and `_bracketed_newton`, which keeps
-    buffers, makes the further evaluations. Only float32 solves with a cap
-    above 1 run it more often, and they pay for the plain form: about 15%
-    per call at B=1, n=64 and about 5% at B=200 and 1000 (one BLAS thread).
+    In double precision the further evaluations are safeguarded Newton
+    steps, in the operation order of `tests/_oracles.fixed_point_alpha`;
+    on single-path solves of n = 8 to 64 a call takes about 4 evaluations
+    where the fixed-point map takes about 36. phi is convex along the line,
+    so the sign of each phi' moves one end of a bracket [lo, hi] around the
+    root, from phi'(0). With Q = sum_k e_k^2 / den_k^3, phi'' = D1 - Q. As
+    in `rtsafe` (Numerical Recipes, section 9.4), the step is the Newton
+    value alpha - phi'/phi'' if it lies in the bracket and moves at most
+    half as far as the Newton or bisection step two such steps back; else
+    the bracket's midpoint, or while the bracket is open on one side the
+    fixed-point image, which lies inside it. alpha is an end of the
+    bracket, so both tests are |phi'| <= min(hi - lo, that half step) phi'',
+    false for phi'' <= 0. Each member stops on its own and keeps its alpha:
+    at |phi'| <= 8 eps sum_k |d_k|, the rounding floor of phi', without the
+    step; at a value that is not finite; after a step of at most
+    4 eps |alpha|; or after `iters` evaluations. `lowest` takes the trial
+    norms of running (`active`) members alone, so no member's result
+    depends on the batch.
     """
     dtype = s.dtype
     dAp = direction_segments(sc, P)
@@ -178,122 +181,57 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
             if new.tobytes() == alpha.tobytes():
                 break
             alpha = new
-    if not single and iters > 1:
-        # num is phi'(0): the first evaluation's slope brackets the root.
-        alpha = _bracketed_newton(s, dAp, a2, alpha, num, keep, lowest, floor, iters - 1)
-    return alpha, zero, (lowest <= floor).any(axis=1)
+    if single or iters == 1:
+        return alpha, zero, (lowest <= floor).any(axis=1)
 
-
-# Scaling phi' by these marks the bracket end an evaluation replaces:
-# lo where phi' < 0, hi where phi' > 0.
-_BRACKET_SIGNS = np.array([1.0, -1.0])
-_OPEN_BRACKET = np.array([-np.inf, np.inf])
-# Operands of the Newton loop's control, which runs in float64 only: a 0-d
-# array costs less per numpy call than a Python float.
-_HALF, _INF = np.array(0.5), np.array(np.inf)
-_EIGHT_ULPS = np.array(8 * np.finfo(np.float64).eps)
-_FOUR_ULPS = np.array(4 * np.finfo(np.float64).eps)
-
-
-def _bracketed_newton(s, dAp, a2, alpha, slope0, active, lowest, floor, evals: int):
-    """Safeguarded Newton steps on phi' from the first step size `alpha`; returns alpha (B,).
-
-    phi is convex along the line, so the sign of phi' at each evaluated
-    alpha moves one end of a bracket [lo, hi] around the root, starting from
-    phi'(0) = `slope0`. An evaluation gives phi', D1 = sum_k a2_k / den_k
-    and Q = sum_k e_k^2 / den_k^3, so phi'' = D1 - Q, and the Newton value
-    alpha - phi' / phi'' and the fixed-point image alpha - phi' / D1 cost one
-    division for both. As in `rtsafe` (Numerical Recipes, section 9.4), the
-    Newton value is taken if it lies in the bracket and moves at most half
-    as far as the Newton or bisection step two such steps back; otherwise
-    the bracket's midpoint, or, while one end of the bracket is still
-    infinite, the fixed-point image, which lies inside it. alpha is an end
-    of the bracket, so both tests on Newton's step are one comparison:
-    |phi'| <= min(hi - lo, that half step) phi'', false for phi'' <= 0.
-
-    Each member stops on its own and then keeps its alpha: at
-    |phi'| <= 8 eps sum_k |d_k|, the rounding floor of phi', without taking
-    the step; at a value that is not finite, keeping alpha; after a step of
-    at most 4 eps |alpha|, about 4 ulps; or after `evals` evaluations.
-    `active` marks the members still running, and `lowest` takes the trial
-    norms of those alone, so no member's result depends on the batch.
-
-    Each evaluation forms the trial segments in slot 0 of a (B, 2, n+1, 3)
-    buffer whose slot 1 holds dAp, so that one einsum gives |seg|^2 and e,
-    and one reduction sums the rows e/den, a2/den and (e/den)^2/den. The
-    per-member control is a few numpy calls on (B,) arrays, and alpha, the
-    candidates, the bracket and the step history are updated in place.
-    """
-    dtype = s.dtype
-    B, k = a2.shape
-    tol = einsum("bk->b", np.sqrt(a2))
-    tol *= _EIGHT_ULPS
-    alpha = alpha.copy()
-    alpha_col, alpha_seg = alpha[:, None], alpha[:, None, None]
-    bracket = np.where(slope0[:, None] * _BRACKET_SIGNS < 0, 0.0, _OPEN_BRACKET)
-    lo, hi = bracket[:, 0], bracket[:, 1]
+    ulp = np.finfo(dtype).eps
+    tol = 8 * ulp * einsum("bk->b", np.sqrt(a2))
+    # num is phi'(0): the first evaluation's slope brackets the root.
+    lo = np.where(num < 0, 0.0, -np.inf)
+    hi = np.where(num > 0, 0.0, np.inf)
     # Half of the last two Newton or bisection steps, for Newton's guard.
-    half_last, half_before = halves = np.empty((2, B), dtype=dtype)
-    halves.fill(np.inf)
-    pair = np.empty((B, 2, k, 3), dtype=dtype)
-    pair[:, 1] = dAp
-    seg = pair[:, 0]
-    sq_e_a2 = np.empty((B, 3, k), dtype=dtype)  # |seg|^2 (then den), e, a2
-    sq_e_a2[:, 2] = a2
-    sq_e, den, den_rows, e_a2 = sq_e_a2[:, :2], sq_e_a2[:, 0], sq_e_a2[:, :1], sq_e_a2[:, 1:]
-    rows = np.empty((B, 3, k), dtype=dtype)  # e/den, a2/den, (e/den)^2/den
-    ratios, ratio, sq_ratio = rows[:, :2], rows[:, 0], rows[:, 2]
-    sums = np.empty((B, 3), dtype=dtype)  # phi', D1, Q, then phi', D1, phi''
-    slope_col, slope, d1, curvature = sums[:, :1], sums[:, 0], sums[:, 1], sums[:, 2]
-    cand = np.empty((B, 2), dtype=dtype)  # the fixed-point image, the Newton value
-    fixed, newton = cand[:, 0], cand[:, 1]
-    running = np.count_nonzero(active)
+    half_last = half_before = np.full(alpha.shape, np.inf)
+    active = keep
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(evals):
-            np.multiply(alpha_seg, dAp, out=seg)
-            seg += s
-            einsum("bki,bjki->bjk", seg, pair, out=sq_e)
-            np.sqrt(den, out=den)
-            # Stopped members' norms stay out of `lowest`; while none has
-            # stopped, the mask selects every member.
-            np.fmin(lowest, den, out=lowest, where=True if running == B else active[:, None])
-            np.maximum(den, floor, out=den)
-            np.divide(e_a2, den_rows, out=ratios)
-            np.multiply(ratio, ratio, out=sq_ratio)
-            sq_ratio /= den
-            einsum("bjk->bj", rows, out=sums)
-            np.subtract(d1, curvature, out=curvature)
-            np.divide(slope_col, sums[:, 1:], out=cand)
-            np.subtract(alpha_col, cand, out=cand)
-            np.copyto(bracket, alpha_col, where=slope_col * _BRACKET_SIGNS < 0)
+        for _ in range(iters - 1):
+            if not np.count_nonzero(active):
+                break
+            seg = alpha[:, None, None] * dAp + s
+            norms = np.sqrt(einsum("bki,bki->bk", seg, seg))
+            e = einsum("bki,bki->bk", seg, dAp)
+            np.fmin(lowest, norms, out=lowest, where=active[:, None])
+            den = np.maximum(norms, floor)
+            ratio = e / den
+            slope = einsum("bk->b", ratio)
+            d1 = einsum("bk->b", a2 / den)
+            curvature = d1 - einsum("bk->b", ratio * ratio / den)
+            fixed = alpha - slope / d1
+            newton = alpha - slope / curvature
+            lo = np.where(slope < 0, alpha, lo)
+            hi = np.where(slope > 0, alpha, hi)
             size = np.abs(slope)
             width = hi - lo
             use_newton = size <= np.minimum(width, half_before) * curvature
-            two_sided = width < _INF
+            two_sided = np.isfinite(width)
             # The step taken: Newton, else the midpoint, else the fixed-point image.
-            new = fixed
-            np.copyto(new, lo + _HALF * width, where=two_sided)
-            np.copyto(new, newton, where=use_newton)
+            new = np.where(use_newton, newton, np.where(two_sided, lo + 0.5 * width, fixed))
             step = np.abs(new - alpha)
-            moves = active & (size > tol) & (step < _INF)
-            np.copyto(alpha, new, where=moves)
-            active = moves & (step > _FOUR_ULPS * np.abs(alpha))
-            running = np.count_nonzero(active)
-            if not running:
-                break
+            moves = active & (size > tol) & np.isfinite(step)
+            alpha = np.where(moves, new, alpha)
+            active = moves & (step > 4 * ulp * np.abs(alpha))
             guarded = use_newton | two_sided
-            np.copyto(half_before, half_last, where=guarded)
-            np.multiply(step, _HALF, out=half_last, where=guarded)
-    return alpha
+            half_before = np.where(guarded, half_last, half_before)
+            half_last = np.where(guarded, 0.5 * step, half_last)
+    return alpha, zero, (lowest <= floor).any(axis=1)
 
 
 def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
-    """Step size along direction P from at most k evaluations, starting at 0.
+    """Step size along direction P from at most k evaluations of phi', starting at 0.
 
-    The batch kernel's step size for a batch of one: k=1 is the paper's
-    fixed-point step; in double precision each further evaluation is a
-    safeguarded Newton step, which stops early once the step size has
-    converged (see `_fixed_point_alpha`). Raises ZeroDirection
+    `_fixed_point_alpha` on a batch of one: k=1 is the paper's fixed-point
+    step; in double precision each further evaluation is a safeguarded
+    Newton step, and the loop stops early once the step size has converged;
+    in single precision each is a fixed-point step. Raises ZeroDirection
     when P moves no interaction point and DegenerateSegment when a trial
     point lands on a neighbouring path point.
     """
