@@ -15,7 +15,7 @@ script measures any commit whose kernel uses those names.
 
 The result is written to `BENCH_<label>.json`, with the machine, the
 numpy/BLAS versions, the git sha and every cell of the grid B x n x fp
-(B in 1, 100, 1000, 10000; n in 1..64; fp in 1, 64) that was not run,
+(B in 1, 100, 1000, 10000; n in 1..64; fp in 1, 2, 64) that was not run,
 with the reason. BLAS and OpenMP run on one thread unless the environment
 says otherwise, as in `perfbench`.
 
@@ -40,7 +40,7 @@ SEED = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 GRID_BATCHES = (1, 100, 1000, 10000)
 GRID_DEPTHS = (1, 2, 4, 8, 16, 32, 64)
-GRID_FPS = (1, 64)
+GRID_FPS = (1, 2, 64)
 # Cells whose two (B, 2n, 2n) float64 inverse-Hessian arrays exceed this are
 # not run: B=10000 at n=64 needs 2.6 GB before anything else.
 STATE_LIMIT_BYTES = 1 << 30

@@ -48,7 +48,7 @@ from .solver import (
 PARALLEL_TOL = 1e-12
 REFERENCE_GRAD_TOL = 1e-12
 REFERENCE_BFGS_ITERS = 1000
-REFERENCE_FP_ITERS = 64
+REFERENCE_FP_ITERS = 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ SOLVE_ERROR = 2
 CHECK_FAILED = 3
 FP_ITERS_HELP = (
     "cap on step-size evaluations (1: the paper's fixed-point step; in double "
-    "precision further evaluations are Newton steps that stop once converged)"
+    "precision each further evaluation is a Newton step, and a call stops once "
+    "converged; default %(default)s)"
 )
 
 
@@ -99,8 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve scenes from a file and print paths")
     s.add_argument("scene_file", type=str)
-    s.add_argument("--iterations", type=_positive_int, default=100)
-    s.add_argument("--fp-iters", type=_positive_int, default=64, help=FP_ITERS_HELP)
+    s.add_argument("--iterations", type=_positive_int, default=SolveOptions.iterations)
+    s.add_argument(
+        "--fp-iters", type=_positive_int, default=SolveOptions.fixed_point_iters, help=FP_ITERS_HELP
+    )
     s.add_argument("--precision", type=_precision, default=Precision.DOUBLE)
 
     g = sub.add_parser("grad-check", help="implicit-differentiation oracle check")

@@ -196,15 +196,19 @@ class TestReference:
             assert conv.all()
 
     def test_stop_ends_a_member_that_never_repeats_bitwise(self, monkeypatch):
-        # From the midpoint projections, one member of this batch (member 18)
-        # never reaches a bitwise fixed point, so without the stop it runs the
-        # whole schedule.
-        specs = gen_scenes(3, 5, Kinds.MIXED, 20)
-        T0s = [
-            params_from_points(s, np.broadcast_to(0.5 * (s.start + s.end), (s.n, 3)))
-            for s in specs
-        ]
-        still_at = fixed_schedule_bfgs(BatchScene.from_specs(specs), T0s, REFERENCE_OPTIONS)[3]
+        # A member that never reaches a bitwise fixed point runs the whole
+        # schedule without the stop. Which generated member does so depends
+        # on the step-size arithmetic, so the test finds a batch with one,
+        # from the midpoint projections, among the reference shape's seeds.
+        for seed in range(1, 13):
+            specs = gen_scenes(seed, 5, Kinds.MIXED, 20)
+            T0s = [
+                params_from_points(s, np.broadcast_to(0.5 * (s.start + s.end), (s.n, 3)))
+                for s in specs
+            ]
+            still_at = fixed_schedule_bfgs(BatchScene.from_specs(specs), T0s, REFERENCE_OPTIONS)[3]
+            if np.any(still_at < 0):
+                break
         assert np.any(still_at < 0)
         counts = _count_calls(monkeypatch, "checked_segments", "clamped_segments")
         _, conv = reference_solve_batch(specs, T0s)

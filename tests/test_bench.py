@@ -560,6 +560,13 @@ class TestCli:
             iterations=args.iterations, fixed_point_iters=args.fp_iters, precision=args.precision
         )
 
+    def test_solve_defaults_are_the_solve_options_defaults(self):
+        # `fermatpath solve` runs `SolveOptions()`; `bench` keeps the paper's
+        # step (fp=1), which its `ours` column and criterion 8 measure.
+        assert self._solve_options("scenes.yaml") == SolveOptions()
+        assert cli.build_parser().parse_args(["bench"]).fp_iters == 1
+        assert BenchConfig(seed=0).fixed_point_iters == 1
+
     def test_solve_scene_lines_equal_the_fixed_schedule(self, tmp_path):
         # Each line is the fixed schedule's, run to that path's exit.
         scene_file = _deep_scene_file(tmp_path)

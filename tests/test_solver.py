@@ -461,7 +461,7 @@ class TestInverseHessianUpdate:
         specs = gen_scenes(1, 5, Kinds.MIXED, 50)
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
-        _bfgs_kernel(sc, T0, SolveOptions(iterations=300, precision=precision))
+        _bfgs_kernel(sc, T0, SolveOptions(iterations=300, fixed_point_iters=1, precision=precision))
         assert len(asymmetric) > 100 and not any(asymmetric)
 
 
@@ -672,7 +672,7 @@ class TestFixedPointExits:
         specs = [mirror, gen_scenes(41, 1, Kinds.REFLECTIONS, 1)[0]]
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
-        opts = SolveOptions(iterations=5, record_trace=True)
+        opts = SolveOptions(iterations=5, fixed_point_iters=1, record_trace=True)
         T, g, traces, ran = _bfgs_kernel(sc, T0, opts)
         T_ref, g_ref, traces_ref, _, floor_at = fixed_schedule_bfgs(sc, T0, opts)
         assert ran.tolist() == [0, opts.iterations] and floor_at.tolist() == [0, -1]
@@ -740,7 +740,7 @@ class TestNoiseFloorStop:
         specs = gen_scenes(seed, 5, Kinds.MIXED, 200)
         sc = BatchScene.from_specs(specs)
         T0 = init_params_batch(sc)
-        opts = SolveOptions()
+        opts = SolveOptions(fixed_point_iters=1)
         T = np.stack([r.solution for r in batch_solve(specs, T0, opts)])
         T_ref, _, _, _, floor_at = fixed_schedule_bfgs(sc, T0, opts)
         failed = _failed_stationarity(sc, T)
@@ -772,19 +772,29 @@ class TestFailureCounts:
     Counts by `stationary_from_segments` at `STATIONARITY_TOL`, the rule
     |g| < tol (1 + L) that the benchmark's checks apply, so a change that
     adds failing members fails here before it reaches the benchmark. The
-    reference shape (B=20, n=5) converges every member at its own tolerance.
+    default options leave none on the `bulk-mixed` shape; the paper's step
+    alone (fp=1) is bounded by its recorded counts. The reference shape
+    (B=20, n=5) converges every member at its own tolerance.
     """
+
+    @staticmethod
+    def _bulk_mixed_failures(seed, opts):
+        specs = gen_scenes(seed, 5, Kinds.MIXED, 1000)
+        sc = BatchScene.from_specs(specs)
+        T = np.stack([r.solution for r in batch_solve(specs, init_params_batch(sc), opts)])
+        return np.count_nonzero(_failed_stationarity(sc, T))
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_bulk_mixed_shape(self, seed):
+        assert self._bulk_mixed_failures(seed, SolveOptions()) == 0
 
     @pytest.mark.parametrize(
         "seed, most",
         [(1, 26), (2, 40), (3, 26), (4, 38), (5, 33), (6, 45), (7, 34), (8, 27),
          (9, 36), (10, 35), (11, 32), (12, 38)],
     )
-    def test_bulk_mixed_shape(self, seed, most):
-        specs = gen_scenes(seed, 5, Kinds.MIXED, 1000)
-        sc = BatchScene.from_specs(specs)
-        T = np.stack([r.solution for r in batch_solve(specs, init_params_batch(sc))])
-        assert np.count_nonzero(_failed_stationarity(sc, T)) <= most
+    def test_bulk_mixed_shape_at_the_papers_step(self, seed, most):
+        assert self._bulk_mixed_failures(seed, SolveOptions(fixed_point_iters=1)) <= most
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_grad_batch_shape(self, seed):
