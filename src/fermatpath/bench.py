@@ -120,7 +120,7 @@ def write_records(records: Sequence[BenchRecord], fileobj) -> None:
 
 def read_records(fileobj) -> list[BenchRecord]:
     rows = csv.reader(fileobj)
-    header = next(rows)
+    header = next(rows, None)
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header}")
     out = []

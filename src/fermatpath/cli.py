@@ -87,15 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run the error-vs-time benchmark")
     b.add_argument("--seed", type=_non_negative_int, default=0)
-    b.add_argument("--batch", type=_positive_int, default=1000)
-    b.add_argument("--n", type=_interaction_count, nargs="+", default=[1, 2, 3, 4, 5])
-    b.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
+    b.add_argument("--batch", type=_positive_int, default=BenchConfig.batch)
+    b.add_argument("--n", type=_interaction_count, nargs="+", default=list(BenchConfig.n_range))
+    b.add_argument("--kinds", type=_kinds, default=BenchConfig.kinds)
+    b.add_argument("--solvers", type=str, nargs="+", default=list(BenchConfig.solvers))
+    b.add_argument("--iterations", type=_positive_int, default=BenchConfig.iterations)
     b.add_argument(
-        "--solvers", type=str, nargs="+", default=["ours", "ours-64", "gd", "newton"]
+        "--fp-iters", type=_positive_int, default=BenchConfig.fixed_point_iters, help=FP_ITERS_HELP
     )
-    b.add_argument("--iterations", type=_positive_int, default=100)
-    b.add_argument("--fp-iters", type=_positive_int, default=1, help=FP_ITERS_HELP)
-    b.add_argument("--precision", type=_precision, default=Precision.SINGLE)
+    b.add_argument("--precision", type=_precision, default=BenchConfig.precision)
     b.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
 
     s = sub.add_parser("solve", help="solve scenes from a file and print paths")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--fp-iters", type=_positive_int, default=SolveOptions.fixed_point_iters, help=FP_ITERS_HELP
     )
-    s.add_argument("--precision", type=_precision, default=Precision.DOUBLE)
+    s.add_argument("--precision", type=_precision, default=SolveOptions.precision)
 
     g = sub.add_parser("grad-check", help="implicit-differentiation oracle check")
     g.add_argument("--seed", type=_non_negative_int, default=0)

@@ -90,6 +90,10 @@ class Surface:
     kind: SurfaceKind
 
     def __post_init__(self):
+        try:
+            kind = SurfaceKind(self.kind)
+        except ValueError:
+            raise ShapeMismatch(f"kind must be 'plane' or 'edge', got {self.kind!r}")
         basis = np.array(self.basis, dtype=float)
         if basis.shape != (3, 2):
             raise ShapeMismatch(f"basis must have shape (3, 2), got {basis.shape}")
@@ -98,7 +102,7 @@ class Surface:
         anchor = _as_vec3(self.anchor, "anchor")
         u, v = basis.T.copy()  # contiguous, as `np.linalg.norm` copies them
         nu, nv = norm3(u), norm3(v)
-        if self.kind is SurfaceKind.PLANE:
+        if kind is SurfaceKind.PLANE:
             if nu == 0.0 or nv == 0.0:
                 raise DegenerateBasis("plane basis column is zero")
             if norm3(cross3(u, v)) <= PLANE_DEGENERACY_TOL * nu * nv:
@@ -111,6 +115,7 @@ class Surface:
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def active(self) -> np.ndarray:
@@ -249,7 +254,7 @@ def check_params(spec: PathSpec, T) -> np.ndarray:
 
 
 def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
-    """(B, n, 2) least-squares parametric coordinates of (B, n, 3) interaction points.
+    """(B, n, 2) least-squares parametric coordinates of points that broadcast to (B, n, 3).
 
     Inert coordinates come back as +0.0. One stacked pseudo-inverse, an SVD
     solve like `lstsq`, projects every point, so nearly parallel plane

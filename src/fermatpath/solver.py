@@ -12,7 +12,7 @@ The step size along each quasi-Newton direction solves the exact
 one-dimensional optimality condition, from zero. Its first evaluation is
 the paper's fixed-point step, so a budget of one evaluation (fp=1) is the
 paper's step size. In double precision the further evaluations are
-safeguarded Newton steps on the slope of the path length along the line,
+bracketed Newton steps on the slope of the path length along the line,
 which converge in a few evaluations where the fixed-point map needs dozens;
 each member's step-size loop stops on its own, at the rounding floor of
 that slope or after a step of about 4 ulps. The default budget of two
@@ -101,7 +101,7 @@ def init_params_batch(sc: BatchScene) -> np.ndarray:
     a nearly parallel plane basis keeps its accuracy; inert coordinates are +0.0.
     """
     mid = 0.5 * (sc.start + sc.end)
-    return params_from_points_batch(sc, np.broadcast_to(mid[:, None], sc.anchor.shape))
+    return params_from_points_batch(sc, mid[:, None])
 
 
 def init_params(spec: PathSpec) -> np.ndarray:
@@ -135,19 +135,17 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     criterion 8's reflections, seed 3, B=200, n=1: 6.04e-7 at fp=4, 6.10e-7
     at fp=64), and criterion 8's ordering of fp=4 and fp=64 would rest on it.
 
-    In double precision the further evaluations are safeguarded Newton
+    In double precision the further evaluations are bracketed Newton
     steps, in the operation order of `tests/_oracles.fixed_point_alpha`;
     on single-path solves of n = 8 to 64 a call takes about 4 evaluations
     where the fixed-point map takes about 36. phi is convex along the line,
     so the sign of each phi' moves one end of a bracket [lo, hi] around the
-    root, from phi'(0). With Q = sum_k e_k^2 / den_k^3, phi'' = D1 - Q. As
-    in `rtsafe` (Numerical Recipes, section 9.4), the step is the Newton
-    value alpha - phi'/phi'' if it lies in the bracket and moves at most
-    half as far as the Newton or bisection step two such steps back; else
-    the bracket's midpoint, or while the bracket is open on one side the
-    fixed-point image, which lies inside it. alpha is an end of the
-    bracket, so both tests are |phi'| <= min(hi - lo, that half step) phi'',
-    false for phi'' <= 0. Each member stops on its own and keeps its alpha:
+    root, from phi'(0). With Q = sum_k e_k^2 / den_k^3, phi'' = D1 - Q, the
+    step is the Newton value alpha - phi'/phi'' if it lies in the bracket;
+    else the bracket's midpoint, or while the bracket is open on one side
+    the fixed-point image, which lies inside it. alpha is an end of the
+    bracket, so the test is |phi'| <= (hi - lo) phi'', false for
+    phi'' <= 0. Each member stops on its own and keeps its alpha:
     at |phi'| <= 8 eps sum_k |d_k|, the rounding floor of phi', without the
     step; at a value that is not finite; after a step of at most
     4 eps |alpha|; or after `iters` evaluations. `lowest` takes the trial
@@ -192,8 +190,6 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     # num is phi'(0): the first evaluation's slope brackets the root.
     lo = np.where(num < 0, 0.0, -np.inf)
     hi = np.where(num > 0, 0.0, np.inf)
-    # Half of the last two Newton or bisection steps, for Newton's guard.
-    half_last = half_before = np.full(alpha.shape, np.inf)
     active = keep
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iters - 1):
@@ -214,7 +210,7 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
             hi = np.where(slope > 0, alpha, hi)
             size = np.abs(slope)
             width = hi - lo
-            use_newton = size <= np.minimum(width, half_before) * curvature
+            use_newton = size <= width * curvature
             two_sided = np.isfinite(width)
             # The step taken: Newton, else the midpoint, else the fixed-point image.
             new = np.where(use_newton, newton, np.where(two_sided, lo + 0.5 * width, fixed))
@@ -222,9 +218,6 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
             moves = active & (size > tol) & np.isfinite(step)
             alpha = np.where(moves, new, alpha)
             active = moves & (step > 4 * ulp * np.abs(alpha))
-            guarded = use_newton | two_sided
-            half_before = np.where(guarded, half_last, half_before)
-            half_last = np.where(guarded, 0.5 * step, half_last)
     return alpha, zero, (lowest <= floor).any(axis=1)
 
 
@@ -232,7 +225,7 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     """Step size along direction P from at most k evaluations of phi', starting at 0.
 
     `_fixed_point_alpha` on a batch of one: k=1 is the paper's fixed-point
-    step; in double precision each further evaluation is a safeguarded
+    step; in double precision each further evaluation is a bracketed
     Newton step, and the loop stops early once the step size has converged;
     in single precision each is a fixed-point step. Raises ZeroDirection
     when P moves no interaction point and DegenerateSegment when a trial

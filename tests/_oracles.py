@@ -266,12 +266,11 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
 
     Single precision, and a cap of one evaluation, run `fixed_point_map_alpha`.
     Otherwise the first evaluation is its first iteration, and each further
-    one is a safeguarded Newton step on phi'(a) = sum_k e_k / den_k, with
+    one is a bracketed Newton step on phi'(a) = sum_k e_k / den_k, with
     e_k = (s_k + a d_k) . d_k and den_k the trial norm floored at `eps`:
     Newton's value if it lies in the bracket [lo, hi] that the signs of phi'
-    have set and moves at most half as far as the Newton or midpoint step
-    two such steps back, else the bracket's midpoint, or while the bracket
-    is open on one side the fixed-point image. A member stops at
+    have set, else the bracket's midpoint, or while the bracket is open on
+    one side the fixed-point image. A member stops at
     |phi'| <= 8 eps sum_k |d_k| (without the step), at a value that is not
     finite (keeping alpha), after a step of at most 4 eps |alpha|, or after
     `iters` evaluations; only running members count towards `clamped`.
@@ -295,7 +294,6 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
     alpha = first
     lo = np.where(slope0 < 0, 0.0, -np.inf)
     hi = np.where(slope0 > 0, 0.0, np.inf)
-    half_last = half_before = np.full(B, np.inf)
     evaluations = np.ones(B, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iters - 1):
@@ -308,9 +306,9 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
             newton = alpha - slope / curvature
             lo = np.where(slope < 0, alpha, lo)
             hi = np.where(slope > 0, alpha, hi)
-            # alpha is an end of [lo, hi]: Newton's value lies inside it and
-            # moves at most half_before iff this holds (never for phi'' <= 0).
-            use_newton = np.abs(slope) <= np.minimum(hi - lo, half_before) * curvature
+            # alpha is an end of [lo, hi]: Newton's value lies inside it iff
+            # this holds (never for phi'' <= 0).
+            use_newton = np.abs(slope) <= (hi - lo) * curvature
             two_sided = hi - lo < np.inf
             mid = lo + 0.5 * (hi - lo)
             new = np.where(use_newton, newton, np.where(two_sided, mid, fixed))
@@ -319,9 +317,6 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
             moves = active & (np.abs(slope) > tol) & np.isfinite(new)
             alpha = np.where(moves, new, alpha)
             active = moves & (step > 4 * ulp * np.abs(alpha))
-            guarded = use_newton | two_sided
-            half_before = np.where(guarded, half_last, half_before)
-            half_last = np.where(guarded, 0.5 * step, half_last)
     return alpha, zero, clamped, evaluations
 
 

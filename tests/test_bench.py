@@ -179,6 +179,10 @@ class TestResultFiles:
         with pytest.raises(ValueError):
             read_records(io.StringIO("a,b,c\n1,2,3\n"))
 
+    def test_empty_file_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            read_records(io.StringIO(""))
+
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
     def test_row_of_wrong_length_rejected(self, extra):
         row = ["ours", "3", "mixed", "2", "100", "1", "single", "0.5", "1.0"]
@@ -564,8 +568,15 @@ class TestCli:
         # `fermatpath solve` runs `SolveOptions()`; `bench` keeps the paper's
         # step (fp=1), which its `ours` column and criterion 8 measure.
         assert self._solve_options("scenes.yaml") == SolveOptions()
-        assert cli.build_parser().parse_args(["bench"]).fp_iters == 1
+        args = cli.build_parser().parse_args(["bench"])
+        assert args.fp_iters == 1
         assert BenchConfig(seed=0).fixed_point_iters == 1
+        config = BenchConfig(
+            seed=args.seed, batch=args.batch, n_range=tuple(args.n), kinds=args.kinds,
+            solvers=tuple(args.solvers), iterations=args.iterations,
+            fixed_point_iters=args.fp_iters, precision=args.precision,
+        )
+        assert config == BenchConfig(seed=0)
 
     def test_solve_scene_lines_equal_the_fixed_schedule(self, tmp_path):
         # Each line is the fixed schedule's, run to that path's exit.

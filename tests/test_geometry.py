@@ -74,6 +74,16 @@ class TestSurface:
         with pytest.raises(ShapeMismatch):
             make_plane([0, 0], [1, 0, 0], [0, 1, 0])
 
+    @pytest.mark.parametrize("kind", ["edge", "plane"])
+    def test_kind_given_by_its_value_is_the_kind(self, kind):
+        basis = [[1.0, 0.0], [0.0, float(kind == "plane")], [0.0, 0.0]]
+        s = Surface(basis=basis, anchor=[0, 0, 0], kind=kind)
+        assert s.kind is SurfaceKind(kind)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ShapeMismatch, match="kind"):
+            Surface(basis=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], anchor=[0, 0, 0], kind="wedge")
+
     def test_surfaces_are_immutable(self):
         s = make_plane([0, 0, 0], [1, 0, 0], [0, 1, 0])
         with pytest.raises(ValueError):

@@ -293,7 +293,8 @@ class TestStepSizeAccuracy:
     """Newton after the first step is never less accurate than the fixed-point map at its cap.
 
     Every recorded call also equals the oracle `fixed_point_alpha` bitwise, at
-    the workloads' shapes: B=1000 at n=5, and B=1 at n=8 to 64.
+    the workloads' shapes: B=1000 at n=5, and B=1 at n=8 to 64; and at the
+    kernel-phase grid's B=100 at n=16 and 64.
     """
 
     def _check(self, calls):
@@ -337,12 +338,22 @@ class TestStepSizeAccuracy:
         members, capped = self._check(calls)
         assert members == len(calls) > 100 and capped == 0
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_kernel_phase_grid_cells(self, monkeypatch, n):
+        # The MIXED seed-5 cells of `scripts/kernel_phases.py` at B=100, fp=64.
+        calls = _record_step_sizes(monkeypatch)
+        specs = gen_scenes(5, n, Kinds.MIXED, 100)
+        batch_solve(specs, init_params_batch(BatchScene.from_specs(specs)),
+                    SolveOptions(iterations=20, fixed_point_iters=64))
+        members, capped = self._check(calls)
+        assert members > 1000 and capped == 0
+
     def test_a_trial_segment_near_a_kink(self):
         # The first step of DIFFRACTIONS seed 5, member 520: at the root one
         # trial segment is 0.038 long, so phi'' changes fast across the
-        # bracket. Newton without the guard on its step length, falling back
-        # to the fixed-point image before the midpoint, stalls there at a
-        # normalised |phi'| of 0.43 after 64 evaluations.
+        # bracket. A Newton loop that falls back to the fixed-point image
+        # before the bracket's midpoint stalls there at a normalised |phi'|
+        # of 0.43 after 64 evaluations; bracketed Newton does not.
         spec = gen_scenes(5, 5, Kinds.DIFFRACTIONS, 1000)[520]
         sc = spec.batch
         T = init_params(spec)[None]
