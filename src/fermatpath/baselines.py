@@ -7,7 +7,8 @@ identity (`batching.solve_active`, shared with implicit differentiation),
 which leaves them exactly untouched. It embeds each iterate once and takes
 the gradient, the Hessian and the length from those segments. The
 reference is one long BFGS run of the batch kernel, stopped per member at
-the gradient noise floor, then certified by the stationarity test.
+the gradient noise floor, then certified by the stationarity test, on a
+`BatchScene` (`_reference_kernel`); `reference_solve_batch` takes specs.
 """
 
 from __future__ import annotations
@@ -182,16 +183,14 @@ def newton_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> Sol
 # High-precision reference
 
 
-def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
-    """Ground-truth solve: one long double-precision BFGS run, then its test.
+def _reference_kernel(sc: BatchScene, T0):
+    """Ground-truth solve of a batch from T0 (B, n, 2); returns (T, converged).
 
     The batch kernel's schedule, as `batch_solve` runs it, with longer
     budgets: each member stops at the noise floor or at a bitwise fixed
-    point. Returns (T, converged) with T (B, n, 2) float64 and a boolean
-    mask of paths whose gradient norm is below REFERENCE_GRAD_TOL (1 + L).
+    point. T is (B, n, 2) float64 and `converged` a boolean mask of paths
+    whose gradient norm is below REFERENCE_GRAD_TOL (1 + L).
     """
-    sc = BatchScene.from_specs(specs)
-    T0 = init_params_batch(sc) if T0s is None else stack_params(specs, T0s)
     opts = SolveOptions(
         iterations=REFERENCE_BFGS_ITERS,
         fixed_point_iters=REFERENCE_FP_ITERS,
@@ -202,10 +201,17 @@ def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
     return T, stationary_from_segments(sc, s, norms, REFERENCE_GRAD_TOL)
 
 
+def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):
+    """`_reference_kernel` on a list of specs, from `init_params_batch` unless T0s is given."""
+    sc = BatchScene.from_specs(specs)
+    T0 = init_params_batch(sc) if T0s is None else stack_params(specs, T0s)
+    return _reference_kernel(sc, T0)
+
+
 def reference_solve(spec: PathSpec, T0=None) -> np.ndarray:
     """High-precision parameters for one path; raises NoConvergence on failure."""
-    T0s = None if T0 is None else [check_params(spec, T0)]
-    T, converged = reference_solve_batch([spec], T0s)
+    T0 = init_params_batch(spec.batch) if T0 is None else check_params(spec, T0)[None]
+    T, converged = _reference_kernel(spec.batch, T0)
     if not converged[0]:
         raise NoConvergence("reference solver missed its gradient tolerance")
     return T[0]

@@ -22,9 +22,9 @@ import yaml
 
 from .baselines import (
     image_points_batch,
-    reference_solve_batch,
     _gd_kernel,
     _newton_kernel,
+    _reference_kernel,
 )
 from .batching import BatchScene, embed_batch
 from .errors import FermatPathError, NoConvergence, SceneFileError
@@ -38,10 +38,11 @@ from .geometry import (
     make_plane,
     norm3,
     row_norms,
+    segment_floor,
 )
 from .implicit_diff import vjp_solution
 from .objective import SceneGradient, gradient, length_param_gradient
-from .solver import Precision, SolveOptions, _bfgs_kernel, init_params_batch
+from .solver import Precision, SolveOptions, _bfgs_kernel, _check_count, init_params_batch
 
 
 class Kinds(Enum):
@@ -76,14 +77,14 @@ class BenchConfig:
     precision: Precision = Precision.SINGLE
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if any(not 1 <= n <= MAX_INTERACTIONS for n in self.n_range):
-            raise ValueError(f"interaction counts must be in 1..{MAX_INTERACTIONS}")
+        _check_count("seed", self.seed, 0)
+        _check_count("batch", self.batch, 1)
+        for n in self.n_range:
+            _check_count("interaction counts", n, 1, MAX_INTERACTIONS)
+        object.__setattr__(self, "kinds", Kinds(self.kinds))
         # The solve options' own checks, made before any scene is generated.
-        SolveOptions(iterations=self.iterations, fixed_point_iters=self.fixed_point_iters)
+        opts = SolveOptions(self.iterations, self.fixed_point_iters, self.precision)
+        object.__setattr__(self, "precision", opts.precision)
         unknown = set(self.solvers) - set(KNOWN_SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers: {sorted(unknown)}")
@@ -179,7 +180,7 @@ def load_scenes(fileobj) -> list[PathSpec]:
     index = 0
     try:
         for doc in yaml.load_all(fileobj, Loader=_SAFE_LOADER):
-            if doc:
+            if doc is not None:
                 if not isinstance(doc, dict):
                     raise TypeError(f"expected a mapping, got {type(doc).__name__}")
                 specs.append(scene_from_dict(doc))
@@ -289,8 +290,8 @@ def _gen_one(rng, n: int, kinds: Kinds) -> PathSpec:
 
 def gen_scenes(seed: int, n: int, kinds: Kinds, batch: int) -> list[PathSpec]:
     """Deterministic batch of random scenes with n interactions each."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
+    kinds = Kinds(kinds)
     kind_code = list(Kinds).index(kinds)
     rng = np.random.default_rng([int(seed), int(n), kind_code])
     return [_gen_one(rng, n, kinds) for _ in range(batch)]
@@ -329,12 +330,13 @@ def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
 
     A solver's FermatPathError propagates to the caller.
     """
+    _check_count("timing_reps", timing_reps, 1)
     cells = {}
     for n in config.n_range:
         specs = gen_scenes(config.seed, n, config.kinds, config.batch)
         sc = BatchScene.from_specs(specs)
         T0 = init_params_batch(sc)
-        truth_T, converged = reference_solve_batch(specs, T0)
+        truth_T, converged = _reference_kernel(sc, T0)
         if not np.all(converged):
             raise NoConvergence(
                 f"reference solve missed its tolerance on {np.count_nonzero(~converged)}"
@@ -402,44 +404,41 @@ def _scene_vector(spec: PathSpec):
     return x, SceneGradient(active, *free).flat()
 
 
-def _spec_from_vector(spec: PathSpec, x) -> PathSpec:
-    """The spec with its scene replaced by the `SceneGradient.flat()` vector x."""
-    p = SceneGradient.from_flat(x, spec.n)
-    surfaces = tuple(
-        Surface(basis=b, anchor=a, kind=s.kind)
-        for b, a, s in zip(p.basis, p.anchor, spec.surfaces)
-    )
-    return PathSpec(start=p.start, end=p.end, surfaces=surfaces)
+def _perturbed_batch(specs: Sequence[PathSpec]) -> tuple[BatchScene, np.ndarray]:
+    """Each +-FD_STEP shift of each entry `_scene_vector` selects, in one batch: (sc, owner).
+
+    Rows 2r and 2r + 1 shift entry r, of spec `owner[r]`, by +FD_STEP and
+    -FD_STEP; each row keeps its spec's active mask and gets its own floor.
+    """
+    n = specs[0].n
+    xs, masks = zip(*map(_scene_vector, specs))
+    owner, entry = np.nonzero(np.array(masks))
+    rows = np.repeat(owner, 2)
+    x = np.array(xs)[rows]
+    x[np.arange(rows.size), np.repeat(entry, 2)] += np.tile([FD_STEP, -FD_STEP], owner.size)
+    parts = np.split(x, [6 * n, 9 * n, 9 * n + 3], axis=1)
+    basis, anchor, start, end = map(np.ascontiguousarray, parts)
+    active = np.array([spec.active_mask for spec in specs])[rows]
+    basis, anchor = basis.reshape(-1, n, 3, 2), anchor.reshape(-1, n, 3)
+    return BatchScene(basis, anchor, start, end, segment_floor(start, end), active), owner
 
 
 def _fd_resolve_vjps(specs: Sequence[PathSpec], vs) -> list[np.ndarray | None]:
     """v^T dT*/d(theta) per spec, by central differences of reference re-solves.
 
-    Every perturbed scene of every spec is re-solved in one batch; the
-    entries are those `_scene_vector`'s mask selects. A spec any of whose
-    re-solves missed its tolerance gets None.
+    Every perturbed scene of every spec (the specs share n) is a row of one
+    batch (`_perturbed_batch`) and of one reference solve; the entries are
+    those `_scene_vector`'s mask selects. A spec any of whose re-solves
+    missed its tolerance gets None.
     """
-    perturbed, counts = [], []
-    for spec in specs:
-        x, mask = _scene_vector(spec)
-        counts.append(np.count_nonzero(mask))
-        for j in np.flatnonzero(mask):
-            for h in (FD_STEP, -FD_STEP):
-                xj = x.copy()
-                xj[j] += h
-                perturbed.append(_spec_from_vector(spec, xj))
-    T, converged = reference_solve_batch(perturbed)
-    out = []
-    pos = 0
-    for v, count in zip(vs, counts):
-        v = np.asarray(v, dtype=float)
-        fd = np.empty(count)
-        for j in range(count):
-            dT = (T[pos + 2 * j] - T[pos + 2 * j + 1]) / (2.0 * FD_STEP)
-            fd[j] = float(np.sum(v * dT))
-        out.append(fd if converged[pos : pos + 2 * count].all() else None)
-        pos += 2 * count
-    return out
+    sc, owner = _perturbed_batch(specs)
+    T, converged = _reference_kernel(sc, init_params_batch(sc))
+    dT = (T[0::2] - T[1::2]) / (2.0 * FD_STEP)
+    v = np.array(vs, dtype=float)[owner]
+    fd = (v * dT).reshape(owner.size, -1).sum(axis=1)
+    ok = converged.reshape(-1, 2).all(axis=1)
+    bounds = np.cumsum(np.bincount(owner, minlength=len(specs)))[:-1]
+    return [f if c.all() else None for f, c in zip(np.split(fd, bounds), np.split(ok, bounds))]
 
 
 def fd_resolve_vjp(spec: PathSpec, v) -> np.ndarray:
@@ -457,16 +456,17 @@ def fd_resolve_vjp(spec: PathSpec, v) -> np.ndarray:
 def grad_check(seed: int, n: int, kinds: Kinds, count: int) -> GradCheckReport:
     """Oracle-equivalence suite for implicit differentiation on random scenes.
 
-    All finite-difference re-solves for a batch of instances run as one
-    reference solve, which amortizes the per-iteration kernel overhead.
-    An instance whose reference solve, or any of whose re-solves, misses
-    its tolerance cannot be checked; the report counts only the instances
-    checked and fails when any was left out.
+    The instances' solutions come from one reference solve, and all their
+    finite-difference re-solves from a second, on one batch built from the
+    scene arrays (`_fd_resolve_vjps`); batching amortizes the per-iteration
+    kernel overhead. An instance whose reference solve, or any of whose
+    re-solves, misses its tolerance cannot be checked; the report counts
+    only the instances checked and fails when any was left out.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_count("count", count, 1)
     specs = gen_scenes(seed, n, kinds, count)
-    Tstars, converged = reference_solve_batch(specs)
+    sc = BatchScene.from_specs(specs)
+    Tstars, converged = _reference_kernel(sc, init_params_batch(sc))
     rng = np.random.default_rng([int(seed), 0xD1FF])
 
     live = [i for i in range(count) if converged[i]]

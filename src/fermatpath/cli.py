@@ -22,6 +22,10 @@ from .geometry import MAX_INTERACTIONS
 from .objective import embed
 from .solver import Precision, SolveOptions, bfgs_solve, init_params
 
+# `BenchConfig`, `SolveOptions` and `gen_scenes` take kinds and precision by value.
+KINDS = [k.value for k in Kinds]
+PRECISIONS = [p.value for p in Precision]
+
 USAGE_ERROR = 1
 SOLVE_ERROR = 2
 CHECK_FAILED = 3
@@ -37,23 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(USAGE_ERROR)
-
-
-def _kinds(value: str) -> Kinds:
-    try:
-        return Kinds(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown kinds {value!r}; choose from "
-            + ", ".join(k.value for k in Kinds)
-        )
-
-
-def _precision(value: str) -> Precision:
-    try:
-        return Precision(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("precision must be 'single' or 'double'")
 
 
 def _int_at_least(value: str, lowest: int) -> int:
@@ -89,13 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=_non_negative_int, default=0)
     b.add_argument("--batch", type=_positive_int, default=BenchConfig.batch)
     b.add_argument("--n", type=_interaction_count, nargs="+", default=list(BenchConfig.n_range))
-    b.add_argument("--kinds", type=_kinds, default=BenchConfig.kinds)
+    b.add_argument("--kinds", choices=KINDS, default=BenchConfig.kinds.value)
     b.add_argument("--solvers", type=str, nargs="+", default=list(BenchConfig.solvers))
     b.add_argument("--iterations", type=_positive_int, default=BenchConfig.iterations)
     b.add_argument(
         "--fp-iters", type=_positive_int, default=BenchConfig.fixed_point_iters, help=FP_ITERS_HELP
     )
-    b.add_argument("--precision", type=_precision, default=BenchConfig.precision)
+    b.add_argument("--precision", choices=PRECISIONS, default=BenchConfig.precision.value)
     b.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
 
     s = sub.add_parser("solve", help="solve scenes from a file and print paths")
@@ -104,18 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--fp-iters", type=_positive_int, default=SolveOptions.fixed_point_iters, help=FP_ITERS_HELP
     )
-    s.add_argument("--precision", type=_precision, default=SolveOptions.precision)
+    s.add_argument("--precision", choices=PRECISIONS, default=SolveOptions.precision.value)
 
     g = sub.add_parser("grad-check", help="implicit-differentiation oracle check")
     g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--n", type=_interaction_count, default=2)
-    g.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
+    g.add_argument("--kinds", choices=KINDS, default=Kinds.MIXED.value)
     g.add_argument("--count", type=_positive_int, default=10)
 
     w = sub.add_parser("gen", help="write random scenes to a scene file")
     w.add_argument("--seed", type=_non_negative_int, default=0)
     w.add_argument("--n", type=_interaction_count, default=2)
-    w.add_argument("--kinds", type=_kinds, default=Kinds.MIXED)
+    w.add_argument("--kinds", choices=KINDS, default=Kinds.MIXED.value)
     w.add_argument("--count", type=_positive_int, default=10)
     w.add_argument("--out", type=str, required=True)
     return parser

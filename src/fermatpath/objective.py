@@ -80,12 +80,6 @@ class SceneGradient:
             [self.basis.ravel(), self.anchor.ravel(), self.start, self.end]
         )
 
-    @classmethod
-    def from_flat(cls, x, n: int) -> "SceneGradient":
-        """The inverse of `flat` for n interactions."""
-        basis, anchor, start, end = np.split(x, [6 * n, 9 * n, 9 * n + 3])
-        return cls(basis.reshape(n, 3, 2), anchor.reshape(n, 3), start, end)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat()))
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -79,10 +80,17 @@ class SolveOptions:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.fixed_point_iters < 1:
-            raise ValueError("fixed_point_iters must be >= 1")
+        _check_count("iterations", self.iterations, 1)
+        _check_count("fixed_point_iters", self.fixed_point_iters, 1)
+        object.__setattr__(self, "precision", Precision(self.precision))
+
+
+def _check_count(name: str, value, lowest: int, highest: int | None = None) -> None:
+    """Raise ValueError unless `value` is an integer in lowest..highest (unbounded if None)."""
+    ok = isinstance(value, Integral) and value >= lowest
+    if not ok or (highest is not None and value > highest):
+        bounds = f"in {lowest}..{highest}" if highest else f">= {lowest}"
+        raise ValueError(f"{name} must be an integer {bounds}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ plain fixed schedules, `stopped_schedule_bfgs`, the fixed schedule run to
 each member's exit, `inverse_hessian_update`, the kernel's rank-two update,
 and the constructors and the Hessian in their plain numpy or looped form.
 `per_surface_params_from_points` is the projection, and so the initial
-guess, as one `lstsq` per surface.
+guess, as one `lstsq` per surface. `perturbed_specs` is the
+finite-difference oracle's perturbed scenes, rebuilt one spec at a time.
 """
 
 from dataclasses import replace
@@ -27,6 +28,7 @@ from fermatpath import (
     path_length,
 )
 from fermatpath.batching import clamped_segments, gradient_batch, path_length_batch
+from fermatpath.bench import _scene_vector
 from fermatpath.geometry import MAX_INTERACTIONS, MIN_ENDPOINT_SEPARATION, PLANE_DEGENERACY_TOL
 from fermatpath.objective import gradient
 from fermatpath.solver import NOISE_FLOOR_TOL
@@ -138,6 +140,30 @@ def scene_coords(spec: PathSpec):
     coords.extend(("start", r) for r in range(3))
     coords.extend(("end", r) for r in range(3))
     return coords
+
+
+def perturbed_specs(specs, h: float) -> list[PathSpec]:
+    """Each spec rebuilt once per +h and -h shift of each perturbable scene entry.
+
+    The entries and their order are `bench._scene_vector`'s, spec by spec;
+    each shifted vector is split back into bases, anchors and endpoints and
+    validated as new `Surface`s and a new `PathSpec`.
+    """
+    out = []
+    for spec in specs:
+        n = spec.n
+        x, mask = _scene_vector(spec)
+        for j in np.flatnonzero(mask):
+            for step in (h, -h):
+                xj = x.copy()
+                xj[j] += step
+                basis, anchor, start, end = np.split(xj, [6 * n, 9 * n, 9 * n + 3])
+                surfaces = tuple(
+                    Surface(basis=b, anchor=a, kind=s.kind)
+                    for b, a, s in zip(basis.reshape(n, 3, 2), anchor.reshape(n, 3), spec.surfaces)
+                )
+                out.append(PathSpec(start=start, end=end, surfaces=surfaces))
+    return out
 
 
 def reduced_edge_bfgs(sc, T0r, iters: int, fp_iters: int) -> np.ndarray:

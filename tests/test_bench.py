@@ -8,7 +8,7 @@ import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from fermatpath import (
     BenchConfig,
     Kinds,
     NoConvergence,
+    Precision,
     SceneFileError,
     ShapeMismatch,
     SingularHessian,
@@ -35,27 +36,27 @@ from fermatpath import (
     write_records,
 )
 from fermatpath import bench, cli, implicit_diff, solver
-from fermatpath.batching import path_length_batch
+from fermatpath.batching import BatchScene, path_length_batch
 from fermatpath.bench import BenchRecord, CSV_HEADER, GradCheckReport
 from fermatpath.cli import main
 
-from _oracles import stopped_schedule_bfgs
+from _oracles import perturbed_specs, stopped_schedule_bfgs
 
 
 def _reference_missing(monkeypatch, members, call=0):
     """Make reference solve number `call` (the first by default) report `members` as unconverged."""
-    real = bench.reference_solve_batch
+    real = bench._reference_kernel
     calls = []
 
-    def reference_solve_batch(specs, T0s=None):
-        T, converged = real(specs, T0s)
+    def _reference_kernel(sc, T0):
+        T, converged = real(sc, T0)
         if len(calls) == call:
             converged = converged.copy()
             converged[members] = False
-        calls.append(len(specs))
+        calls.append(sc.size)
         return T, converged
 
-    monkeypatch.setattr(bench, "reference_solve_batch", reference_solve_batch)
+    monkeypatch.setattr(bench, "_reference_kernel", _reference_kernel)
     return calls
 
 
@@ -85,6 +86,16 @@ class TestGenScenes:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             gen_scenes(0, 0, Kinds.MIXED, 1)
+        with pytest.raises(ValueError):
+            gen_scenes(0, 2.5, Kinds.MIXED, 1)
+
+    def test_kinds_from_their_value(self):
+        for kinds in Kinds:
+            assert _scene_digest(gen_scenes(7, 3, kinds.value, 2)) == _scene_digest(
+                gen_scenes(7, 3, kinds, 2)
+            )
+        with pytest.raises(ValueError):
+            gen_scenes(7, 3, "bogus", 2)
 
 
 def _scene_digest(specs) -> str:
@@ -208,17 +219,44 @@ class TestBenchConfig:
     def test_negative_seed(self):
         with pytest.raises(ValueError):
             BenchConfig(seed=-1)
+        with pytest.raises(ValueError):
+            BenchConfig(seed=1.5)
+
+    def test_kinds_and_precision_from_their_values(self):
+        config = BenchConfig(
+            seed=1, batch=2, n_range=(1,), kinds="mixed", solvers=("ours",), iterations=5,
+            precision="double",
+        )
+        assert config.kinds is Kinds.MIXED
+        assert config.precision is Precision.DOUBLE
+        (record,) = run_bench(config, timing_reps=1)
+        assert (record.kinds, record.precision) == ("mixed", "double")
 
     @pytest.mark.parametrize(
         "bad",
-        [{"iterations": 0}, {"fixed_point_iters": 0}, {"n_range": (0,)}, {"n_range": (3, 65)}],
-        ids=["iterations", "fp-iters", "n-zero", "n-too-large"],
+        [
+            {"iterations": 0}, {"fixed_point_iters": 0}, {"n_range": (0,)}, {"n_range": (3, 65)},
+            {"iterations": 2.5}, {"batch": 2.5}, {"n_range": (2.0,)}, {"kinds": "bogus"},
+            {"precision": "half"},
+        ],
+        ids=[
+            "iterations", "fp-iters", "n-zero", "n-too-large", "float-iterations",
+            "float-batch", "float-n", "unknown-kinds", "unknown-precision",
+        ],
     )
     def test_bad_counts_rejected_before_any_solve(self, monkeypatch, bad):
         calls = _reference_missing(monkeypatch, [])
         with pytest.raises(ValueError):
-            run_bench(BenchConfig(seed=0, batch=2, **bad), timing_reps=1)
+            run_bench(BenchConfig(**{"seed": 0, "batch": 2, **bad}), timing_reps=1)
         assert calls == []
+
+    def test_no_timing_reps_rejected_before_any_solve(self, monkeypatch):
+        calls = _reference_missing(monkeypatch, [])
+        generated = []
+        monkeypatch.setattr(bench, "gen_scenes", lambda *args: generated.append(args))
+        with pytest.raises(ValueError):
+            run_bench(BenchConfig(seed=0, batch=2), timing_reps=0)
+        assert calls == [] and generated == []
 
 
 def _newton_fails(monkeypatch):
@@ -294,6 +332,24 @@ class TestGradCheck:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             grad_check(2, 1, Kinds.MIXED, 0)
+
+
+class TestPerturbedBatch:
+    """The finite-difference re-solves' batch, built from the scene arrays,
+    equals the batch of the perturbed scenes rebuilt one spec at a time."""
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    @pytest.mark.parametrize("kinds", list(Kinds), ids=lambda k: k.value)
+    def test_equals_the_rebuilt_specs_bitwise(self, kinds, n):
+        specs = gen_scenes(5, n, kinds, 2)
+        sc, owner = bench._perturbed_batch(specs)
+        expected = BatchScene.from_specs(perturbed_specs(specs, bench.FD_STEP))
+        for f in fields(BatchScene):
+            got, want = getattr(sc, f.name), getattr(expected, f.name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        counts = [np.count_nonzero(bench._scene_vector(spec)[1]) for spec in specs]
+        assert np.bincount(owner).tolist() == counts
 
 
 def _run_cli(argv):
@@ -503,8 +559,14 @@ class TestCli:
             ),
             ("start: [0.0, 0.0, 0.0]\nend: [1.0, 0.0, 0.0]\n---\nstart: [0.0, 0.0, 0.0]\n", 1, KeyError),
             ("start: [1.0, 2.0, 3.0]\nend: [1.0, 2.0, 3.0]\n", 0, ShapeMismatch),
+            ("0\n", 0, TypeError),
+            ("[]\n", 0, TypeError),
+            ("start: [0.0, 0.0, 0.0]\nend: [1.0, 0.0, 0.0]\n---\n{}\n", 1, KeyError),
         ],
-        ids=["bad-yaml", "unknown-kind", "missing-end", "coincident-endpoints"],
+        ids=[
+            "bad-yaml", "unknown-kind", "missing-end", "coincident-endpoints", "zero",
+            "empty-list", "empty-mapping",
+        ],
     )
     def test_malformed_scene_file(self, tmp_path, text, index, cause):
         scene_file = tmp_path / "scenes.yaml"

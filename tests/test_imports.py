@@ -12,7 +12,10 @@ re-exports what it imports and is skipped; an import line marked
 module-level `_name` function or class that nothing in the package
 references outside its own definition is dead code, whatever the tests
 call, and so is a module-level UPPER_CASE constant that nothing in the
-package reads outside its own assignment.
+package reads outside its own assignment. Scene objects (`PathSpec`,
+`Surface`) are built only where a scene enters the package: the surface
+constructors, the scene-file reader and the generator; past that
+boundary every scene is a `BatchScene`.
 """
 
 import ast
@@ -161,6 +164,43 @@ def test_scan_finds_a_dead_constant():
 def test_package_has_no_dead_constants():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_constants(sources) == []
+
+
+SCENE_OBJECTS = ("PathSpec", "Surface")
+SCENE_BOUNDARY = {
+    "geometry.make_plane", "geometry.make_edge", "bench.scene_from_dict", "bench._gen_one"
+}
+
+
+def scene_object_builders(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each module-level def, or `module.<module>` for other
+    module-level code, that calls `PathSpec` or `Surface`."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if any(
+                isinstance(n, ast.Call)
+                and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) in SCENE_OBJECTS
+                for n in ast.walk(node)
+            ):
+                found.add(f"{module}.{getattr(node, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_scan_finds_a_scene_object_builder():
+    sources = {
+        "a": "def build():\n    return PathSpec(s, e, ())\n\n"
+        "def plane():\n    return geometry.Surface(b, a, k)\n\n"
+        "def batch(spec):\n    return isinstance(spec, PathSpec), spec.batch\n",
+        "b": "SPEC = PathSpec(s, e, ())\n",
+    }
+    assert scene_object_builders(sources) == ["a.build", "a.plane", "b.<module>"]
+
+
+def test_scene_objects_are_built_only_at_the_boundary():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    builders = scene_object_builders(sources)
+    assert [b for b in builders if b not in SCENE_BOUNDARY] == []
 
 
 # Distribution names whose import name differs.

@@ -72,6 +72,19 @@ class TestOptions:
             SolveOptions(iterations=0)
         with pytest.raises(ValueError):
             SolveOptions(fixed_point_iters=0)
+        with pytest.raises(ValueError):
+            SolveOptions(iterations=2.5)
+        with pytest.raises(ValueError):
+            SolveOptions(fixed_point_iters=2.0)
+        with pytest.raises(ValueError):
+            SolveOptions(precision="bogus")
+
+    def test_precision_from_its_value(self):
+        assert SolveOptions(precision="single").precision is Precision.SINGLE
+        spec = _v_spec()
+        report = bfgs_solve(spec, init_params(spec), SolveOptions(precision="single"))
+        expected = bfgs_solve(spec, init_params(spec), SolveOptions(precision=Precision.SINGLE))
+        assert report.solution.tobytes() == expected.solution.tobytes()
 
     def test_precision_dtypes(self):
         assert Precision.SINGLE.dtype == np.float32
