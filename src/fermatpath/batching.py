@@ -16,7 +16,8 @@ vectorised computation over (B, n).
 `einsum` is numpy's C kernel `c_einsum`, the function `np.einsum` hands
 its arguments to unchanged when `optimize` is off, so results are the same
 bit for bit. Calling it directly skips numpy's array-function dispatch,
-about half the cost of a call at B=1. Every module of the package takes
+about half the cost of a call at B=1. `geometry`, below this module,
+imports it for the projection; every other module of the package takes
 `einsum` from here.
 """
 
@@ -25,10 +26,9 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy._core.multiarray import c_einsum as einsum
 
 from .errors import DegenerateSegment, ShapeMismatch
-from .geometry import BatchScene, PathSpec
+from .geometry import BatchScene, PathSpec, einsum
 
 
 def stack_params(specs: Sequence[PathSpec], T0s) -> np.ndarray:

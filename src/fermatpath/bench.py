@@ -79,12 +79,16 @@ class BenchConfig:
     def __post_init__(self):
         _check_count("seed", self.seed, 0)
         _check_count("batch", self.batch, 1)
+        if not self.n_range:
+            raise ValueError("n_range names no interaction count")
         for n in self.n_range:
             _check_count("interaction counts", n, 1, MAX_INTERACTIONS)
         object.__setattr__(self, "kinds", Kinds(self.kinds))
         # The solve options' own checks, made before any scene is generated.
         opts = SolveOptions(self.iterations, self.fixed_point_iters, self.precision)
         object.__setattr__(self, "precision", opts.precision)
+        if not self.solvers:
+            raise ValueError("solvers names no solver")
         unknown = set(self.solvers) - set(KNOWN_SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers: {sorted(unknown)}")
@@ -291,6 +295,7 @@ def _gen_one(rng, n: int, kinds: Kinds) -> PathSpec:
 def gen_scenes(seed: int, n: int, kinds: Kinds, batch: int) -> list[PathSpec]:
     """Deterministic batch of random scenes with n interactions each."""
     _check_count("n", n, 1)
+    _check_count("batch", batch, 1)
     kinds = Kinds(kinds)
     kind_code = list(Kinds).index(kinds)
     rng = np.random.default_rng([int(seed), int(n), kind_code])

@@ -17,9 +17,16 @@ scenes `bench.gen_scenes` accepts.
 A `PathSpec` stacks its surfaces' arrays once and carries them as a
 `BatchScene` of one (`spec.batch`), the one array form that every
 derivative and solver reads; `BatchScene.from_specs` concatenates the
-members' batches. `params_from_points_batch`, the inverse of the
-embedding, projects the points of a whole batch with one masked
-pseudo-inverse solve.
+members' batches. The inverse of the embedding is a least-squares
+projection by each basis' pseudo-inverse (`basis_pinv`), built in closed
+form by Gram-Schmidt: with w = b - (a.b / a.a) a orthogonal to the first
+column a, row 2 is w / (w.w) and row 1 is a / (a.a) - (a.b / a.a) row 2.
+An edge's row 2 is exactly zero. Unlike the normal equations, this does
+not square the condition number of a nearly parallel plane basis. A
+`PathSpec` keeps its pseudo-inverses (`pinv_tensor`), so projecting one
+path's points (`params_from_points`) is one contraction (`project`), and
+`params_from_points_batch` builds the same pseudo-inverses for a whole
+batch, bitwise.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as einsum
 
 from .errors import DegenerateBasis, NonUniformBatch, ShapeMismatch
 
@@ -119,8 +127,8 @@ class Surface:
 
     @property
     def active(self) -> np.ndarray:
-        """Boolean mask over the two parametric coordinates."""
-        return np.linalg.norm(self.basis, axis=0) > 0.0
+        """Boolean mask over the two parametric coordinates: an edge's second is inert."""
+        return np.array([True, self.kind is SurfaceKind.PLANE])
 
 
 def make_plane(anchor, u, v) -> Surface:
@@ -139,9 +147,14 @@ def make_edge(anchor, direction) -> Surface:
 
 
 def segment_floor(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(B,) float64 segment-norm floor 1e-12 (1 + |end - start|) of (B, 3) endpoints."""
-    scale = np.linalg.norm(end.astype(np.float64) - start.astype(np.float64), axis=1)
-    return 1e-12 * (1.0 + scale)
+    """(B,) float64 segment-norm floor 1e-12 (1 + |end - start|) of (B, 3) endpoints.
+
+    The norm is the one `np.linalg.norm(d, axis=1)` computes, the square root
+    of `add.reduce(d * d)`, bitwise, without its wrapper's cost: every
+    `PathSpec` takes one.
+    """
+    d = end.astype(np.float64, copy=False) - start.astype(np.float64, copy=False)
+    return 1e-12 * (1.0 + np.sqrt(np.add.reduce(d * d, axis=1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +222,7 @@ class PathSpec:
     basis_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3, 2)
     anchor_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
     active_mask: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2) non-inert
+    pinv_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2, 3)
     batch: BatchScene = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -223,11 +237,18 @@ class PathSpec:
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "surfaces", surfaces)
         n = len(surfaces)
-        basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
-        anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
-        active = np.linalg.norm(basis, axis=1) > 0.0  # each surface's `active`
+        basis = np.array([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
+        anchor = np.array([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
+        # Each surface's `active`: construction rejects every zero column but an edge's second.
+        kinds = [(True, s.kind is SurfaceKind.PLANE) for s in surfaces]
+        active = np.array(kinds, dtype=bool).reshape(n, 2)
         eps = segment_floor(start[None], end[None])
-        named = ("basis_tensor", basis), ("anchor_tensor", anchor), ("active_mask", active)
+        named = (
+            ("basis_tensor", basis),
+            ("anchor_tensor", anchor),
+            ("active_mask", active),
+            ("pinv_tensor", basis_pinv(basis, active)),
+        )
         for name, a in named:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -253,20 +274,45 @@ def check_params(spec: PathSpec, T) -> np.ndarray:
     return T
 
 
+def basis_pinv(basis: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """(..., 2, 3) pseudo-inverses of (..., 3, 2) bases with (..., 2) active masks.
+
+    Closed-form Gram-Schmidt: with a and b the columns and w = b - (a.b / a.a) a,
+    row 2 is w / (w.w) and row 1 is a / (a.a) - (a.b / a.a) row 2. An inert
+    second column (an edge's) gets a row 2 of exactly zero.
+    """
+    a, b = basis[..., 0], basis[..., 1]
+    aa, ab = einsum("...ki,...k->i...", basis, a)
+    c = (ab / aa)[..., None]
+    w = b - c * a
+    # An inert w is zero; dividing it by infinity keeps its row 2 zero.
+    ww = np.where(active[..., 1], einsum("...i,...i->...", w, w), np.inf)
+    pinv = np.empty(basis.shape[:-2] + (2, 3), dtype=basis.dtype)
+    row2 = np.divide(w, ww[..., None], out=pinv[..., 1, :])
+    np.subtract(a / aa[..., None], c * row2, out=pinv[..., 0, :])
+    return pinv
+
+
+def project(pinv: np.ndarray, anchor: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(..., n, 2) least-squares coordinates of points on surfaces with pseudo-inverses `pinv`.
+
+    `points` broadcasts against `anchor` (..., n, 3). Inert coordinates are +0.0.
+    """
+    return einsum("...ij,...j->...i", pinv, points - anchor) + 0.0
+
+
 def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
     """(B, n, 2) least-squares parametric coordinates of points that broadcast to (B, n, 3).
 
-    Inert coordinates come back as +0.0. One stacked pseudo-inverse, an SVD
-    solve like `lstsq`, projects every point, so nearly parallel plane
-    bases stay accurate; each member equals its own batch of one bitwise.
+    The batch's pseudo-inverses are `basis_pinv`'s, so each member equals its
+    spec's `params_from_points` bitwise; inert coordinates are +0.0.
     """
-    rhs = (points - sc.anchor)[..., None]
-    return np.where(sc.active, (np.linalg.pinv(sc.basis) @ rhs)[..., 0], 0.0)
+    return project(basis_pinv(sc.basis, sc.active), sc.anchor, points)
 
 
 def params_from_points(spec: PathSpec, points) -> np.ndarray:
-    """`params_from_points_batch` of one path's (n, 3) points."""
+    """(n, 2) least-squares parametric coordinates of one path's (n, 3) points."""
     points = np.asarray(points, dtype=float)
     if points.shape != (spec.n, 3):
         raise ShapeMismatch(f"points must have shape ({spec.n}, 3), got {points.shape}")
-    return params_from_points_batch(spec.batch, points[None])[0]
+    return project(spec.pinv_tensor, spec.anchor_tensor, points)

@@ -10,11 +10,13 @@ plain fixed schedules, `stopped_schedule_bfgs`, the fixed schedule run to
 each member's exit, `inverse_hessian_update`, the kernel's rank-two update,
 and the constructors and the Hessian in their plain numpy or looped form.
 `per_surface_params_from_points` is the projection, and so the initial
-guess, as one `lstsq` per surface. `perturbed_specs` is the
+guess, as one `lstsq` per surface, and `exact_lstsq` is one surface's
+projection in exact rational arithmetic. `perturbed_specs` is the
 finite-difference oracle's perturbed scenes, rebuilt one spec at a time.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -584,3 +586,18 @@ def per_surface_params_from_points(spec: PathSpec, points) -> np.ndarray:
         rhs = points[i] - surf.anchor
         T[i, act] = np.linalg.lstsq(A, rhs, rcond=None)[0]
     return T
+
+
+def exact_lstsq(A, r) -> list[Fraction]:
+    """The exact least-squares solution t of A t = r for a (3, 2) float A of rank 2.
+
+    Every float is read as the rational it is, and the normal equations
+    (A^T A) t = A^T r are solved by Cramer's rule in `Fraction`s, so no
+    rounding enters.
+    """
+    A = [[Fraction(float(x)) for x in row] for row in np.asarray(A)]
+    r = [Fraction(float(x)) for x in r]
+    g = [[sum(A[k][i] * A[k][j] for k in range(3)) for j in range(2)] for i in range(2)]
+    h = [sum(A[k][i] * r[k] for k in range(3)) for i in range(2)]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    return [(h[0] * g[1][1] - g[0][1] * h[1]) / det, (g[0][0] * h[1] - g[1][0] * h[0]) / det]

@@ -89,6 +89,11 @@ class TestGenScenes:
         with pytest.raises(ValueError):
             gen_scenes(0, 2.5, Kinds.MIXED, 1)
 
+    @pytest.mark.parametrize("batch", [0, -3, 2.5])
+    def test_bad_batch(self, batch):
+        with pytest.raises(ValueError):
+            gen_scenes(0, 2, Kinds.MIXED, batch)
+
     def test_kinds_from_their_value(self):
         for kinds in Kinds:
             assert _scene_digest(gen_scenes(7, 3, kinds.value, 2)) == _scene_digest(
@@ -237,11 +242,11 @@ class TestBenchConfig:
         [
             {"iterations": 0}, {"fixed_point_iters": 0}, {"n_range": (0,)}, {"n_range": (3, 65)},
             {"iterations": 2.5}, {"batch": 2.5}, {"n_range": (2.0,)}, {"kinds": "bogus"},
-            {"precision": "half"},
+            {"precision": "half"}, {"n_range": ()}, {"solvers": ()},
         ],
         ids=[
             "iterations", "fp-iters", "n-zero", "n-too-large", "float-iterations",
-            "float-batch", "float-n", "unknown-kinds", "unknown-precision",
+            "float-batch", "float-n", "unknown-kinds", "unknown-precision", "no-n", "no-solvers",
         ],
     )
     def test_bad_counts_rejected_before_any_solve(self, monkeypatch, bad):

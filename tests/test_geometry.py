@@ -1,5 +1,8 @@
 """Surface/path construction, the parametric embedding, and its exactness."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from fermatpath import (
 from fermatpath.batching import BatchScene
 from fermatpath.geometry import (
     MAX_INTERACTIONS,
+    basis_pinv,
     check_params,
     cross3,
     norm3,
@@ -120,6 +124,18 @@ class TestPathSpec:
         assert spec.anchor_tensor is spec.anchor_tensor
         assert spec.active_mask is spec.active_mask
 
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_mask_from_the_kinds_is_the_norm_rule(self, kinds, n):
+        # Construction rejects every zero basis column but an edge's second,
+        # so the mask built from the kinds is the nonzero-norm rule.
+        for spec in gen_scenes(13, n, kinds, 10 if n < 64 else 3):
+            norm_rule = np.linalg.norm(spec.basis_tensor, axis=1) > 0.0
+            assert _bytes(spec.active_mask) == _bytes(norm_rule)
+            assert _bytes(spec.batch.active) == _bytes(norm_rule[None])
+            for surface, row in zip(spec.surfaces, norm_rule):
+                assert _bytes(surface.active) == _bytes(row)
+
 
 class TestCheckParams:
     def test_wrong_shape(self):
@@ -214,6 +230,41 @@ class TestParamsFromPoints:
                 assert np.linalg.norm(T - want) <= 1e-12 * np.linalg.norm(want)
                 inert = T[~spec.active_mask]
                 assert inert.tobytes() == np.zeros_like(inert).tobytes()  # +0.0
+
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_kept_pseudo_inverses_are_read_only_and_basis_pinv_bitwise(self, kinds):
+        for spec in gen_scenes(29, 5, kinds, 20) + [_simple_spec()]:
+            pinv = spec.pinv_tensor
+            assert pinv is spec.pinv_tensor and not pinv.flags.writeable
+            assert _bytes(pinv) == _bytes(basis_pinv(spec.basis_tensor, spec.active_mask))
+            inert = pinv[:, 1][~spec.active_mask[:, 1]]  # an edge's row 2 is +0.0
+            assert inert.tobytes() == np.zeros_like(inert).tobytes()
+
+    @pytest.mark.parametrize("e", [3e-8, 1e-6])
+    def test_accurate_on_rotated_nearly_parallel_plane_bases(self, e):
+        # Columns R x and R (x + e y) for 200 random rotations R. Each
+        # projected point is compared with the exact least-squares point of
+        # the stored basis (`oracle.exact_lstsq`). Rounding the basis tilts
+        # its plane by about eps / e, so the error is bounded by
+        # 8 eps |p - anchor| / e. On these bases the SVD projection
+        # `np.linalg.pinv` reaches 2.96 (e = 3e-8) and 2.88 (e = 1e-6) of
+        # the unit eps |p - anchor| / e, and the closed form 1.56 and 1.84.
+        rng = np.random.default_rng(41)
+        eps = np.finfo(float).eps
+        for _ in range(25):
+            rotations = np.linalg.qr(rng.normal(size=(8, 3, 3)))[0]
+            u, v = rotations @ [1.0, 0.0, 0.0], rotations @ [1.0, e, 0.0]
+            anchors = rng.normal(size=(8, 3))
+            planes = tuple(map(make_plane, anchors, u, v))
+            spec = PathSpec(start=[20.0, 0.0, 0.0], end=[-20.0, 0.0, 0.0], surfaces=planes)
+            points = anchors + rng.normal(size=(8, 3)) * 5.0
+            T = params_from_points(spec, points)
+            for A, t, r in zip(spec.basis_tensor, T, points - anchors):
+                exact = oracle.exact_lstsq(A, r)
+                d = [Fraction(float(ti)) - si for ti, si in zip(t, exact)]
+                err = math.sqrt(sum((Fraction(float(a)) * d[0] + Fraction(float(b)) * d[1]) ** 2
+                                    for a, b in A))
+                assert err <= 8.0 * eps * np.linalg.norm(r) / e
 
 
 def _bytes(*arrays):

@@ -7,7 +7,8 @@ a library only the tests use belongs in the `test` extra.
 No linter is a dependency, so these are plain `ast` scans. `__init__.py`
 re-exports what it imports and is skipped; an import line marked
 `# noqa: F401` is kept on purpose and is skipped too. The package takes
-`einsum` from `batching`, numpy's C kernel without the dispatch layer;
+`einsum`, numpy's C kernel without the dispatch layer, from `batching`
+(`geometry`, below it, imports the kernel itself);
 `tests/_oracles.py` keeps `np.einsum` as the independent reference. A
 module-level `_name` function or class that nothing in the package
 references outside its own definition is dead code, whatever the tests
