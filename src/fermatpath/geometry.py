@@ -22,11 +22,10 @@ projection by each basis' pseudo-inverse (`basis_pinv`), built in closed
 form by Gram-Schmidt: with w = b - (a.b / a.a) a orthogonal to the first
 column a, row 2 is w / (w.w) and row 1 is a / (a.a) - (a.b / a.a) row 2.
 An edge's row 2 is exactly zero. Unlike the normal equations, this does
-not square the condition number of a nearly parallel plane basis. A
-`PathSpec` keeps its pseudo-inverses (`pinv_tensor`), so projecting one
-path's points (`params_from_points`) is one contraction (`project`), and
-`params_from_points_batch` builds the same pseudo-inverses for a whole
-batch, bitwise.
+not square the condition number of a nearly parallel plane basis.
+`params_from_points_batch` builds a batch's pseudo-inverses on each call
+and applies them in one contraction; `params_from_points` is its batch of
+one.
 """
 
 from __future__ import annotations
@@ -147,14 +146,9 @@ def make_edge(anchor, direction) -> Surface:
 
 
 def segment_floor(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(B,) float64 segment-norm floor 1e-12 (1 + |end - start|) of (B, 3) endpoints.
-
-    The norm is the one `np.linalg.norm(d, axis=1)` computes, the square root
-    of `add.reduce(d * d)`, bitwise, without its wrapper's cost: every
-    `PathSpec` takes one.
-    """
-    d = end.astype(np.float64, copy=False) - start.astype(np.float64, copy=False)
-    return 1e-12 * (1.0 + np.sqrt(np.add.reduce(d * d, axis=1)))
+    """(B,) float64 segment-norm floor 1e-12 (1 + |end - start|) of (B, 3) endpoints."""
+    scale = np.linalg.norm(end.astype(np.float64) - start.astype(np.float64), axis=1)
+    return 1e-12 * (1.0 + scale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +216,6 @@ class PathSpec:
     basis_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3, 2)
     anchor_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
     active_mask: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2) non-inert
-    pinv_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2, 3)
     batch: BatchScene = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -237,18 +230,13 @@ class PathSpec:
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "surfaces", surfaces)
         n = len(surfaces)
-        basis = np.array([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
-        anchor = np.array([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
+        basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
+        anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
         # Each surface's `active`: construction rejects every zero column but an edge's second.
         kinds = [(True, s.kind is SurfaceKind.PLANE) for s in surfaces]
         active = np.array(kinds, dtype=bool).reshape(n, 2)
         eps = segment_floor(start[None], end[None])
-        named = (
-            ("basis_tensor", basis),
-            ("anchor_tensor", anchor),
-            ("active_mask", active),
-            ("pinv_tensor", basis_pinv(basis, active)),
-        )
+        named = ("basis_tensor", basis), ("anchor_tensor", anchor), ("active_mask", active)
         for name, a in named:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -293,26 +281,21 @@ def basis_pinv(basis: np.ndarray, active: np.ndarray) -> np.ndarray:
     return pinv
 
 
-def project(pinv: np.ndarray, anchor: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(..., n, 2) least-squares coordinates of points on surfaces with pseudo-inverses `pinv`.
-
-    `points` broadcasts against `anchor` (..., n, 3). Inert coordinates are +0.0.
-    """
-    return einsum("...ij,...j->...i", pinv, points - anchor) + 0.0
-
-
 def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
     """(B, n, 2) least-squares parametric coordinates of points that broadcast to (B, n, 3).
 
-    The batch's pseudo-inverses are `basis_pinv`'s, so each member equals its
-    spec's `params_from_points` bitwise; inert coordinates are +0.0.
+    The batch's closed-form pseudo-inverses (`basis_pinv`) project every
+    point, so nearly parallel plane bases stay accurate; each member equals
+    its own batch of one bitwise, and inert coordinates are +0.0.
     """
-    return project(basis_pinv(sc.basis, sc.active), sc.anchor, points)
+    pinv = basis_pinv(sc.basis, sc.active)
+    # An inert coordinate is a zero row times the point, possibly -0.0; `+ 0.0` makes it +0.0.
+    return einsum("bnij,bnj->bni", pinv, points - sc.anchor) + 0.0
 
 
 def params_from_points(spec: PathSpec, points) -> np.ndarray:
-    """(n, 2) least-squares parametric coordinates of one path's (n, 3) points."""
+    """`params_from_points_batch` of one path's (n, 3) points."""
     points = np.asarray(points, dtype=float)
     if points.shape != (spec.n, 3):
         raise ShapeMismatch(f"points must have shape ({spec.n}, 3), got {points.shape}")
-    return project(spec.pinv_tensor, spec.anchor_tensor, points)
+    return params_from_points_batch(spec.batch, points[None])[0]

@@ -7,9 +7,8 @@ it bitwise unchanged, an exact fixed point. Each result equals the fixed
 schedule's, run to that member's exit, bitwise. Every caller, the
 single-path `bfgs_solve` and the reference (`baselines`) included, runs
 this one schedule. The initial guess is the start/end midpoint projected
-onto each surface by its closed-form pseudo-inverse: one contraction with
-the pseudo-inverses a `PathSpec` keeps (`init_params`), or with those built
-once for a whole batch (`init_params_batch`), bitwise the same.
+onto each surface by its closed-form pseudo-inverse, one stacked
+projection per batch (`init_params_batch`).
 The step size along each quasi-Newton direction solves the exact
 one-dimensional optimality condition, from zero. Its first evaluation is
 the paper's fixed-point step, so a budget of one evaluation (fp=1) is the
@@ -60,7 +59,7 @@ from .batching import (
 # `gradient_batch` is unused here but stays importable: the benchmark's tracer test reads it.
 from .batching import gradient_batch  # noqa: F401
 from .errors import DegenerateSegment, ZeroDirection
-from .geometry import PathSpec, check_params, params_from_points_batch, project
+from .geometry import PathSpec, check_params, params_from_points_batch
 
 NOISE_FLOOR_TOL = 1e-15  # about 4.5 float64 epsilons
 
@@ -108,9 +107,8 @@ def init_params_batch(sc: BatchScene) -> np.ndarray:
     """(B, n, 2) initial guesses: each start/end midpoint projected onto each surface.
 
     The projection is `params_from_points_batch`: the batch's closed-form
-    Gram-Schmidt pseudo-inverses (`geometry.basis_pinv`), built once per call
-    and applied in one contraction. A nearly parallel plane basis keeps its
-    accuracy, each member equals its spec's `init_params` bitwise, and inert
+    Gram-Schmidt pseudo-inverses (`geometry.basis_pinv`), applied in one
+    contraction. A nearly parallel plane basis keeps its accuracy, and inert
     coordinates are +0.0.
     """
     mid = 0.5 * (sc.start + sc.end)
@@ -118,11 +116,8 @@ def init_params_batch(sc: BatchScene) -> np.ndarray:
 
 
 def init_params(spec: PathSpec) -> np.ndarray:
-    """(n, 2) initial guess of one path, from the pseudo-inverses its spec keeps.
-
-    Bitwise its member of `init_params_batch`.
-    """
-    return project(spec.pinv_tensor, spec.anchor_tensor, 0.5 * (spec.start + spec.end))
+    """`init_params_batch` of one path: its (n, 2) initial guess."""
+    return init_params_batch(spec.batch)[0]
 
 
 def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
