@@ -19,6 +19,7 @@ import numpy as np
 
 from .batching import (
     BatchScene,
+    member_rows,
     einsum,
     embed_batch,
     gradient_batch,
@@ -26,6 +27,7 @@ from .batching import (
     hessian_from_segments,
     path_length_batch,
     segment_norms,
+    segment_sum,
     solve_active,
     stack_params,
     stationary_from_segments,
@@ -57,32 +59,32 @@ REFERENCE_FP_ITERS = 2
 
 
 def _plane_normals(sc: BatchScene) -> np.ndarray:
-    nrm = np.cross(sc.basis[..., 0], sc.basis[..., 1])
-    return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+    nrm = np.cross(sc.basis[:, 0], sc.basis[:, 1], axis=0)
+    return nrm / np.linalg.norm(nrm, axis=0, keepdims=True)
 
 
 def image_points_batch(sc: BatchScene) -> np.ndarray:
-    """(B, n, 3) exact reflection points for all-plane scenes."""
+    """(3, n, B) exact reflection points for all-plane scenes."""
     B, n = sc.size, sc.n
     normals = _plane_normals(sc)
-    images = np.empty((B, n, 3))
+    images = np.empty((3, n, B))
     m = sc.start.copy()
     for i in range(n):
         nh = normals[:, i]
-        d = einsum("bi,bi->b", m - sc.anchor[:, i], nh)
-        m = m - 2.0 * d[:, None] * nh
+        d = einsum("ib,ib->b", m - sc.anchor[:, i], nh)
+        m = m - 2.0 * d * nh
         images[:, i] = m
-    pts = np.empty((B, n, 3))
+    pts = np.empty((3, n, B))
     y = sc.end.copy()
     for i in range(n - 1, -1, -1):
         nh = normals[:, i]
         mi = images[:, i]
         dirv = y - mi
-        denom = einsum("bi,bi->b", dirv, nh)
-        if np.any(np.abs(denom) <= PARALLEL_TOL * np.linalg.norm(dirv, axis=1)):
+        denom = einsum("ib,ib->b", dirv, nh)
+        if np.any(np.abs(denom) <= PARALLEL_TOL * np.linalg.norm(dirv, axis=0)):
             raise NoIntersection("mirrored sight line parallel to its plane")
-        t = einsum("bi,bi->b", sc.anchor[:, i] - mi, nh) / denom
-        y = mi + t[:, None] * dirv
+        t = einsum("ib,ib->b", sc.anchor[:, i] - mi, nh) / denom
+        y = mi + t * dirv
         pts[:, i] = y
     return pts
 
@@ -91,7 +93,7 @@ def image_method(spec: PathSpec) -> np.ndarray:
     """Exact reflection points (n, 3) via successive mirroring."""
     if any(s.kind is not SurfaceKind.PLANE for s in spec.surfaces):
         raise NotAllPlanes("image method handles planar reflections only")
-    return image_points_batch(spec.batch)[0]
+    return image_points_batch(spec.batch)[..., 0].T
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +103,16 @@ def image_method(spec: PathSpec) -> np.ndarray:
 def _gd_kernel(sc: BatchScene, T0, opts: SolveOptions):
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
-    T = np.ascontiguousarray(T0, dtype=dtype)
-    g0 = gradient_batch(sc, T)
-    g0_norm = np.sqrt(einsum("bnj,bnj->b", g0, g0))
-    scale = np.sqrt(einsum("bi,bi->b", sc.end - sc.start, sc.end - sc.start))
+    T = np.ascontiguousarray(np.asarray(T0, dtype=dtype).T)
+    g = gradient_batch(sc, T)
+    g0 = member_rows(g)
+    g0_norm = np.sqrt(einsum("bi,bi->b", g0, g0))
+    scale = np.sqrt(einsum("ib,ib->b", sc.end - sc.start, sc.end - sc.start))
     eta = 0.1 * scale / (1.0 + g0_norm)
-    g = g0
     for _ in range(opts.iterations):
-        T = T - eta[:, None, None] * g
+        T = T - eta * g
         g = gradient_batch(sc, T)
-    return T, g
+    return np.ascontiguousarray(T.T), np.ascontiguousarray(g.T)
 
 
 def gradient_descent(
@@ -131,21 +133,19 @@ NEWTON_MAX_HALVINGS = 20
 
 
 def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions):
-    """Masked, damped Newton over opts.iterations steps; returns (T, g).
+    """Masked, damped Newton over opts.iterations steps from T0 (B, n, 2); returns (T, g).
 
     Each iterate is embedded once: the clamped segment norms give g and H,
     and the raw norms the length that step halving compares against.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
-    T = np.ascontiguousarray(T0, dtype=dtype)
-    B, n = T.shape[0], T.shape[1]
-    m = 2 * n
-    active = sc.active.reshape(B, m)
+    T = np.ascontiguousarray(np.asarray(T0, dtype=dtype).T)
+    active = member_rows(sc.active)
     dim = active.sum(axis=1).astype(dtype)
     for it in range(opts.iterations + 1):
         s, norms = segment_norms(embed_batch(sc, T))
-        clamped = np.maximum(norms, sc.eps[:, None])
+        clamped = np.maximum(norms, sc.eps)
         g = gradient_from_segments(sc, s, clamped)
         if it == opts.iterations:
             break
@@ -153,22 +153,23 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions):
         # Inert rows and columns of H are zero, so this is the active block's trace.
         lam = NEWTON_DAMPING * einsum("bii->b", H) / np.maximum(dim, 1.0)
         try:
-            step = -solve_active(H, g.reshape(B, m), active, lam)
+            step = -solve_active(H, member_rows(g), active, lam)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("regularized Newton solve failed") from exc
-        L0 = einsum("bk->b", norms)
-        scale = np.ones(B, dtype=dtype)
-        cand = T + step.reshape(B, n, 2)
+        step = step.reshape(T.shape[::-1]).T
+        L0 = segment_sum(norms)
+        scale = np.ones(T.shape[2], dtype=dtype)
+        cand = T + step
         Lc = path_length_batch(sc, cand)
         for _ in range(NEWTON_MAX_HALVINGS):
             worse = Lc > L0
             if not np.any(worse):
                 break
             scale = np.where(worse, scale * 0.5, scale)
-            cand = T + scale[:, None, None] * step.reshape(B, n, 2)
+            cand = T + scale * step
             Lc = path_length_batch(sc, cand)
-        T = np.where((Lc <= L0)[:, None, None], cand, T)
-    return T, g
+        T = np.where(Lc <= L0, cand, T)
+    return np.ascontiguousarray(T.T), np.ascontiguousarray(g.T)
 
 
 def newton_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -197,7 +198,7 @@ def _reference_kernel(sc: BatchScene, T0):
         precision=Precision.DOUBLE,
     )
     T, _, _, _ = _bfgs_kernel(sc, T0, opts)
-    s, norms = segment_norms(embed_batch(sc, T))
+    s, norms = segment_norms(embed_batch(sc, T.T))
     return T, stationary_from_segments(sc, s, norms, REFERENCE_GRAD_TOL)
 
 

@@ -307,7 +307,8 @@ def gen_scenes(seed: int, n: int, kinds: Kinds, batch: int) -> list[PathSpec]:
 
 
 def _interaction_points(sc: BatchScene, T) -> np.ndarray:
-    return embed_batch(sc.astype(np.float64), np.asarray(T, dtype=np.float64))[:, 1:-1]
+    """(3, n, B) interaction points of a (B, n, 2) solution."""
+    return embed_batch(sc.astype(np.float64), np.asarray(T, dtype=np.float64).T)[:, 1:-1]
 
 
 def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
@@ -360,7 +361,7 @@ def run_bench(config: BenchConfig, timing_reps: int = 5) -> list[BenchRecord]:
                 t0 = time.perf_counter()
                 _run_solver(solver, sc, T0, config)
                 times.append(time.perf_counter() - t0)
-            err = float(np.mean(np.linalg.norm(pts - truth_pts, axis=2)))
+            err = float(np.mean(np.linalg.norm(pts - truth_pts, axis=0)))
             wall_ms = 1e3 * float(np.median(times))
             records.append(
                 BenchRecord(
@@ -421,10 +422,11 @@ def _perturbed_batch(specs: Sequence[PathSpec]) -> tuple[BatchScene, np.ndarray]
     rows = np.repeat(owner, 2)
     x = np.array(xs)[rows]
     x[np.arange(rows.size), np.repeat(entry, 2)] += np.tile([FD_STEP, -FD_STEP], owner.size)
-    parts = np.split(x, [6 * n, 9 * n, 9 * n + 3], axis=1)
-    basis, anchor, start, end = map(np.ascontiguousarray, parts)
-    active = np.array([spec.active_mask for spec in specs])[rows]
-    basis, anchor = basis.reshape(-1, n, 3, 2), anchor.reshape(-1, n, 3)
+    b, a, s, e = np.split(x, [6 * n, 9 * n, 9 * n + 3], axis=1)
+    basis = np.ascontiguousarray(b.reshape(-1, n, 3, 2).transpose(2, 3, 1, 0))
+    anchor = np.ascontiguousarray(a.reshape(-1, n, 3).T)
+    start, end = np.ascontiguousarray(s.T), np.ascontiguousarray(e.T)
+    active = np.take(np.concatenate([spec.batch.active for spec in specs], axis=-1), rows, axis=-1)
     return BatchScene(basis, anchor, start, end, segment_floor(start, end), active), owner
 
 

@@ -17,12 +17,18 @@ scenes `bench.gen_scenes` accepts.
 A `PathSpec` stacks its surfaces' arrays once and carries them as a
 `BatchScene` of one (`spec.batch`), the one array form that every
 derivative and solver reads; `BatchScene.from_specs` concatenates the
-members' batches. The inverse of the embedding is a least-squares
-projection by each basis' pseudo-inverse (`basis_pinv`), built in closed
-form by Gram-Schmidt: with w = b - (a.b / a.a) a orthogonal to the first
-column a, row 2 is w / (w.w) and row 1 is a / (a.a) - (a.b / a.a) row 2.
-An edge's row 2 is exactly zero. Unlike the normal equations, this does
-not square the condition number of a nearly parallel plane basis.
+members' batches. A `BatchScene` keeps the batch axis last: every array is
+C-contiguous with the coordinate axes (length 3 and 2) leading and the
+batch innermost, so each contraction over the coordinates streams over
+the batch instead of running one short inner loop per member and segment.
+A sum over the coordinates then adds its terms in order, as
+((x0 y0 + x1 y1) + x2 y2), for every batch size. The inverse of the
+embedding is a least-squares projection by each basis' pseudo-inverse
+(`basis_pinv`), built in closed form by Gram-Schmidt: with
+w = b - (a.b / a.a) a orthogonal to the first column a, row 2 is
+w / (w.w) and row 1 is a / (a.a) - (a.b / a.a) row 2. An edge's row 2 is
+exactly zero. Unlike the normal equations, this does not square the
+condition number of a nearly parallel plane basis.
 `params_from_points_batch` builds a batch's pseudo-inverses on each call
 and applies them in one contraction; `params_from_points` is its batch of
 one.
@@ -146,21 +152,25 @@ def make_edge(anchor, direction) -> Surface:
 
 
 def segment_floor(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(B,) float64 segment-norm floor 1e-12 (1 + |end - start|) of (B, 3) endpoints."""
-    scale = np.linalg.norm(end.astype(np.float64) - start.astype(np.float64), axis=1)
+    """(B,) float64 segment-norm floor 1e-12 (1 + |end - start|) of (3, B) endpoints."""
+    scale = np.linalg.norm(end.astype(np.float64) - start.astype(np.float64), axis=0)
     return 1e-12 * (1.0 + scale)
 
 
 @dataclass(frozen=True, slots=True)
 class BatchScene:
-    """Stacked arrays of B paths sharing the same interaction count n."""
+    """Stacked arrays of B paths sharing the same interaction count n, batch axis last.
 
-    basis: np.ndarray  # (B, n, 3, 2)
-    anchor: np.ndarray  # (B, n, 3)
-    start: np.ndarray  # (B, 3)
-    end: np.ndarray  # (B, 3)
+    Every array is C-contiguous with the batch axis innermost, so a
+    contraction over the coordinates runs its inner loop over the batch.
+    """
+
+    basis: np.ndarray  # (3, 2, n, B)
+    anchor: np.ndarray  # (3, n, B)
+    start: np.ndarray  # (3, B)
+    end: np.ndarray  # (3, B)
     eps: np.ndarray  # (B,) segment-norm floor 1e-12 (1 + |end - start|), in dtype
-    active: np.ndarray  # (B, n, 2) bool: coordinates whose basis column is nonzero
+    active: np.ndarray  # (2, n, B) bool: coordinates whose basis column is nonzero
 
     @classmethod
     def from_specs(cls, specs: Sequence[PathSpec]) -> BatchScene:
@@ -171,15 +181,17 @@ class BatchScene:
         if any(s.n != n for s in specs):
             raise NonUniformBatch("batch members have differing interaction counts")
         batches = [s.batch for s in specs]
-        return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
+        return cls(
+            *(np.concatenate([getattr(b, f.name) for b in batches], axis=-1) for f in fields(cls))
+        )
 
     @property
     def size(self) -> int:
-        return self.start.shape[0]
+        return self.eps.shape[0]
 
     @property
     def n(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[2]
 
     @property
     def dtype(self):
@@ -200,8 +212,13 @@ class BatchScene:
         return BatchScene(basis, anchor, start, end, eps, self.active)
 
     def take(self, idx) -> BatchScene:
-        """The members selected by an index array or boolean mask."""
-        return BatchScene(*(getattr(self, f.name)[idx] for f in fields(self)))
+        """The members selected by an index array or boolean mask, C-contiguous."""
+        idx = np.asarray(idx)
+        if idx.dtype == bool:
+            if idx.shape != (self.size,):
+                raise IndexError(f"mask of shape {idx.shape} for {self.size} members")
+            idx = np.flatnonzero(idx)
+        return BatchScene(*(np.take(getattr(self, f.name), idx, axis=-1) for f in fields(self)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,8 +228,9 @@ class PathSpec:
     start: np.ndarray
     end: np.ndarray
     surfaces: tuple[Surface, ...]
-    # Stacked once and read-only. `batch`, the path as a batch of one that
-    # every derivative reads, views these (n, ...) arrays.
+    # Stacked once and read-only. `batch` is the path as a batch of one that
+    # every derivative reads; these (n, ...) tensors are transposed views of
+    # its arrays.
     basis_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3, 2)
     anchor_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
     active_mask: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2) non-inert
@@ -230,18 +248,25 @@ class PathSpec:
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "surfaces", surfaces)
         n = len(surfaces)
-        basis = np.stack([s.basis for s in surfaces]) if n else np.zeros((0, 3, 2))
-        anchor = np.stack([s.anchor for s in surfaces]) if n else np.zeros((0, 3))
+        # The batch-last arrays of a batch of one: (3, 2, n, 1), (3, n, 1) and (2, n, 1).
+        basis, anchor = np.empty((3, 2, n, 1)), np.empty((3, n, 1))
+        if n:
+            basis[..., 0] = np.array([s.basis for s in surfaces]).transpose(1, 2, 0)
+            anchor[..., 0] = np.array([s.anchor for s in surfaces]).T
         # Each surface's `active`: construction rejects every zero column but an edge's second.
-        kinds = [(True, s.kind is SurfaceKind.PLANE) for s in surfaces]
-        active = np.array(kinds, dtype=bool).reshape(n, 2)
-        eps = segment_floor(start[None], end[None])
-        named = ("basis_tensor", basis), ("anchor_tensor", anchor), ("active_mask", active)
-        for name, a in named:
+        active = np.ones((2, n, 1), dtype=bool)
+        active[1, :, 0] = [s.kind is SurfaceKind.PLANE for s in surfaces]
+        eps = segment_floor(start[:, None], end[:, None])
+        for a in (basis, anchor, active, eps):
             a.setflags(write=False)
+        tensors = (
+            ("basis_tensor", basis[..., 0].transpose(2, 0, 1)),
+            ("anchor_tensor", anchor[..., 0].T),
+            ("active_mask", active[..., 0].T),
+        )
+        for name, a in tensors:
             object.__setattr__(self, name, a)
-        eps.setflags(write=False)
-        batch = BatchScene(basis[None], anchor[None], start[None], end[None], eps, active[None])
+        batch = BatchScene(basis, anchor, start[:, None], end[:, None], eps, active)
         object.__setattr__(self, "batch", batch)
 
     @property
@@ -257,32 +282,37 @@ def check_params(spec: PathSpec, T) -> np.ndarray:
         raise ShapeMismatch(f"params are not a float array: {exc}") from exc
     if T.shape != (spec.n, 2):
         raise ShapeMismatch(f"params must have shape ({spec.n}, 2), got {T.shape}")
-    if not np.all(np.isfinite(T)):
+    if not np.isfinite(T).all():
         raise ShapeMismatch("params have non-finite entries")
     return T
 
 
 def basis_pinv(basis: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """(..., 2, 3) pseudo-inverses of (..., 3, 2) bases with (..., 2) active masks.
+    """(3, 2, ...) transposed pseudo-inverses of (3, 2, ...) bases with (2, ...) active masks.
 
     Closed-form Gram-Schmidt: with a and b the columns and w = b - (a.b / a.a) a,
-    row 2 is w / (w.w) and row 1 is a / (a.a) - (a.b / a.a) row 2. An inert
-    second column (an edge's) gets a row 2 of exactly zero.
+    row 2 is w / (w.w) and row 1 is a / (a.a) - (a.b / a.a) row 2. The rows
+    are stored as columns, in the layout of the basis, so the projection is
+    applied as A^T is. An inert second column (an edge's) gets a row 2 of
+    exactly zero. w.w is summed in order: a one-interaction batch of one
+    would otherwise sum it as a contiguous reduction, which rounds
+    differently.
     """
-    a, b = basis[..., 0], basis[..., 1]
-    aa, ab = einsum("...ki,...k->i...", basis, a)
-    c = (ab / aa)[..., None]
+    a, b = basis[:, 0], basis[:, 1]
+    aa, ab = einsum("ki...,k...->i...", basis, a)
+    c = ab / aa
     w = b - c * a
+    w2 = w * w
     # An inert w is zero; dividing it by infinity keeps its row 2 zero.
-    ww = np.where(active[..., 1], einsum("...i,...i->...", w, w), np.inf)
-    pinv = np.empty(basis.shape[:-2] + (2, 3), dtype=basis.dtype)
-    row2 = np.divide(w, ww[..., None], out=pinv[..., 1, :])
-    np.subtract(a / aa[..., None], c * row2, out=pinv[..., 0, :])
+    ww = np.where(active[1], (w2[0] + w2[1]) + w2[2], np.inf)
+    pinv = np.empty_like(basis)
+    row2 = np.divide(w, ww, out=pinv[:, 1])
+    np.subtract(a / aa, c * row2, out=pinv[:, 0])
     return pinv
 
 
 def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
-    """(B, n, 2) least-squares parametric coordinates of points that broadcast to (B, n, 3).
+    """(2, n, B) least-squares parametric coordinates of points that broadcast to (3, n, B).
 
     The batch's closed-form pseudo-inverses (`basis_pinv`) project every
     point, so nearly parallel plane bases stay accurate; each member equals
@@ -290,7 +320,7 @@ def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
     """
     pinv = basis_pinv(sc.basis, sc.active)
     # An inert coordinate is a zero row times the point, possibly -0.0; `+ 0.0` makes it +0.0.
-    return einsum("bnij,bnj->bni", pinv, points - sc.anchor) + 0.0
+    return einsum("ijnb,inb->jnb", pinv, points - sc.anchor) + 0.0
 
 
 def params_from_points(spec: PathSpec, points) -> np.ndarray:
@@ -298,4 +328,4 @@ def params_from_points(spec: PathSpec, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.shape != (spec.n, 3):
         raise ShapeMismatch(f"points must have shape ({spec.n}, 3), got {points.shape}")
-    return params_from_points_batch(spec.batch, points[None])[0]
+    return params_from_points_batch(spec.batch, points.T[..., None])[..., 0].T

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .batching import (
+    member_rows,
     einsum,
     hessian_from_segments,
     length_param_gradient_from_segments,
@@ -40,16 +41,19 @@ def _at_solution(spec: PathSpec, Tstar):
 
 
 def _adjoint(sc, s, norms, v) -> np.ndarray:
-    """(B, n, 2) solution u of H u = -v on the active coordinates; inert entries are zero."""
+    """(2, n, B) solution u of H u = -v on the active coordinates; inert entries are zero.
+
+    `v` is (2, n, B); the solve runs on (B, 2n) rows, as the Hessian is laid out.
+    """
     H = hessian_from_segments(sc, s, norms)
-    B, m = H.shape[:2]
-    active = sc.active.reshape(B, m)
-    rhs = np.where(active, -v.reshape(B, m), 0.0)
+    B = H.shape[0]
+    active = member_rows(sc.active)
+    rhs = np.where(active, -member_rows(v), 0.0)
     try:
         u = solve_active(H, rhs, active, np.zeros(B))
         resid = np.linalg.norm(einsum("bij,bj->bi", H, u) - rhs, axis=1)
         if np.all(resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=1))):
-            return u.reshape(v.shape)
+            return u.reshape(v.shape[::-1]).T
     except np.linalg.LinAlgError:
         pass
     try:
@@ -58,21 +62,21 @@ def _adjoint(sc, s, norms, v) -> np.ndarray:
         raise SingularSystem("active Hessian singular even with Tikhonov") from exc
     if not np.all(np.isfinite(u)):
         raise SingularSystem("regularized solve produced non-finite values")
-    return u.reshape(v.shape)
+    return u.reshape(v.shape[::-1]).T
 
 
 def solve_stationary_system(spec: PathSpec, Tstar, v) -> np.ndarray:
     """Solve H u = -v on active coordinates; inert entries of u are zero."""
     v = check_params(spec, v)
     sc, _, s, norms = _at_solution(spec, Tstar)
-    return _adjoint(sc, s, norms, v[None])[0]
+    return _adjoint(sc, s, norms, v.T[..., None])[..., 0].T
 
 
 def vjp_solution(spec: PathSpec, Tstar, v) -> SceneGradient:
     """v^T d(T*)/d(theta): adjoint solve followed by the mixed-derivative VJP."""
     v = check_params(spec, v)
     sc, T, s, norms = _at_solution(spec, Tstar)
-    u = _adjoint(sc, s, norms, v[None])
+    u = _adjoint(sc, s, norms, v.T[..., None])
     return SceneGradient.of(param_vjp_from_segments(sc, T, s, norms, u))
 
 

@@ -31,8 +31,8 @@ from .geometry import PathSpec, check_params
 
 
 def _checked(spec: PathSpec, T):
-    """(batch of one, T, segments, norms) of one path; refuses degenerate paths."""
-    T = check_params(spec, T)[None]
+    """(batch of one, T as (2, n, 1), segments, norms) of one path; refuses degenerate paths."""
+    T = check_params(spec, T).T[..., None]
     sc = spec.batch
     _, s, norms = checked_segments(sc, T)
     return sc, T, s, norms
@@ -45,19 +45,19 @@ def embed(spec: PathSpec, T) -> np.ndarray:
     column is exactly zero.
     """
     T = check_params(spec, T)
-    return embed_batch(spec.batch, T[None])[0]
+    return embed_batch(spec.batch, T.T[..., None])[..., 0].T
 
 
 def path_length(spec: PathSpec, T) -> float:
     """Total Euclidean length of the embedded path."""
     T = check_params(spec, T)
-    return float(path_length_batch(spec.batch, T[None])[0])
+    return float(path_length_batch(spec.batch, T.T[..., None])[0])
 
 
 def gradient(spec: PathSpec, T) -> np.ndarray:
     """Gradient of path_length w.r.t. the n x 2 parameters."""
     sc, _, s, norms = _checked(spec, T)
-    return gradient_from_segments(sc, s, norms)[0]
+    return gradient_from_segments(sc, s, norms)[..., 0].T
 
 
 def hessian(spec: PathSpec, T) -> np.ndarray:
@@ -85,8 +85,9 @@ class SceneGradient:
 
     @classmethod
     def of(cls, parts) -> "SceneGradient":
-        """The member of a batch of one, from (basis, anchor, start, end) batch arrays."""
-        return cls(*(a[0] for a in parts))
+        """The member of a batch of one, from (basis, anchor, start, end) batch-last arrays."""
+        basis, anchor, start, end = (a[..., 0] for a in parts)
+        return cls(basis.transpose(2, 0, 1), anchor.T, start, end)
 
 
 def length_param_gradient(spec: PathSpec, T) -> SceneGradient:
@@ -99,4 +100,4 @@ def param_vjp(spec: PathSpec, T, u) -> SceneGradient:
     """u^T d(grad L)/d(theta) for a cotangent `u` (n x 2), theta = (bases, anchors, start, end)."""
     sc, T, s, norms = _checked(spec, T)
     u = check_params(spec, u)  # same shape contract as params
-    return SceneGradient.of(param_vjp_from_segments(sc, T, s, norms, u[None]))
+    return SceneGradient.of(param_vjp_from_segments(sc, T, s, norms, u.T[..., None]))

@@ -21,18 +21,26 @@ evaluations (fp=2) adds one Newton step. On random n=5 batches, larger
 budgets run no fewer BFGS iterations, while fp=1 leaves 3 to 5% of the
 members unstationary after 100 iterations. In single precision every
 evaluation is the fixed-point step, and the loop ends once no step size
-changes. Each BFGS iteration embeds the paths once: the
-clamped segments the new gradient is computed from are also the next step
-size's. The step size is one function of plain numpy on fresh arrays. At
-B=1 the cost is the number of numpy calls, so `einsum` is numpy's C kernel
-called directly, without the dispatch layer that `np.einsum` adds (see
-`batching`). The inverse-Hessian update is the rank-two product
-H + U W^T, one batched `matmul` into the kernel's spare (B, 2n, 2n) buffer,
-so the kernel holds two such arrays; it keeps H bitwise symmetric and
-rounds differently from the textbook three-term form. The step size and the update equal the plain
-expressions in `tests/_oracles.py` bitwise. The scalar entry point is the
-batch kernel applied to a batch of one, so batched and per-path results
-agree bitwise.
+changes. Each BFGS iteration embeds the paths once: the clamped segments
+the new gradient is computed from are also the next step size's, and so
+are their clamped norms, which the step size's first evaluation, at
+alpha = 0, takes as its trial norms instead of embedding 0 d + s again.
+The kernel works batch last, as `batching` lays a batch out: parameters
+and directions (2, n, B), segments (3, n+1, B), and per-segment scalars
+as (B, n+1) copies wherever they are summed over a member's segments.
+The inverse Hessians stay (B, 2n, 2n), so g and p cross between the
+layouts with one contiguous copy each per iteration; `_bfgs_kernel`
+takes and returns (B, n, 2). The step size is one function of plain
+numpy on fresh arrays. At B=1 the cost is the number of numpy calls, so
+`einsum` is numpy's C kernel called directly, without the dispatch layer
+that `np.einsum` adds (see `batching`). The inverse-Hessian update is the
+rank-two product H + U W^T, one batched `matmul` into the kernel's spare
+(B, 2n, 2n) buffer, so the kernel holds two such arrays; it keeps H
+bitwise symmetric and rounds differently from the textbook three-term
+form. The step size and
+the update equal the plain expressions in `tests/_oracles.py` bitwise.
+The scalar entry point is the batch kernel applied to a batch of one, so
+batched and per-path results agree bitwise.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import numpy as np
 
 from .batching import (
     BatchScene,
+    member_rows,
     checked_segments,
     clamped_segments,
     direction_segments,
@@ -53,6 +62,7 @@ from .batching import (
     gradient_from_segments,
     path_length_batch,
     segment_norms,
+    segment_sum,
     stack_params,
 )
 
@@ -112,7 +122,7 @@ def init_params_batch(sc: BatchScene) -> np.ndarray:
     coordinates are +0.0.
     """
     mid = 0.5 * (sc.start + sc.end)
-    return params_from_points_batch(sc, mid[:, None])
+    return params_from_points_batch(sc, mid[:, None]).T
 
 
 def init_params(spec: PathSpec) -> np.ndarray:
@@ -120,23 +130,31 @@ def init_params(spec: PathSpec) -> np.ndarray:
     return init_params_batch(spec.batch)[0]
 
 
-def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
+def _fixed_point_alpha(sc: BatchScene, s, den, P, iters: int):
     """Batched step size along P from the segments `s`; returns (alpha, zero, clamped), each (B,).
 
-    The step size solves the exact one-dimensional optimality condition
-    phi'(alpha) = sum_k e_k / den_k = 0, where d_k is what P adds to segment
-    k, e_k = (s_k + alpha d_k) . d_k and den_k = |s_k + alpha d_k|. `iters`
-    caps the evaluations of phi'. Members whose direction moves no point
-    (`zero`) keep alpha 0, and a trial segment that collapses below the
-    floor `sc.eps` is clamped (`clamped`), so batch control flow stays
-    uniform. Every evaluation is plain numpy on fresh arrays.
+    `s` is (3, n+1, B) and `P` (2, n, B); `den` is the (B, n+1) C-contiguous
+    copy of the segment norms of `s` clamped to the floor, which the kernel
+    has already computed. The step size solves the exact one-dimensional
+    optimality condition phi'(alpha) = sum_k e_k / den_k = 0, where d_k is
+    what P adds to segment k, e_k = (s_k + alpha d_k) . d_k and
+    den_k = |s_k + alpha d_k|. `iters` caps the evaluations of phi'.
+    Members whose direction moves no point (`zero`) keep alpha 0, and a
+    trial segment that collapses below the floor `sc.eps` is clamped
+    (`clamped`), so batch control flow stays uniform. Every evaluation is
+    plain numpy on fresh arrays. The per-segment terms are (B, n+1)
+    C-contiguous, so each sum over a member's segments runs the same
+    algorithm at every batch size (see `batching`).
 
     The first evaluation is the paper's fixed-point step from alpha = 0,
     alpha - phi'/D1 with D1 = sum_k |d_k|^2 / den_k, so a budget of one is
-    the paper's step size bitwise. It sums the stacked rows `c` and `-a2`
-    over the trial norms in one reduction, and the step is `num / -dsum`,
-    which equals `-num / dsum` bitwise, signed zeros included (folding the
-    minus into `c` would turn a -0.0 step into +0.0).
+    the paper's step size bitwise. At alpha = 0 the trial segments are `s`,
+    so it takes `den` as its trial norms instead of embedding 0 d_k + s_k;
+    the clamped norm is at or below the floor exactly where the norm is, so
+    `clamped` is unchanged. It sums c_k = s_k . d_k and |d_k|^2 over the
+    trial norms, and the step is `num / -dsum`, which equals `-num / dsum`
+    bitwise, signed zeros included (folding the minus into `c` would turn
+    a -0.0 step into +0.0).
 
     In single precision every evaluation is the fixed-point step, and the
     loop ends once no step size changes, which gives the result of all
@@ -165,27 +183,27 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     """
     dtype = s.dtype
     dAp = direction_segments(sc, P)
-    a2 = einsum("bki,bki->bk", dAp, dAp)
-    c = einsum("bki,bki->bk", dAp, s)
+    a2 = np.ascontiguousarray(einsum("ikb,ikb->kb", dAp, dAp).T)
+    c = np.ascontiguousarray(einsum("ikb,ikb->kb", dAp, s).T)
     zero = einsum("bk->b", a2) <= np.finfo(dtype).tiny
-    c_a2 = np.stack([c, -a2], axis=1)  # (B, 2, n+1)
 
-    alpha = np.zeros(P.shape[0], dtype=dtype)
+    alpha = np.zeros(P.shape[2], dtype=dtype)
     floor = sc.eps[:, None]
-    lowest = np.full(a2.shape, np.inf, dtype=dtype)  # smallest trial segment norms
+    lowest = den  # smallest trial segment norms
     single = dtype == np.float32
     # A zero direction divides 0 by 0; its step is discarded below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(iters if single else 1):
-            # Trial points may transiently collapse a segment when the
-            # iteration is not contracting; clamp instead of aborting the
-            # whole batch.
-            seg = alpha[:, None, None] * dAp + s
-            den = np.sqrt(einsum("bki,bki->bk", seg, seg))
-            lowest = np.fmin(lowest, den)
-            den = np.maximum(den, floor)
-            num, neg_dsum = einsum("bjk->bj", c_a2 / den[:, None]).T
-            new = num / neg_dsum
+        for it in range(iters if single else 1):
+            if it:
+                # Trial points may transiently collapse a segment when the
+                # iteration is not contracting; clamp instead of aborting
+                # the whole batch.
+                seg = alpha * dAp + s
+                den = np.ascontiguousarray(np.sqrt(einsum("ikb,ikb->kb", seg, seg)).T)
+                lowest = np.fmin(lowest, den)
+                den = np.maximum(den, floor)
+            num = einsum("bk->b", c / den)
+            new = num / -einsum("bk->b", a2 / den)
             keep = np.isfinite(new) & ~zero
             new = np.where(keep, new, alpha)
             # Given s and dAp the update depends on alpha alone, so once no
@@ -202,13 +220,14 @@ def _fixed_point_alpha(sc: BatchScene, s, P, iters: int):
     lo = np.where(num < 0, 0.0, -np.inf)
     hi = np.where(num > 0, 0.0, np.inf)
     active = keep
+    lowest = lowest.copy()  # the caller's norms stay as they are
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iters - 1):
             if not np.count_nonzero(active):
                 break
-            seg = alpha[:, None, None] * dAp + s
-            norms = np.sqrt(einsum("bki,bki->bk", seg, seg))
-            e = einsum("bki,bki->bk", seg, dAp)
+            seg = alpha * dAp + s
+            norms = np.ascontiguousarray(np.sqrt(einsum("ikb,ikb->kb", seg, seg)).T)
+            e = np.ascontiguousarray(einsum("ikb,ikb->kb", seg, dAp).T)
             np.fmin(lowest, norms, out=lowest, where=active[:, None])
             den = np.maximum(norms, floor)
             ratio = e / den
@@ -247,8 +266,9 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     T = check_params(spec, T)
     P = check_params(spec, P)
     sc = spec.batch
-    _, s, _ = checked_segments(sc, T[None])
-    alpha, zero, clamped = _fixed_point_alpha(sc, s, P[None], k)
+    # Every checked norm is above the floor, so these are the clamped norms.
+    _, s, norms = checked_segments(sc, T.T[..., None])
+    alpha, zero, clamped = _fixed_point_alpha(sc, s, norms.T.copy(), P.T[..., None], k)
     if zero[0]:
         raise ZeroDirection("direction moves no interaction point")
     if clamped[0]:
@@ -312,7 +332,7 @@ def _inverse_hessian_update(H, step, y, out):
 
 
 def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
-    """Run the batch BFGS schedule; returns (T, grad, traces, iterations).
+    """Run the batch BFGS schedule from T0 (B, n, 2); returns (T, grad, traces, iterations).
 
     A member leaves the schedule at the first of two exits. At the noise
     floor: the first iterate, T0 included, whose |g| < NOISE_FLOOR_TOL
@@ -326,22 +346,29 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
     stopped at that member's exit. `iterations` (B,) counts the steps each
     member took: up to the iterate that passed the floor test, up to and
     including the one that left it unchanged, or `opts.iterations`.
+
+    The parameters, segments and directions are worked on batch last, as
+    the scene is; the inverse Hessians stay (B, 2n, 2n), and g and p cross
+    between the two layouts with one contiguous copy each per iteration.
+    T and grad come back C-contiguous, (B, n, 2).
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
-    T = np.ascontiguousarray(T0, dtype=dtype)
-    B, n = T.shape[0], T.shape[1]
+    T = np.ascontiguousarray(np.asarray(T0, dtype=dtype).T)
+    n, B = T.shape[1], T.shape[2]
     m = 2 * n
 
     # Degenerate starting points raise. Once none does, every norm is above
     # the floor, so these are also the clamped norms, bitwise. The segments
-    # g is computed from are also the next step size's.
+    # and norms g is computed from are also the next step size's, and the
+    # norms are kept as (B, n+1) for the sums over each member's segments.
     _, s, norms = checked_segments(sc, T)
+    g = member_rows(gradient_from_segments(sc, s, norms))
+    norms = np.ascontiguousarray(norms.T)
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     # The update and compaction write into `spare`, which then swaps roles
     # with H: these are the kernel's only two (B, m, m) arrays.
     spare = np.empty_like(H)
-    g = gradient_from_segments(sc, s, norms).reshape(B, m)
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
     T_out, g_out = np.empty_like(T), np.empty_like(g)
@@ -360,10 +387,11 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
         done = still | (gnorm < NOISE_FLOOR_TOL * (1.0 + einsum("bk->b", norms)))
         if done.any():
             gone, kept = np.flatnonzero(done), np.flatnonzero(~done)
-            T_out[live[gone]] = T[gone]
+            T_out[..., live[gone]] = T[..., gone]
             g_out[live[gone]] = g[gone]
             ran[live[gone]] = it
-            live, T, g, s = live[kept], T[kept], g[kept], s[kept]
+            live, g, norms = live[kept], g[kept], norms[kept]
+            T, s = np.take(T, kept, axis=-1), np.take(s, kept, axis=-1)
             H, spare = np.take(H, kept, axis=0, out=spare[: kept.size], mode="clip"), H
             sc = sc.take(kept)
             if live.size == 0:
@@ -373,23 +401,25 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
 
         k = live.size
         p = -einsum("bij,bj->bi", H, g)
-        alpha, _, _ = _fixed_point_alpha(sc, s, p.reshape(k, n, 2), opts.fixed_point_iters)
+        P = np.ascontiguousarray(p.reshape(k, n, 2).T)
+        alpha, _, _ = _fixed_point_alpha(sc, s, norms, P, opts.fixed_point_iters)
         step = alpha[:, None] * p
-        T_new = T + step.reshape(k, n, 2)
-        still = np.all(T_new.view(bits) == T.view(bits), axis=(1, 2))
+        T_new = T + alpha * P
+        still = (T_new.view(bits) == T.view(bits)).all(axis=(0, 1))
         T = T_new
         x, s, norms = clamped_segments(sc, T)
-        g_new = gradient_from_segments(sc, s, norms).reshape(k, m)
+        g_new = member_rows(gradient_from_segments(sc, s, norms))
+        norms = np.ascontiguousarray(norms.T)
         H, spare = _inverse_hessian_update(H, step, g_new - g, spare[:k]), H
         g = g_new
 
         if opts.record_trace:
             # The path length at T, from the points embedded above.
-            row[0, live] = einsum("bk->b", segment_norms(x)[1])
+            row[0, live] = segment_sum(segment_norms(x)[1])
             row[1, live] = np.sqrt(einsum("bi,bi->b", g, g))
             hist[it] = row
 
-    T_out[live] = T
+    T_out[..., live] = T
     g_out[live] = g
     traces = None
     if opts.record_trace:
@@ -397,12 +427,12 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
             list(zip(range(opts.iterations), lengths, gnorms))
             for lengths, gnorms in zip(hist[:, 0].T.tolist(), hist[:, 1].T.tolist())
         ]
-    return T_out, g_out.reshape(B, n, 2), traces, ran
+    return np.ascontiguousarray(T_out.T), g_out.reshape(B, n, 2), traces, ran
 
 
 def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveReport]:
-    """One report per member; `iterations` is each member's count, or one for all."""
-    lengths = path_length_batch(sc.astype(T.dtype), T)
+    """One report per member of (B, n, 2) T and g; `iterations` is per member, or one for all."""
+    lengths = path_length_batch(sc.astype(T.dtype), T.T)
     gnorms = np.linalg.norm(g.reshape(T.shape[0], -1), axis=1)
     iterations = np.broadcast_to(iterations, T.shape[:1]).tolist()
     out = []

@@ -13,6 +13,16 @@ and the constructors and the Hessian in their plain numpy or looped form.
 guess, as one `lstsq` per surface, and `exact_lstsq` is one surface's
 projection in exact rational arithmetic. `perturbed_specs` is the
 finite-difference oracle's perturbed scenes, rebuilt one spec at a time.
+
+The library works batch last: a `BatchScene`'s arrays, parameters and
+directions (2, n, B), segments (3, n+1, B) and per-segment scalars
+(n+1, B). The oracles take and return arrays in that layout, but compute
+batch first, on C-contiguous copies (`rows`), as plain expressions. Each
+sum over the three coordinates is written out in order,
+((x0 y0 + x1 y1) + x2 y2) (`dot3`), which is what a contraction over a
+leading axis computes; each sum over a member's segments or interactions
+is `np.einsum` over a contiguous (B, k) array, the library's algorithm
+at every batch size.
 """
 
 from dataclasses import replace
@@ -168,22 +178,39 @@ def perturbed_specs(specs, h: float) -> list[PathSpec]:
     return out
 
 
+def rows(a) -> np.ndarray:
+    """A batch-last array as a C-contiguous batch-first copy: every axis reversed."""
+    return np.ascontiguousarray(np.asarray(a).T)
+
+
+def scene_rows(sc):
+    """(basis (B, n, 3, 2), anchor (B, n, 3), start (B, 3), end (B, 3)) of a batch-last scene."""
+    basis = np.ascontiguousarray(sc.basis.transpose(3, 2, 0, 1))
+    return basis, rows(sc.anchor), rows(sc.start), rows(sc.end)
+
+
+def dot3(x, y):
+    """x . y over a last axis of length 3, summed in order: (x0 y0 + x1 y1) + x2 y2."""
+    return (x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]) + x[..., 2] * y[..., 2]
+
+
 def reduced_edge_bfgs(sc, T0r, iters: int, fp_iters: int) -> np.ndarray:
     """Standalone d=1 BFGS for edge-only scenes: one unknown per edge.
 
     Mirrors the library's update rules on n-dimensional (not 2n) state, so
     agreement with the unified d=2 solver demonstrates the representations
-    are interchangeable.
+    are interchangeable. T0r is (B, n).
     """
-    A = sc.basis[..., 0]  # (B, n, 3) edge directions
+    basis, anchor, start, end = scene_rows(sc)
+    A = basis[..., 0]  # (B, n, 3) edge directions
     B, n = T0r.shape
     T = T0r.copy()
     eps = sc.eps
     tiny = np.finfo(T.dtype).tiny
 
     def segs(T):
-        mid = np.einsum("bni,bn->bni", A, T) + sc.anchor
-        x = np.concatenate([sc.start[:, None], mid, sc.end[:, None]], axis=1)
+        mid = np.einsum("bni,bn->bni", A, T) + anchor
+        x = np.concatenate([start[:, None], mid, end[:, None]], axis=1)
         s = x[:, 1:] - x[:, :-1]
         norms = np.maximum(np.sqrt(np.einsum("bki,bki->bk", s, s)), eps[:, None])
         return s, norms
@@ -238,33 +265,40 @@ def reduced_edge_bfgs(sc, T0r, iters: int, fp_iters: int) -> np.ndarray:
     return T
 
 
-def direction_segments(sc, P):
-    """(B, n+1, 3) what the (B, n, 2) directions P add to each segment."""
-    B = P.shape[0]
-    w = np.einsum("bnij,bnj->bni", sc.basis, P)
+def _direction_rows(sc, P):
+    """(B, n+1, 3) what the (2, n, B) directions P add to each segment, batch first."""
+    B = P.shape[2]
+    w = np.einsum("bnij,bnj->bni", scene_rows(sc)[0], rows(P))
     pad = np.zeros((B, 1, 3), dtype=P.dtype)
     wp = np.concatenate([pad, w, pad], axis=1)
     return wp[:, 1:] - wp[:, :-1]
 
 
+def direction_segments(sc, P):
+    """(3, n+1, B) what the (2, n, B) directions P add to each segment."""
+    return rows(_direction_rows(sc, P))
+
+
 def fixed_point_map_alpha(sc, s, P, iters: int, eps):
     """The paper's step-size loop in its plain form, with no early exit of any kind.
 
-    Runs all `iters` fixed-point iterations from alpha = 0 along the (B, n, 2)
-    directions P from the segments s. Returns (alpha, zero, clamped) like
-    `solver._fixed_point_alpha`: zero marks directions that move no point,
-    clamped members whose trial segment norm fell to the floor `eps`.
+    Runs all `iters` fixed-point iterations from alpha = 0 along the (2, n, B)
+    directions P from the (3, n+1, B) segments s. Returns (alpha, zero,
+    clamped) like `solver._fixed_point_alpha`: zero marks directions that
+    move no point, clamped members whose trial segment norm fell to the
+    floor `eps`.
     """
     dtype = s.dtype
-    dAp = direction_segments(sc, P)
-    a2 = np.einsum("bki,bki->bk", dAp, dAp)
-    c = np.einsum("bki,bki->bk", dAp, s)
+    s = rows(s)
+    dAp = _direction_rows(sc, P)
+    a2 = dot3(dAp, dAp)
+    c = dot3(dAp, s)
     zero = np.einsum("bk->b", a2) <= np.finfo(dtype).tiny
-    alpha = np.zeros(P.shape[0], dtype=dtype)
-    clamped = np.zeros(P.shape[0], dtype=bool)
+    alpha = np.zeros(P.shape[2], dtype=dtype)
+    clamped = np.zeros(P.shape[2], dtype=bool)
     for _ in range(iters):
         seg = s + alpha[:, None, None] * dAp
-        norms = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
+        norms = np.sqrt(dot3(seg, seg))
         clamped |= np.any(norms <= eps[:, None], axis=1)
         den = np.maximum(norms, eps[:, None])
         num = np.einsum("bk->b", c / den)
@@ -275,18 +309,18 @@ def fixed_point_map_alpha(sc, s, P, iters: int, eps):
 
 
 def _slope_terms(s, dAp, alpha, eps):
-    """Trial norms, floored norms and e_k / den_k at the (B,) step sizes alpha."""
+    """Trial norms, floored norms and e_k / den_k at the (B,) step sizes alpha, batch first."""
     seg = s + alpha[:, None, None] * dAp
-    norms = np.sqrt(np.einsum("bki,bki->bk", seg, seg))
+    norms = np.sqrt(dot3(seg, seg))
     den = np.maximum(norms, eps[:, None])
-    return norms, den, np.einsum("bki,bki->bk", seg, dAp) / den
+    return norms, den, dot3(seg, dAp) / den
 
 
 def step_slope(sc, s, P, alpha, eps):
     """(phi'(alpha), sum_k |d_k|), each (B,), by the arithmetic of `fixed_point_alpha`."""
-    dAp = direction_segments(sc, P)
-    scale = np.einsum("bk->b", np.sqrt(np.einsum("bki,bki->bk", dAp, dAp)))
-    return np.einsum("bk->b", _slope_terms(s, dAp, alpha, eps)[2]), scale
+    dAp = _direction_rows(sc, P)
+    scale = np.einsum("bk->b", np.sqrt(dot3(dAp, dAp)))
+    return np.einsum("bk->b", _slope_terms(rows(s), dAp, alpha, eps)[2]), scale
 
 
 def fixed_point_alpha(sc, s, P, iters: int, eps):
@@ -303,18 +337,19 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
     finite (keeping alpha), after a step of at most 4 eps |alpha|, or after
     `iters` evaluations; only running members count towards `clamped`.
     `evaluations` (B,) counts the evaluations each member used, so a member
-    at `iters` hit the cap.
+    at `iters` hit the cap. s is (3, n+1, B) and P (2, n, B).
     """
     dtype = s.dtype
-    B = P.shape[0]
+    B = P.shape[2]
     first, zero, clamped = fixed_point_map_alpha(sc, s, P, 1, eps)
     if dtype == np.float32 or iters == 1:
         alpha, zero, clamped = fixed_point_map_alpha(sc, s, P, iters, eps)
         return alpha, zero, clamped, np.full(B, iters)
-    dAp = direction_segments(sc, P)
-    a2 = np.einsum("bki,bki->bk", dAp, dAp)
-    c = np.einsum("bki,bki->bk", dAp, s)
-    norms0 = np.sqrt(np.einsum("bki,bki->bk", s, s))
+    s = rows(s)
+    dAp = _direction_rows(sc, P)
+    a2 = dot3(dAp, dAp)
+    c = dot3(dAp, s)
+    norms0 = np.sqrt(dot3(s, s))
     slope0 = np.einsum("bk->b", c / np.maximum(norms0, eps[:, None]))
     ulp = np.finfo(dtype).eps
     tol = 8 * ulp * np.einsum("bk->b", np.sqrt(a2))
@@ -403,7 +438,8 @@ def fixed_schedule_bfgs(sc, T0, opts):
 
     Every member runs all opts.iterations iterations and every step size
     all opts.fixed_point_iters fixed-point iterations, with the library's
-    update rules. Returns (T, g, traces, still_at, floor_at): still_at[b]
+    update rules. T0, T and g are (B, n, 2); the library's embedding and
+    gradient get them batch last. Returns (T, g, traces, still_at, floor_at): still_at[b]
     is the first iteration whose step left member b's parameters bitwise
     unchanged, and floor_at[b] the first iterate, from T0 (0) to the last
     (opts.iterations), whose |g| < NOISE_FLOOR_TOL (1 + L), L summed from
@@ -417,34 +453,35 @@ def fixed_schedule_bfgs(sc, T0, opts):
     eps = sc.eps
     bits = f"u{T.itemsize}"
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
-    g = gradient_batch(sc, T).reshape(B, m)
+    g = rows(gradient_batch(sc, T.T)).reshape(B, m)
     traces = [[] for _ in range(B)]
     still_at = np.full(B, -1)
     floor_at = np.full(B, -1)
 
     def at_floor(g, norms):
         gnorm = np.sqrt(np.einsum("bi,bi->b", g, g))
-        return gnorm < NOISE_FLOOR_TOL * (1.0 + np.einsum("bk->b", norms))
+        return gnorm < NOISE_FLOOR_TOL * (1.0 + np.einsum("bk->b", rows(norms)))
 
     for it in range(opts.iterations):
         p = -np.einsum("bij,bj->bi", H, g)
-        _, s, norms = clamped_segments(sc, T)
+        _, s, norms = clamped_segments(sc, T.T)
         floor_at = np.where((floor_at < 0) & at_floor(g, norms), it, floor_at)
-        alpha = fixed_point_alpha(sc, s, p.reshape(B, n, 2), opts.fixed_point_iters, eps)[0]
+        P = p.reshape(B, n, 2).T
+        alpha = fixed_point_alpha(sc, s, P, opts.fixed_point_iters, eps)[0]
         step = alpha[:, None] * p
         T_new = T + step.reshape(B, n, 2)
         still = np.all(T_new.view(bits) == T.view(bits), axis=(1, 2))
         still_at = np.where((still_at < 0) & still, it, still_at)
         T = T_new
-        g_new = gradient_batch(sc, T).reshape(B, m)
+        g_new = rows(gradient_batch(sc, T.T)).reshape(B, m)
         H, _ = inverse_hessian_update(H, step, g_new - g)
         g = g_new
         if opts.record_trace:
-            lengths = path_length_batch(sc, T)
+            lengths = path_length_batch(sc, T.T)
             gnorms = np.sqrt(np.einsum("bi,bi->b", g, g))
             for b in range(B):
                 traces[b].append((it, float(lengths[b]), float(gnorms[b])))
-    last = at_floor(g, clamped_segments(sc, T)[2])
+    last = at_floor(g, clamped_segments(sc, T.T)[2])
     floor_at = np.where((floor_at < 0) & last, opts.iterations, floor_at)
     return T, g.reshape(B, n, 2), traces if opts.record_trace else None, still_at, floor_at
 
@@ -477,9 +514,10 @@ def stopped_schedule_bfgs(sc, T0, opts):
         else:  # stopped at T0: one trace entry holds T0's (L, |g|)
             sc_k = sc.astype(dtype)
             T_k = np.array(T0, dtype=dtype)
-            g_k = gradient_batch(sc_k, T_k)
+            g_k = rows(gradient_batch(sc_k, T_k.T))
             g_flat = g_k.reshape(len(T_k), -1)
-            L, gnorms = path_length_batch(sc_k, T_k), np.sqrt(np.einsum("bi,bi->b", g_flat, g_flat))
+            L = path_length_batch(sc_k, T_k.T)
+            gnorms = np.sqrt(np.einsum("bi,bi->b", g_flat, g_flat))
             traces_k = [[(0, float(a), float(b))] for a, b in zip(L, gnorms)]
         for b in np.flatnonzero(ran == k).tolist():
             T[b], g[b] = T_k[b], g_k[b]
@@ -557,20 +595,22 @@ def seg_epsilon(start, end, dtype=np.float64):
 
 
 def looped_hessian_from_segments(sc, s, norms):
-    """`batching.hessian_from_segments` as a Python loop over the n diagonal blocks."""
-    B, n = s.shape[0], s.shape[1] - 1
-    u = s / norms[..., None]
+    """`batching.hessian_from_segments` as a Python loop over the n diagonal blocks.
+
+    s is (3, n+1, B) and norms (n+1, B); the blocks are contracted batch
+    last, one block at a time.
+    """
+    n, B = s.shape[1] - 1, s.shape[2]
+    u = s / norms
     eye = np.eye(3, dtype=s.dtype)
-    M = (eye[None, None] - np.einsum("bki,bkj->bkij", u, u)) / norms[..., None, None]
+    M = (eye[:, :, None, None] - np.einsum("ikb,jkb->ijkb", u, u)) / norms
     A = sc.basis
     H = np.zeros((B, 2 * n, 2 * n), dtype=s.dtype)
     for i in range(n):
-        di = np.einsum(
-            "bri,brs,bsj->bij", A[:, i], M[:, i] + M[:, i + 1], A[:, i]
-        )
+        di = np.einsum("rib,rsb,sjb->bij", A[:, :, i], M[:, :, i] + M[:, :, i + 1], A[:, :, i])
         H[:, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = di
         if i + 1 < n:
-            off = -np.einsum("bri,brs,bsj->bij", A[:, i], M[:, i + 1], A[:, i + 1])
+            off = -np.einsum("rib,rsb,sjb->bij", A[:, :, i], M[:, :, i + 1], A[:, :, i + 1])
             H[:, 2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
             H[:, 2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.swapaxes(off, 1, 2)
     return H

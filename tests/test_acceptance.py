@@ -26,6 +26,7 @@ from fermatpath import (
 from fermatpath.baselines import image_points_batch, reference_solve_batch
 from fermatpath.batching import (
     BatchScene,
+    member_rows,
     clamped_segments,
     embed_batch,
     gradient_batch,
@@ -55,7 +56,7 @@ def _solved_points(specs, iterations=100, fp_iters=64, precision=Precision.DOUBL
         T0,
         SolveOptions(iterations=iterations, fixed_point_iters=fp_iters, precision=precision),
     )
-    pts = embed_batch(sc, np.asarray(T, dtype=np.float64))[:, 1:-1]
+    pts = embed_batch(sc, np.asarray(T, dtype=np.float64).T)[:, 1:-1].T  # (B, n, 3)
     return sc, T0, T, pts
 
 
@@ -95,7 +96,7 @@ def test_criterion_2_image_method_equivalence():
     for n in (1, 2, 3, 4, 5):
         specs = gen_scenes(3, n, Kinds.REFLECTIONS, 1000)
         sc, _, _, pts = _solved_points(specs)
-        truth = image_points_batch(sc)
+        truth = image_points_batch(sc).T
         err_d = np.linalg.norm(pts - truth, axis=2).mean(axis=1)
         worst_mean = max(worst_mean, float(err_d.mean()))
         _, _, _, pts_s = _solved_points(specs, precision=Precision.SINGLE)
@@ -117,7 +118,7 @@ def test_criterion_3_diffraction_accuracy():
         sc, T0, _, pts = _solved_points(specs)
         Tref, conv = reference_solve_batch(specs, list(T0))
         assert np.all(conv)
-        ref_pts = embed_batch(sc, Tref)[:, 1:-1]
+        ref_pts = embed_batch(sc, Tref.T)[:, 1:-1].T
         err = np.linalg.norm(pts - ref_pts, axis=2).mean(axis=1)
         worst_mean = max(worst_mean, float(err.mean()))
 
@@ -140,10 +141,10 @@ def test_criterion_3_diffraction_accuracy():
         Tb, _, _, _ = _bfgs_kernel(sc, T0_scrambled, opts)
         exact_ok &= bool(np.array_equal(Ta[..., 0], Tb[..., 0]))
         exact_ok &= bool(np.array_equal(Tb[..., 1], T0_scrambled[..., 1]))
-        exact_ok &= bool(np.array_equal(embed_batch(sc, Ta), embed_batch(sc, Tb)))
+        exact_ok &= bool(np.array_equal(embed_batch(sc, Ta.T), embed_batch(sc, Tb.T)))
         Tr = reduced_edge_bfgs(sc, T0[..., 0].copy(), 100, 64)
-        pts_full = embed_batch(sc, Ta)[:, 1:-1]
-        pts_red = np.einsum("bni,bn->bni", sc.basis[..., 0], Tr) + sc.anchor
+        pts_full = embed_batch(sc, Ta.T)[:, 1:-1]
+        pts_red = np.einsum("inb,bn->inb", sc.basis[:, 0], Tr) + sc.anchor
         reduced_worst = max(reduced_worst, float(np.abs(pts_full - pts_red).max()))
 
     ok = worst_mean < 1e-6 and exact_ok and reduced_worst < 1e-9
@@ -161,7 +162,7 @@ def test_criterion_4_mixed_sequences():
         sc, T0, _, pts = _solved_points(specs)
         Tref, conv = reference_solve_batch(specs, list(T0))
         assert np.all(conv)
-        ref_pts = embed_batch(sc, Tref)[:, 1:-1]
+        ref_pts = embed_batch(sc, Tref.T)[:, 1:-1].T
         err = np.linalg.norm(pts - ref_pts, axis=2).mean(axis=1)
         worst_mean = max(worst_mean, float(err.mean()))
 
@@ -194,12 +195,12 @@ def test_newton_step_estimate_on_the_scenes_of_criteria_3_and_4():
         for n in (1, 2, 3, 4, 5):
             specs = gen_scenes(5, n, kinds, 1000)
             sc, _, T, _ = _solved_points(specs)
-            _, s, norms = clamped_segments(sc, T)
-            g = gradient_from_segments(sc, s, norms).reshape(len(specs), 2 * n)
+            _, s, norms = clamped_segments(sc, T.T)
+            g = member_rows(gradient_from_segments(sc, s, norms))
             H = hessian_from_segments(sc, s, norms)
-            active = sc.active.reshape(g.shape)
+            active = member_rows(sc.active)
             u = solve_active(H, g, active, np.zeros(len(specs))).reshape(T.shape)
-            est = np.linalg.norm(np.einsum("bnij,bnj->bni", sc.basis, u), axis=2)
+            est = np.linalg.norm(np.einsum("ijnb,bnj->inb", sc.basis, u), axis=0)
             worst_mean = max(worst_mean, float(est.mean()))
             worst_max = max(worst_max, float(est.max()))
         print(f"Newton-step estimate ({kinds.name.lower()}): "
@@ -226,7 +227,7 @@ def test_criterion_5_fixed_point_line_search():
                 scb = BatchScene.from_specs([spec])
                 for _ in range(10):
                     T = rep.solution + rng.normal(size=(n, 2)) * 1e-3 * spec.active_mask
-                    g = gradient_batch(scb, T[None])[0]
+                    g = gradient_batch(scb, T.T[..., None])[..., 0].T
                     P = -g / np.linalg.norm(g)
                     astar = bisection_alpha(spec, T, P)
                     a1 = line_search_alpha(spec, T, P, k=1)

@@ -148,7 +148,7 @@ class TestNewton:
         specs = gen_scenes(22, 3, Kinds.MIXED, 5)
         Ts = [perturb_params(spec, rng, 0.1) for spec in specs]
         sc = BatchScene.from_specs(specs)
-        _, s, norms = checked_segments(sc, np.stack(Ts))
+        _, s, norms = checked_segments(sc, np.stack(Ts).T)
         Hb = hessian_from_segments(sc, s, norms)
         for spec, T, H in zip(specs, Ts, Hb):
             assert H.tobytes() == hessian(spec, T).tobytes()
@@ -226,13 +226,13 @@ class TestReference:
         sc = BatchScene.from_specs(specs)
         T, conv = reference_solve_batch(specs)
         assert conv.all()
-        u, anchor = sc.basis[:, 0, :, 0], sc.anchor[:, 0]
+        u, anchor = sc.basis[:, 0, 0].T, sc.anchor[:, 0].T
 
         def along_and_off(p):
             t = np.einsum("bi,bi->b", p - anchor, u) / np.einsum("bi,bi->b", u, u)
             return t, np.linalg.norm(p - anchor - t[:, None] * u, axis=1)
 
-        (s, r_s), (e, r_e) = along_and_off(sc.start), along_and_off(sc.end)
+        (s, r_s), (e, r_e) = along_and_off(sc.start.T), along_and_off(sc.end.T)
         t_star = s + (e - s) * r_s / (r_s + r_e)
         err = np.abs(T[:, 0, 0] - t_star) * np.linalg.norm(u, axis=1)
         assert err.mean() <= 1e-14 and err.max() <= 1e-12

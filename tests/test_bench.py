@@ -660,7 +660,7 @@ class TestCli:
             assert scene_line.match(line)
             sc = spec.batch
             T, g = stopped_schedule_bfgs(sc, init_params(spec)[None], opts)[:2]
-            length = path_length_batch(sc, T)[0]
+            length = path_length_batch(sc, T.T)[0]
             gnorm = np.linalg.norm(g.reshape(-1))
             assert line == f"scene {idx}: length={length:.9g} grad_norm={gnorm:.3e}"
 

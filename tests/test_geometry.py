@@ -132,7 +132,7 @@ class TestPathSpec:
         for spec in gen_scenes(13, n, kinds, 10 if n < 64 else 3):
             norm_rule = np.linalg.norm(spec.basis_tensor, axis=1) > 0.0
             assert _bytes(spec.active_mask) == _bytes(norm_rule)
-            assert _bytes(spec.batch.active) == _bytes(norm_rule[None])
+            assert _bytes(spec.batch.active) == _bytes(norm_rule.T[..., None])
             for surface, row in zip(spec.surfaces, norm_rule):
                 assert _bytes(surface.active) == _bytes(row)
 
@@ -234,12 +234,13 @@ class TestParamsFromPoints:
     @pytest.mark.parametrize("kinds", list(Kinds))
     def test_basis_pinv_is_a_left_inverse_with_zero_inert_rows(self, kinds):
         for spec in gen_scenes(29, 5, kinds, 20) + [_simple_spec()]:
-            pinv = basis_pinv(spec.basis_tensor, spec.active_mask)
-            assert pinv.shape == (spec.n, 2, 3)
-            eye = pinv @ spec.basis_tensor  # (n, 2, 2)
+            # Transposed pseudo-inverses, in the (3, 2, n) layout of the basis.
+            pinv = basis_pinv(spec.basis_tensor.transpose(1, 2, 0), spec.active_mask.T)
+            assert pinv.shape == (3, 2, spec.n)
+            eye = np.einsum("kin,nkj->nij", pinv, spec.basis_tensor)  # (n, 2, 2)
             for i, act in enumerate(spec.active_mask):
                 np.testing.assert_allclose(eye[i][np.ix_(act, act)], np.eye(act.sum()), atol=1e-12)
-            inert = pinv[:, 1][~spec.active_mask[:, 1]]  # an edge's row 2 is exactly zero
+            inert = pinv[:, 1].T[~spec.active_mask[:, 1]]  # an edge's row 2 is exactly zero
             assert np.all(inert == 0.0)
 
     @pytest.mark.parametrize("e", [3e-8, 1e-6])
@@ -401,13 +402,54 @@ class TestConstructorsMatchOracle:
         assert _bytes(crosses) == _bytes(np.cross(v, w))
 
 
+class TestBatchLastLayout:
+    """Every batch array is C-contiguous, with the batch axis last."""
+
+    @staticmethod
+    def _assert_layout(sc, n, B, dtype=np.float64):
+        shapes = {
+            "basis": (3, 2, n, B), "anchor": (3, n, B), "start": (3, B), "end": (3, B),
+            "eps": (B,), "active": (2, n, B),
+        }
+        for name, shape in shapes.items():
+            a = getattr(sc, name)
+            assert a.shape == shape and a.flags.c_contiguous, name
+            assert a.dtype == (bool if name == "active" else dtype), name
+        assert (sc.size, sc.n) == (B, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64])
+    def test_spec_batch_from_specs_take_and_astype(self, n):
+        if n:
+            specs = gen_scenes(7, n, Kinds.MIXED, 9)
+        else:
+            specs = [PathSpec(start=[0, 0, 0], end=[1, 2, k + 1.0], surfaces=()) for k in range(9)]
+        for spec in specs:
+            self._assert_layout(spec.batch, n, 1)
+        sc = BatchScene.from_specs(specs)
+        self._assert_layout(sc, n, 9)
+        self._assert_layout(sc.take([4, 0, 7]), n, 3)
+        self._assert_layout(sc.take(np.arange(9) % 2 == 0), n, 5)
+        self._assert_layout(sc.astype(np.float32), n, 9, np.float32)
+        self._assert_layout(sc.astype(np.float32).take([2]), n, 1, np.float32)
+        for bad in (np.ones(8, dtype=bool), [9]):
+            with pytest.raises(IndexError):
+                sc.take(bad)
+        # Member b of the batch is spec b's batch of one, and its tensors.
+        for b, spec in enumerate(specs):
+            member = sc.take([b])
+            assert _bytes(member.basis[..., 0].transpose(2, 0, 1)) == _bytes(spec.basis_tensor)
+            assert _bytes(member.anchor[..., 0].T) == _bytes(spec.anchor_tensor)
+            assert _bytes(member.active[..., 0].T) == _bytes(spec.active_mask)
+            assert _bytes(member.start[:, 0], member.end[:, 0]) == _bytes(spec.start, spec.end)
+
+
 class TestBatchSceneCarriesFloorAndMask:
     """`eps` and `active` are carried, equal to their formula byte for byte."""
 
     @staticmethod
     def _assert_carried(sc):
-        assert _bytes(sc.eps) == _bytes(oracle.seg_epsilon(sc.start, sc.end, sc.dtype))
-        assert _bytes(sc.active) == _bytes(np.linalg.norm(sc.basis, axis=2) > 0.0)
+        assert _bytes(sc.eps) == _bytes(oracle.seg_epsilon(sc.start.T, sc.end.T, sc.dtype))
+        assert _bytes(sc.active) == _bytes(np.linalg.norm(sc.basis, axis=0) > 0.0)
 
     def test_batch_of_one_from_specs_take_and_astype(self):
         specs = gen_scenes(5, 3, Kinds.MIXED, 40)

@@ -130,7 +130,7 @@ class TestOneEmbedding:
         for spec, Tstar in stationary_cases[-3:]:
             calls.clear()
             call(spec, Tstar, np.ones((spec.n, 2)) * spec.active_mask)
-            assert calls == [(1, spec.n, 2)]
+            assert calls == [(2, spec.n, 1)]
 
 
 class TestInertCoordinates:

@@ -123,11 +123,38 @@ class TestHessianMatchesLoopOracle:
         for label, specs, T in _hessian_batches():
             for dtype in (np.float64, np.float32):
                 sc = BatchScene.from_specs(specs).astype(dtype)
-                _, s, norms = checked_segments(sc, T.astype(dtype))
+                _, s, norms = checked_segments(sc, T.astype(dtype).T)
                 H = hessian_from_segments(sc, s, norms)
                 want = looped_hessian_from_segments(sc, s, norms)
                 assert (H.dtype, H.shape) == (want.dtype, want.shape), (label, dtype)
                 assert H.tobytes() == want.tobytes(), (label, dtype)
+
+
+class TestBatchedKernelsPerMember:
+    """Each member of a batch-last derivative equals its own batch of one, bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 64])
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_gradient_hessian_and_vjp(self, kinds, n, dtype):
+        rng = np.random.default_rng(n)
+        specs = gen_scenes(53, n, kinds, 6)
+        sc = BatchScene.from_specs(specs).astype(dtype)
+        T = np.stack([perturb_params(s, rng, 0.1) for s in specs]).astype(dtype).T
+        u = rng.normal(size=T.shape).astype(dtype)
+
+        def kernels(sc, T, u):
+            _, s, norms = checked_segments(sc, T)
+            parts = param_vjp_from_segments(sc, T, s, norms, u)
+            return gradient_batch(sc, T), hessian_from_segments(sc, s, norms), parts
+
+        G, H, vjp = kernels(sc, T, u)
+        for b in range(len(specs)):
+            one = slice(b, b + 1)
+            Gb, Hb, vjp_b = kernels(sc.take([b]), T[..., one].copy(), u[..., one].copy())
+            assert Gb.tobytes() == G[..., one].tobytes()
+            assert Hb.tobytes() == H[one].tobytes()
+            assert [p.tobytes() for p in vjp_b] == [p[..., one].tobytes() for p in vjp]
 
 
 class TestBatchOfOne:
@@ -144,19 +171,21 @@ class TestBatchOfOne:
             sc = BatchScene.from_specs(specs)
             T = np.stack(Ts)
             u = rng.normal(size=T.shape)
-            _, s, norms = checked_segments(sc, T)
-            G, L = gradient_batch(sc, T), path_length_batch(sc, T)
+            _, s, norms = checked_segments(sc, T.T)
+            G, L = gradient_batch(sc, T.T), path_length_batch(sc, T.T)
             H = hessian_from_segments(sc, s, norms)
-            dL = length_param_gradient_from_segments(T, s, norms)
-            vjp = param_vjp_from_segments(sc, T, s, norms, u)
+            dL = length_param_gradient_from_segments(T.T, s, norms)
+            vjp = param_vjp_from_segments(sc, T.T, s, norms, u.T)
             for b, (spec, Tb) in enumerate(group):
-                assert gradient(spec, Tb).tobytes() == G[b].tobytes()
+                assert gradient(spec, Tb).tobytes() == G[..., b].T.tobytes()
                 assert hessian(spec, Tb).tobytes() == H[b].tobytes()
                 assert path_length(spec, Tb) == float(L[b])
                 for sg, parts in ((length_param_gradient(spec, Tb), dL),
                                   (param_vjp(spec, Tb, u[b]), vjp)):
                     fields = (sg.basis, sg.anchor, sg.start, sg.end)
-                    assert [f.tobytes() for f in fields] == [p[b].tobytes() for p in parts]
+                    basis, anchor, start, end = (p[..., b] for p in parts)
+                    member = (basis.transpose(2, 0, 1), anchor.T, start, end)
+                    assert [f.tobytes() for f in fields] == [p.tobytes() for p in member]
         assert path_length(empty, np.zeros((0, 2))) == 3.0
 
 

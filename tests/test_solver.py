@@ -44,6 +44,7 @@ from fermatpath.objective import embed, gradient
 from _oracles import (
     bisection_alpha,
     direction_segments,
+    dot3,
     fixed_point_alpha,
     fixed_point_map_alpha,
     fixed_schedule_bfgs,
@@ -51,6 +52,7 @@ from _oracles import (
     iterations_to_exit,
     per_surface_params_from_points,
     perturb_params,
+    rows,
     step_slope,
     stopped_schedule_bfgs,
     three_term_inverse_hessian_update,
@@ -228,8 +230,8 @@ def _step_size_batch(dtype):
     P[6] = [[1.0, 0.5], [-0.3, 1.0], [0.2, -1.0]]
     P[7] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     sc = BatchScene.from_specs(specs).astype(dtype)
-    _, s, _ = clamped_segments(sc, T.astype(dtype))
-    return sc, s, P.astype(dtype), sc.eps
+    _, s, norms = clamped_segments(sc, T.astype(dtype).T)
+    return sc, s, np.ascontiguousarray(norms.T), np.ascontiguousarray(P.astype(dtype).T), sc.eps
 
 
 class TestStepSizeLoop:
@@ -239,8 +241,8 @@ class TestStepSizeLoop:
     @pytest.mark.parametrize("k", [1, 7, 64])
     @pytest.mark.parametrize("precision", list(Precision))
     def test_matches_oracle_bytes(self, precision, k):
-        sc, s, P, eps = _step_size_batch(precision.dtype)
-        got = _fixed_point_alpha(sc, s, P, k)
+        sc, s, den, P, eps = _step_size_batch(precision.dtype)
+        got = _fixed_point_alpha(sc, s, den, P, k)
         want = fixed_point_alpha(sc, s, P, k, eps)[:3]
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype
@@ -256,8 +258,8 @@ class TestStepSizeLoop:
     )
     def test_is_the_fixed_point_map_where_newton_does_not_run(self, precision, k):
         # fp=1 and single precision keep the paper's loop, bitwise.
-        sc, s, P, eps = _step_size_batch(precision.dtype)
-        got = _fixed_point_alpha(sc, s, P, k)
+        sc, s, den, P, eps = _step_size_batch(precision.dtype)
+        got = _fixed_point_alpha(sc, s, den, P, k)
         want = fixed_point_map_alpha(sc, s, P, k, eps)
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
@@ -266,7 +268,7 @@ class TestStepSizeLoop:
     def test_direction_segments_match_oracle_bytes(self, precision):
         # The one segment change along a direction, shared by the step size
         # and the scene VJP.
-        sc, _, P, _ = _step_size_batch(precision.dtype)
+        sc, _, _, P, _ = _step_size_batch(precision.dtype)
         got = batching.direction_segments(sc, P)
         want = direction_segments(sc, P)
         assert got.dtype == want.dtype == precision.dtype
@@ -276,12 +278,14 @@ class TestStepSizeLoop:
         # Members 0-3 converge in a few evaluations; the zero directions
         # (4-5) stop after the first, and so do members 6-7 after the second:
         # 6 sits at its root, and 7's trial segment collapses onto the floor.
-        sc, s, P, eps = _step_size_batch(np.float64)
+        sc, s, den, P, eps = _step_size_batch(np.float64)
         evaluations = fixed_point_alpha(sc, s, P, 64, eps)[3]
         assert evaluations.tolist() == [6, 7, 6, 6, 1, 1, 2, 2]
-        batch = _fixed_point_alpha(sc, s, P, 64)
+        batch = _fixed_point_alpha(sc, s, den, P, 64)
         for b in range(8):
-            one = _fixed_point_alpha(sc.take([b]), s[b : b + 1], P[b : b + 1], 64)
+            one = _fixed_point_alpha(
+                sc.take([b]), s[..., b : b + 1].copy(), den[b : b + 1], P[..., b : b + 1].copy(), 64
+            )
             assert [a.tobytes() for a in one] == [a[b : b + 1].tobytes() for a in batch]
 
 
@@ -289,13 +293,13 @@ EPS64 = np.finfo(np.float64).eps
 
 
 def _record_step_sizes(monkeypatch):
-    """Record (sc, s, P, iters, (alpha, zero, clamped)) of every step-size call the kernel makes."""
+    """Record (sc, s, den, P, iters, (alpha, zero, clamped)) of each of the kernel's step sizes."""
     calls = []
     real = solver_module._fixed_point_alpha
 
-    def recording(sc, s, P, iters):
-        out = real(sc, s, P, iters)
-        calls.append((sc, s, P, iters, out))
+    def recording(sc, s, den, P, iters):
+        out = real(sc, s, den, P, iters)
+        calls.append((sc, s, den, P, iters, out))
         return out
 
     monkeypatch.setattr(solver_module, "_fixed_point_alpha", recording)
@@ -313,11 +317,14 @@ class TestStepSizeAccuracy:
     def _check(self, calls):
         """Compare every recorded call with the oracle and the fixed-point map.
 
-        Each call's (alpha, zero, clamped) equals the oracle's bytes. Returns
+        Each call's (alpha, zero, clamped) equals the oracle's bytes, and the
+        norms it was given are the clamped norms of its segments. Returns
         (members, capped calls).
         """
         members = capped = 0
-        for sc, s, P, iters, out in calls:
+        for sc, s, den, P, iters, out in calls:
+            clamped = np.maximum(np.sqrt(dot3(rows(s), rows(s))), sc.eps[:, None])
+            assert den.tobytes() == clamped.tobytes()
             *plain, evaluations = fixed_point_alpha(sc, s, P, iters, sc.eps)
             assert [a.tobytes() for a in out] == [b.tobytes() for b in plain]
             alpha, zero, _ = out
@@ -369,16 +376,17 @@ class TestStepSizeAccuracy:
         # of 0.43 after 64 evaluations; bracketed Newton does not.
         spec = gen_scenes(5, 5, Kinds.DIFFRACTIONS, 1000)[520]
         sc = spec.batch
-        T = init_params(spec)[None]
-        _, s, _ = clamped_segments(sc, T)
-        P = -gradient(spec, T[0])[None]  # the first BFGS direction, H = I
-        alpha, _, clamped, evaluations = fixed_point_alpha(sc, s, P, 64, sc.eps)
-        assert _fixed_point_alpha(sc, s, P, 64)[0].tobytes() == alpha.tobytes()
-        exact = bisection_alpha(spec, T[0], P[0])
-        seg = s + alpha[:, None, None] * direction_segments(sc, P)
-        assert 0.03 < np.linalg.norm(seg, axis=2).min() < 0.04 and not clamped[0]
+        T = init_params(spec)
+        _, s, norms = clamped_segments(sc, T.T[..., None])
+        P = -gradient(spec, T)  # the first BFGS direction, H = I
+        alpha, _, clamped, evaluations = fixed_point_alpha(sc, s, P.T[..., None], 64, sc.eps)
+        got = _fixed_point_alpha(sc, s, norms.T.copy(), P.T[..., None].copy(), 64)[0]
+        assert got.tobytes() == alpha.tobytes()
+        exact = bisection_alpha(spec, T, P)
+        seg = s + alpha * direction_segments(sc, P.T[..., None])
+        assert 0.03 < np.linalg.norm(seg, axis=0).min() < 0.04 and not clamped[0]
         assert abs(alpha[0] - exact) <= 4 * EPS64 * exact
-        slope, scale = step_slope(sc, s, P, alpha, sc.eps)
+        slope, scale = step_slope(sc, s, P.T[..., None], alpha, sc.eps)
         assert abs(slope[0]) <= 8 * EPS64 * scale[0]
         assert evaluations[0] <= 12
 
@@ -733,7 +741,7 @@ class TestFixedPointExits:
         T0 = init_params(spec)
         opts = SolveOptions(iterations=100, fixed_point_iters=64, record_trace=True)
         T_ref, g_ref, (trace_ref,), ran, _, _ = stopped_schedule_bfgs(sc, T0[None], opts)
-        length_ref = path_length_batch(sc, T_ref)[0]
+        length_ref = path_length_batch(sc, T_ref.T)[0]
         gnorm_ref = np.linalg.norm(g_ref.reshape(-1))
         for record_trace in (False, True):
             rep = bfgs_solve(spec, T0, SolveOptions(
@@ -750,9 +758,35 @@ class TestFixedPointExits:
                 assert rep.trace is None
 
 
+class TestBatchOfOne:
+    """Each member of a batch-last kernel run equals its own batch of one, bitwise.
+
+    Every sum over a member's segments or interactions runs on a contiguous
+    (B, k) copy, so the reduction is the same at every batch size; a sum
+    over the coordinate axes adds its terms in order at every batch size.
+    """
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    @pytest.mark.parametrize("fp", [1, 2, 64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 64])
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_kernel(self, kinds, n, fp, precision):
+        specs = gen_scenes(47, n, kinds, 5)
+        sc = BatchScene.from_specs(specs)
+        T0 = np.stack([init_params(s) for s in specs])
+        opts = SolveOptions(iterations=40, fixed_point_iters=fp, precision=precision)
+        T, g, _, ran = _bfgs_kernel(sc, T0, opts)
+        assert T.flags.c_contiguous and T.shape == T0.shape == g.shape
+        for b in range(len(specs)):
+            Tb, gb, _, ran_b = _bfgs_kernel(sc.take([b]), T0[b : b + 1], opts)
+            assert Tb.tobytes() == T[b : b + 1].tobytes()
+            assert gb.tobytes() == g[b : b + 1].tobytes()
+            assert ran_b.tolist() == [ran[b]]
+
+
 def _failed_stationarity(sc, T):
     """(B,) members whose |g| is not below STATIONARITY_TOL (1 + L) at T."""
-    s, norms = segment_norms(embed_batch(sc, T))
+    s, norms = segment_norms(embed_batch(sc, T.T))
     return ~stationary_from_segments(sc, s, norms, STATIONARITY_TOL)
 
 
