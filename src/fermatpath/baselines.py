@@ -31,6 +31,7 @@ from .batching import (
     solve_active,
     stack_params,
     stationary_from_segments,
+    unit_directions,
 )
 from .errors import (
     NoConvergence,
@@ -146,10 +147,11 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions):
     for it in range(opts.iterations + 1):
         s, norms = segment_norms(embed_batch(sc, T))
         clamped = np.maximum(norms, sc.eps)
-        g = gradient_from_segments(sc, s, clamped)
+        u, q = unit_directions(s, clamped)
+        g = gradient_from_segments(sc, q)
         if it == opts.iterations:
             break
-        H = hessian_from_segments(sc, s, clamped)
+        H = hessian_from_segments(sc, u, clamped)
         # Inert rows and columns of H are zero, so this is the active block's trace.
         lam = NEWTON_DAMPING * einsum("bii->b", H) / np.maximum(dim, 1.0)
         try:
@@ -199,7 +201,8 @@ def _reference_kernel(sc: BatchScene, T0):
     )
     T, _, _, _ = _bfgs_kernel(sc, T0, opts)
     s, norms = segment_norms(embed_batch(sc, T.T))
-    return T, stationary_from_segments(sc, s, norms, REFERENCE_GRAD_TOL)
+    _, q = unit_directions(s, np.maximum(norms, sc.eps))
+    return T, stationary_from_segments(sc, q, norms, REFERENCE_GRAD_TOL)
 
 
 def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):

@@ -11,11 +11,14 @@ or 3. Such a sum adds its terms in order, ((x0 y0 + x1 y1) + x2 y2), at
 every batch size.
 
 This module holds the one implementation of the path length, each of its
-derivatives (taken from the segments, so a caller embeds a path once), the
-segment change along a direction (`direction_segments`, shared by the step
-size and the scene VJP), the stationarity test and the solve on the active
-coordinates. `objective` and `implicit_diff` call them on a spec's batch of
-one (`spec.batch`). Each member of a batch equals its own batch of one
+derivatives, the segment change along a direction (`direction_segments`,
+shared by the step size and the scene VJP), the stationarity test and the
+solve on the active coordinates. A caller embeds a path and divides by
+its norms once (`unit_directions` gives u and q), and the derivatives take
+those: the gradient q, the stationarity test q and the norms, the Hessian
+u and the norms, the length's scene gradient T, u and q, and the scene VJP
+T, u, q, the norms and the cotangent. `objective` and `implicit_diff` call
+them on a spec's batch of one (`spec.batch`). Each member of a batch equals its own batch of one
 bitwise. That takes one rule: a sum over a member's segments or
 interactions runs on a contiguous (B, ...) array, as
 `einsum("bk->b", np.ascontiguousarray(x.T))`. Summed in place, a (k, B)
@@ -41,13 +44,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSegment, ShapeMismatch
-from .geometry import BatchScene, PathSpec, einsum
+from .geometry import BatchScene, PathSpec, einsum, real_array
 
 
 def stack_params(specs: Sequence[PathSpec], T0s) -> np.ndarray:
     """Stack per-path n x 2 parameter arrays into a (B, n, 2) array of finite values."""
     try:
-        T = np.array(T0s, dtype=float)
+        T = np.array(real_array(T0s, "params"), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ShapeMismatch(f"params do not stack into a float array: {exc}") from exc
     if T.shape != (len(specs), specs[0].n, 2):
@@ -110,10 +113,14 @@ def path_length_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
     return segment_sum(norms)
 
 
-def gradient_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """(2, n, B) path-length gradient A_i^T (u_{i-1} - u_i) from the segments."""
+def unit_directions(s: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, q): u_k = s_k / |s_k| (3, n+1, B) and q_i = u_{i-1} - u_i = dL/dx_i (3, n, B)."""
     u = s / norms
-    q = u[:, :-1] - u[:, 1:]  # u_{i-1} - u_i at interior point i
+    return u, u[:, :-1] - u[:, 1:]
+
+
+def gradient_from_segments(sc: BatchScene, q: np.ndarray) -> np.ndarray:
+    """(2, n, B) path-length gradient A_i^T q_i, with q from `unit_directions`."""
     return einsum("ijnb,inb->jnb", sc.basis, q)
 
 
@@ -122,8 +129,8 @@ def member_rows(g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(g.T).reshape(g.shape[2], -1)
 
 
-def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """(B, 2n, 2n) exact Hessian from the segments: block-tridiagonal, symmetric PSD.
+def hessian_from_segments(sc: BatchScene, u: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(B, 2n, 2n) exact Hessian from u and the norms: block-tridiagonal, symmetric PSD.
 
     Segment k runs into interior point k; with M_k = (I - u_k u_k^T) / |s_k|,
     diagonal block i is A_i^T (M_i + M_{i+1}) A_i and the block right of it
@@ -131,12 +138,11 @@ def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> n
     over the batch-last arrays and are written through a block-diagonal
     view of H as (B, n, 2, n, 2).
     """
-    n, B = s.shape[1] - 1, s.shape[2]
-    u = s / norms
-    eye = np.eye(3, dtype=s.dtype)
+    n, B = u.shape[1] - 1, u.shape[2]
+    eye = np.eye(3, dtype=u.dtype)
     M = (eye[:, :, None, None] - einsum("ikb,jkb->ijkb", u, u)) / norms
     A = sc.basis
-    H = np.zeros((B, 2 * n, 2 * n), dtype=s.dtype)
+    H = np.zeros((B, 2 * n, 2 * n), dtype=u.dtype)
     H5 = H.reshape(B, n, 2, n, 2)
     blocks = "rinb,rsnb,sjnb->bnij"
     einsum("bninj->bnij", H5)[...] = einsum(blocks, A, M[:, :, :-1] + M[:, :, 1:], A)
@@ -146,53 +152,52 @@ def hessian_from_segments(sc: BatchScene, s: np.ndarray, norms: np.ndarray) -> n
     return H
 
 
-def stationary_from_segments(sc: BatchScene, s, norms, tol: float) -> np.ndarray:
-    """(B,) test |g| < tol (1 + L); g takes the norms clamped, as `gradient_batch` does."""
-    g = member_rows(gradient_from_segments(sc, s, np.maximum(norms, sc.eps)))
+def stationary_from_segments(sc: BatchScene, q, norms, tol: float) -> np.ndarray:
+    """(B,) test |g| < tol (1 + L); g takes q of the clamped norms, as `gradient_batch` does."""
+    g = member_rows(gradient_from_segments(sc, q))
     gnorm = np.sqrt(einsum("bi,bi->b", g, g))
     return gnorm < tol * (1.0 + segment_sum(norms))
 
 
-def length_param_gradient_from_segments(T, s, norms):
+def length_param_gradient_from_segments(T, u, q):
     """(basis, anchor, start, end) partial derivatives of the length at fixed T, batch last."""
-    u = s / norms
-    q = u[:, :-1] - u[:, 1:]  # dL/dx_i at interior points
     return einsum("inb,jnb->ijnb", q, T), q, -u[:, 0], u[:, -1]
 
 
-def param_vjp_from_segments(sc: BatchScene, T, s, norms, u):
-    """(basis, anchor, start, end) of u^T d(grad L)/d(theta) for a (2, n, B) cotangent u.
+def param_vjp_from_segments(sc: BatchScene, T, u, q, norms, v):
+    """(basis, anchor, start, end) of v^T d(grad L)/d(theta) for a (2, n, B) cotangent v.
 
-    u^T grad L is the derivative of L along u, phi = sum_k uhat_k . ds_k with
-    ds_k = dx_{k+1} - dx_k and dx_i = A_i u_i; this is phi differentiated
+    v^T grad L is the derivative of L along v, phi = sum_k u_k . ds_k with
+    ds_k = dx_{k+1} - dx_k and dx_i = A_i v_i; this is phi differentiated
     w.r.t. the scene. The parts are batch last, like the scene.
     """
-    uhat = s / norms
-    ds = direction_segments(sc, u)
-    # w_k = P_k ds_k / |s_k| per segment, with P_k = I - uhat_k uhat_k^T
-    w = (ds - uhat * einsum("ikb,ikb->kb", uhat, ds)) / norms
+    ds = direction_segments(sc, v)
+    # w_k = P_k ds_k / |s_k| per segment, with P_k = I - u_k u_k^T
+    w = (ds - u * einsum("ikb,ikb->kb", u, ds)) / norms
     # z_j = w_{j-1} - w_j collects point perturbations; q_j the direction term
     z = w[:, :-1] - w[:, 1:]
-    q = uhat[:, :-1] - uhat[:, 1:]
-    basis = einsum("inb,jnb->ijnb", z, T) + einsum("inb,jnb->ijnb", q, u)
+    basis = einsum("inb,jnb->ijnb", z, T) + einsum("inb,jnb->ijnb", q, v)
     return basis, z, -w[:, 0], w[:, -1]
 
 
 def solve_active(H: np.ndarray, rhs: np.ndarray, active: np.ndarray, shift: np.ndarray):
-    """Solve H x = rhs (B, m) on each member's active coordinates.
+    """Solve H x = rhs (B, m) on each member's active coordinates, pinning H in place.
 
     `active` is (B, m), as `member_rows` orders a scene's mask. `shift` (B,)
-    is added to the active diagonal. Inert rows and columns are pinned to
-    the identity and their right-hand side to zero, so inert entries of x
-    are exactly zero. A singular system raises LinAlgError.
+    is added to the active diagonal. Inert rows and columns of H become the
+    identity and their right-hand side zero, so inert entries of x are
+    exactly zero. Pinned after a zero shift, H solves as the fresh H would
+    with any later shift. A singular system raises LinAlgError.
     """
-    H = np.where(active[:, :, None] & active[:, None, :], H, 0.0)
-    diag = np.arange(H.shape[1])
-    H[:, diag, diag] = np.where(active, H[:, diag, diag] + shift[:, None], 1.0)
+    b, i = np.nonzero(~active)
+    H[b, i] = 0.0
+    H[b, :, i] = 0.0
+    diag = einsum("bii->bi", H)
+    diag[...] = np.where(active, diag + shift[:, None], 1.0)
     return np.linalg.solve(H, np.where(active, rhs, 0.0)[..., None])[..., 0]
 
 
 def gradient_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
     """(2, n, B) path-length gradient with clamped segment norms."""
     _, s, norms = clamped_segments(sc, T)
-    return gradient_from_segments(sc, s, norms)
+    return gradient_from_segments(sc, unit_directions(s, norms)[1])

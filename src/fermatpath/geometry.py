@@ -83,9 +83,17 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
+def real_array(a, name: str) -> np.ndarray:
+    """`a` as an array; complex values raise, as a float cast would drop their imaginary part."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ShapeMismatch(f"{name} must be real, got {a.dtype}")
+    return a
+
+
 def _as_vec3(v, name: str) -> np.ndarray:
     """A validated, read-only float copy of a 3-vector."""
-    a = np.array(v, dtype=float)
+    a = np.array(real_array(v, name), dtype=float)
     if a.shape != (3,):
         raise ShapeMismatch(f"{name} must have shape (3,), got {a.shape}")
     if not _all_finite(a):
@@ -107,7 +115,7 @@ class Surface:
             kind = SurfaceKind(self.kind)
         except ValueError:
             raise ShapeMismatch(f"kind must be 'plane' or 'edge', got {self.kind!r}")
-        basis = np.array(self.basis, dtype=float)
+        basis = np.array(real_array(self.basis, "basis"), dtype=float)
         if basis.shape != (3, 2):
             raise ShapeMismatch(f"basis must have shape (3, 2), got {basis.shape}")
         if not _all_finite(basis):
@@ -277,7 +285,7 @@ class PathSpec:
 def check_params(spec: PathSpec, T) -> np.ndarray:
     """Validate an n x 2 parameter array against its spec and return it as float."""
     try:
-        T = np.asarray(T, dtype=float)
+        T = np.asarray(real_array(T, "params"), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ShapeMismatch(f"params are not a float array: {exc}") from exc
     if T.shape != (spec.n, 2):
@@ -325,7 +333,7 @@ def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
 
 def params_from_points(spec: PathSpec, points) -> np.ndarray:
     """`params_from_points_batch` of one path's (n, 3) points."""
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(real_array(points, "points"), dtype=float)
     if points.shape != (spec.n, 3):
         raise ShapeMismatch(f"points must have shape ({spec.n}, 3), got {points.shape}")
     return params_from_points_batch(spec.batch, points.T[..., None])[..., 0].T

@@ -26,16 +26,17 @@ from .batching import (
     length_param_gradient_from_segments,
     param_vjp_from_segments,
     path_length_batch,
+    unit_directions,
 )
 from .geometry import PathSpec, check_params
 
 
 def _checked(spec: PathSpec, T):
-    """(batch of one, T as (2, n, 1), segments, norms) of one path; refuses degenerate paths."""
+    """(batch of one, T as (2, n, 1), norms, u, q) of one path; refuses degenerate paths."""
     T = check_params(spec, T).T[..., None]
     sc = spec.batch
     _, s, norms = checked_segments(sc, T)
-    return sc, T, s, norms
+    return (sc, T, norms, *unit_directions(s, norms))
 
 
 def embed(spec: PathSpec, T) -> np.ndarray:
@@ -56,14 +57,14 @@ def path_length(spec: PathSpec, T) -> float:
 
 def gradient(spec: PathSpec, T) -> np.ndarray:
     """Gradient of path_length w.r.t. the n x 2 parameters."""
-    sc, _, s, norms = _checked(spec, T)
-    return gradient_from_segments(sc, s, norms)[..., 0].T
+    sc, _, _, _, q = _checked(spec, T)
+    return gradient_from_segments(sc, q)[..., 0].T
 
 
 def hessian(spec: PathSpec, T) -> np.ndarray:
     """Exact 2n x 2n Hessian of path_length (block-tridiagonal, symmetric PSD)."""
-    sc, _, s, norms = _checked(spec, T)
-    return hessian_from_segments(sc, s, norms)[0]
+    sc, _, norms, u, _ = _checked(spec, T)
+    return hessian_from_segments(sc, u, norms)[0]
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,18 @@ class SceneGradient:
     @classmethod
     def of(cls, parts) -> "SceneGradient":
         """The member of a batch of one, from (basis, anchor, start, end) batch-last arrays."""
-        basis, anchor, start, end = (a[..., 0] for a in parts)
-        return cls(basis.transpose(2, 0, 1), anchor.T, start, end)
+        basis, anchor, start, end = parts
+        return cls(basis[..., 0].transpose(2, 0, 1), anchor[..., 0].T, start[:, 0], end[:, 0])
 
 
 def length_param_gradient(spec: PathSpec, T) -> SceneGradient:
     """Partial derivative of path_length w.r.t. scene parameters at fixed T."""
-    _, T, s, norms = _checked(spec, T)
-    return SceneGradient.of(length_param_gradient_from_segments(T, s, norms))
+    _, T, _, u, q = _checked(spec, T)
+    return SceneGradient.of(length_param_gradient_from_segments(T, u, q))
 
 
 def param_vjp(spec: PathSpec, T, u) -> SceneGradient:
     """u^T d(grad L)/d(theta) for a cotangent `u` (n x 2), theta = (bases, anchors, start, end)."""
-    sc, T, s, norms = _checked(spec, T)
+    sc, T, norms, dirs, q = _checked(spec, T)
     u = check_params(spec, u)  # same shape contract as params
-    return SceneGradient.of(param_vjp_from_segments(sc, T, s, norms, u.T[..., None]))
+    return SceneGradient.of(param_vjp_from_segments(sc, T, dirs, q, norms, u.T[..., None]))

@@ -64,6 +64,7 @@ from .batching import (
     segment_norms,
     segment_sum,
     stack_params,
+    unit_directions,
 )
 
 # `gradient_batch` is unused here but stays importable: the benchmark's tracer test reads it.
@@ -170,16 +171,15 @@ def _fixed_point_alpha(sc: BatchScene, s, den, P, iters: int):
     where the fixed-point map takes about 36. phi is convex along the line,
     so the sign of each phi' moves one end of a bracket [lo, hi] around the
     root, from phi'(0). With Q = sum_k e_k^2 / den_k^3, phi'' = D1 - Q, the
-    step is the Newton value alpha - phi'/phi'' if it lies in the bracket;
-    else the bracket's midpoint, or while the bracket is open on one side
-    the fixed-point image, which lies inside it. alpha is an end of the
-    bracket, so the test is |phi'| <= (hi - lo) phi'', false for
-    phi'' <= 0. Each member stops on its own and keeps its alpha:
-    at |phi'| <= 8 eps sum_k |d_k|, the rounding floor of phi', without the
-    step; at a value that is not finite; after a step of at most
-    4 eps |alpha|; or after `iters` evaluations. `lowest` takes the trial
-    norms of running (`active`) members alone, so no member's result
-    depends on the batch.
+    step is the Newton value alpha - phi'/phi'' if it lies in the bracket,
+    else the bracket's midpoint. alpha is an end of the bracket, so the test
+    is |phi'| <= (hi - lo) phi'', false for phi'' <= 0. Each member stops on
+    its own and keeps its alpha: at |phi'| <= 8 eps sum_k |d_k|, the
+    rounding floor of phi', without the step; at a value that is not
+    finite, as the midpoint of a bracket open on one side is; after a step
+    of at most 4 eps |alpha|; or after `iters` evaluations. `lowest` takes
+    the trial norms of running (`active`) members alone, so no member's
+    result depends on the batch.
     """
     dtype = s.dtype
     dAp = direction_segments(sc, P)
@@ -234,16 +234,14 @@ def _fixed_point_alpha(sc: BatchScene, s, den, P, iters: int):
             slope = einsum("bk->b", ratio)
             d1 = einsum("bk->b", a2 / den)
             curvature = d1 - einsum("bk->b", ratio * ratio / den)
-            fixed = alpha - slope / d1
             newton = alpha - slope / curvature
             lo = np.where(slope < 0, alpha, lo)
             hi = np.where(slope > 0, alpha, hi)
             size = np.abs(slope)
             width = hi - lo
-            use_newton = size <= width * curvature
-            two_sided = np.isfinite(width)
-            # The step taken: Newton, else the midpoint, else the fixed-point image.
-            new = np.where(use_newton, newton, np.where(two_sided, lo + 0.5 * width, fixed))
+            # Newton's value, else the midpoint, which is not finite while
+            # the bracket is open on one side: that member stops.
+            new = np.where(size <= width * curvature, newton, lo + 0.5 * width)
             step = np.abs(new - alpha)
             moves = active & (size > tol) & np.isfinite(step)
             alpha = np.where(moves, new, alpha)
@@ -363,7 +361,7 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
     # and norms g is computed from are also the next step size's, and the
     # norms are kept as (B, n+1) for the sums over each member's segments.
     _, s, norms = checked_segments(sc, T)
-    g = member_rows(gradient_from_segments(sc, s, norms))
+    g = member_rows(gradient_from_segments(sc, unit_directions(s, norms)[1]))
     norms = np.ascontiguousarray(norms.T)
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     # The update and compaction write into `spare`, which then swaps roles
@@ -408,7 +406,7 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
         still = (T_new.view(bits) == T.view(bits)).all(axis=(0, 1))
         T = T_new
         x, s, norms = clamped_segments(sc, T)
-        g_new = member_rows(gradient_from_segments(sc, s, norms))
+        g_new = member_rows(gradient_from_segments(sc, unit_directions(s, norms)[1]))
         norms = np.ascontiguousarray(norms.T)
         H, spare = _inverse_hessian_update(H, step, g_new - g, spare[:k]), H
         g = g_new
@@ -432,21 +430,12 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
 
 def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveReport]:
     """One report per member of (B, n, 2) T and g; `iterations` is per member, or one for all."""
-    lengths = path_length_batch(sc.astype(T.dtype), T.T)
-    gnorms = np.linalg.norm(g.reshape(T.shape[0], -1), axis=1)
+    lengths = path_length_batch(sc.astype(T.dtype), T.T).tolist()
+    gnorms = np.linalg.norm(g.reshape(T.shape[0], -1), axis=1).tolist()
     iterations = np.broadcast_to(iterations, T.shape[:1]).tolist()
-    out = []
-    for b in range(T.shape[0]):
-        out.append(
-            SolveReport(
-                solution=np.asarray(T[b], dtype=float),
-                final_length=float(lengths[b]),
-                final_grad_norm=float(gnorms[b]),
-                iterations=iterations[b],
-                trace=traces[b] if traces is not None else None,
-            )
-        )
-    return out
+    traces = traces if traces is not None else [None] * T.shape[0]
+    # Fields in SolveReport's order; each solution is a row view of the float64 array.
+    return list(map(SolveReport, np.asarray(T, dtype=float), lengths, gnorms, iterations, traces))
 
 
 def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:

@@ -331,11 +331,11 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
     one is a bracketed Newton step on phi'(a) = sum_k e_k / den_k, with
     e_k = (s_k + a d_k) . d_k and den_k the trial norm floored at `eps`:
     Newton's value if it lies in the bracket [lo, hi] that the signs of phi'
-    have set, else the bracket's midpoint, or while the bracket is open on
-    one side the fixed-point image. A member stops at
+    have set, else the bracket's midpoint. A member stops at
     |phi'| <= 8 eps sum_k |d_k| (without the step), at a value that is not
-    finite (keeping alpha), after a step of at most 4 eps |alpha|, or after
-    `iters` evaluations; only running members count towards `clamped`.
+    finite (keeping alpha), as the midpoint of a bracket open on one side
+    is, after a step of at most 4 eps |alpha|, or after `iters`
+    evaluations; only running members count towards `clamped`.
     `evaluations` (B,) counts the evaluations each member used, so a member
     at `iters` hit the cap. s is (3, n+1, B) and P (2, n, B).
     """
@@ -365,16 +365,14 @@ def fixed_point_alpha(sc, s, P, iters: int, eps):
             slope = np.einsum("bk->b", ratio)
             d1 = np.einsum("bk->b", a2 / den)
             curvature = d1 - np.einsum("bk->b", ratio * ratio / den)
-            fixed = alpha - slope / d1
             newton = alpha - slope / curvature
             lo = np.where(slope < 0, alpha, lo)
             hi = np.where(slope > 0, alpha, hi)
             # alpha is an end of [lo, hi]: Newton's value lies inside it iff
             # this holds (never for phi'' <= 0).
             use_newton = np.abs(slope) <= (hi - lo) * curvature
-            two_sided = hi - lo < np.inf
             mid = lo + 0.5 * (hi - lo)
-            new = np.where(use_newton, newton, np.where(two_sided, mid, fixed))
+            new = np.where(use_newton, newton, mid)
             step = np.abs(new - alpha)
             evaluations += active
             moves = active & (np.abs(slope) > tol) & np.isfinite(new)
@@ -527,9 +525,17 @@ def stopped_schedule_bfgs(sc, T0, opts):
     return T, g, traces, ran, still_at, floor_at
 
 
+def _real(a, name: str) -> np.ndarray:
+    """`a` as an array; complex values raise, as a float cast would drop their imaginary part."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ShapeMismatch(f"{name} must be real")
+    return a
+
+
 def vec3(v, name: str) -> np.ndarray:
     """The 3-vector check in its plain numpy form: a float copy, or the exception."""
-    a = np.asarray(v, dtype=float)
+    a = np.asarray(_real(v, name), dtype=float)
     if a.shape != (3,):
         raise ShapeMismatch(f"{name} must have shape (3,), got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -539,7 +545,7 @@ def vec3(v, name: str) -> np.ndarray:
 
 def surface(basis, anchor, kind):
     """`Surface` validation in its plain numpy form; returns (basis, anchor)."""
-    basis = np.asarray(basis, dtype=float)
+    basis = np.asarray(_real(basis, "basis"), dtype=float)
     if basis.shape != (3, 2):
         raise ShapeMismatch(f"basis must have shape (3, 2), got {basis.shape}")
     if not np.all(np.isfinite(basis)):
@@ -613,6 +619,18 @@ def looped_hessian_from_segments(sc, s, norms):
             off = -np.einsum("rib,rsb,sjb->bij", A[:, :, i], M[:, :, i + 1], A[:, :, i + 1])
             H[:, 2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = off
             H[:, 2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.swapaxes(off, 1, 2)
+    return H
+
+
+def where_pinned(H, active, shift):
+    """The matrix `batching.solve_active` solves, built afresh with `np.where`.
+
+    Inert rows and columns of the (B, m, m) H become the identity, with +0.0
+    off the diagonal, and `shift` (B,) is added to the active diagonal.
+    """
+    H = np.where(active[:, :, None] & active[:, None, :], H, 0.0)
+    diag = np.arange(H.shape[1])
+    H[:, diag, diag] = np.where(active, H[:, diag, diag] + shift[:, None], 1.0)
     return H
 
 

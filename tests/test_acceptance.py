@@ -34,6 +34,7 @@ from fermatpath.batching import (
     hessian_from_segments,
     solve_active,
     stack_params,
+    unit_directions,
 )
 from fermatpath.implicit_diff import grad_length_wrt_params
 from fermatpath.objective import gradient, hessian
@@ -196,8 +197,9 @@ def test_newton_step_estimate_on_the_scenes_of_criteria_3_and_4():
             specs = gen_scenes(5, n, kinds, 1000)
             sc, _, T, _ = _solved_points(specs)
             _, s, norms = clamped_segments(sc, T.T)
-            g = member_rows(gradient_from_segments(sc, s, norms))
-            H = hessian_from_segments(sc, s, norms)
+            dirs, q = unit_directions(s, norms)
+            g = member_rows(gradient_from_segments(sc, q))
+            H = hessian_from_segments(sc, dirs, norms)
             active = member_rows(sc.active)
             u = solve_active(H, g, active, np.zeros(len(specs))).reshape(T.shape)
             est = np.linalg.norm(np.einsum("ijnb,bnj->inb", sc.basis, u), axis=0)

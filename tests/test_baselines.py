@@ -29,7 +29,12 @@ from fermatpath import (
     reference_solve_batch,
 )
 from fermatpath import baselines, batching
-from fermatpath.batching import BatchScene, checked_segments, hessian_from_segments
+from fermatpath.batching import (
+    BatchScene,
+    checked_segments,
+    hessian_from_segments,
+    unit_directions,
+)
 from fermatpath.geometry import params_from_points
 from fermatpath.objective import embed, gradient, hessian
 from fermatpath.solver import _bfgs_kernel
@@ -149,7 +154,7 @@ class TestNewton:
         Ts = [perturb_params(spec, rng, 0.1) for spec in specs]
         sc = BatchScene.from_specs(specs)
         _, s, norms = checked_segments(sc, np.stack(Ts).T)
-        Hb = hessian_from_segments(sc, s, norms)
+        Hb = hessian_from_segments(sc, unit_directions(s, norms)[0], norms)
         for spec, T, H in zip(specs, Ts, Hb):
             assert H.tobytes() == hessian(spec, T).tobytes()
 

@@ -84,6 +84,12 @@ class TestSurface:
         s = Surface(basis=basis, anchor=[0, 0, 0], kind=kind)
         assert s.kind is SurfaceKind(kind)
 
+    @pytest.mark.filterwarnings("error")
+    def test_complex_basis_rejected(self):
+        basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]) * (1.0 + 1e-3j)
+        with pytest.raises(ShapeMismatch, match="real"):
+            Surface(basis=basis, anchor=[0, 0, 0], kind=SurfaceKind.PLANE)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeMismatch, match="kind"):
             Surface(basis=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], anchor=[0, 0, 0], kind="wedge")
@@ -98,6 +104,12 @@ class TestPathSpec:
     def test_coincident_endpoints_rejected(self):
         with pytest.raises(ShapeMismatch):
             PathSpec(start=[0, 0, 0], end=[0, 0, 1e-12], surfaces=())
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_point_rejected(self):
+        # Every 3-vector (start, end, anchors and plane or edge directions) is checked alike.
+        with pytest.raises(ShapeMismatch, match="start must be real"):
+            PathSpec(start=[0, 0, 1j], end=[1, 1, 1], surfaces=())
 
     def test_interaction_limit(self):
         edge = make_edge([0, 0, 0], [1, 0, 0])
@@ -147,6 +159,11 @@ class TestCheckParams:
         T[0, 0] = np.nan
         with pytest.raises(ShapeMismatch):
             check_params(_simple_spec(), T)
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex(self):
+        with pytest.raises(ShapeMismatch, match="real"):
+            check_params(_simple_spec(), np.zeros((2, 2), dtype=complex))
 
     def test_non_numeric(self):
         with pytest.raises(ShapeMismatch):
@@ -206,6 +223,11 @@ class TestParamsFromPoints:
     def test_bad_shape(self):
         with pytest.raises(ShapeMismatch):
             params_from_points(_simple_spec(), np.zeros((3, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_points_rejected(self):
+        with pytest.raises(ShapeMismatch, match="real"):
+            params_from_points(_simple_spec(), [[0, 0, 1j], [0, 0, 0]])
 
     def test_matches_per_surface_lstsq(self):
         rng = np.random.default_rng(17)

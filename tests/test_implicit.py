@@ -1,5 +1,7 @@
 """Implicit differentiation of the solution and of the optimal length."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from fermatpath import (
     Kinds,
     NotStationary,
+    ShapeMismatch,
     SolveOptions,
     bfgs_solve,
     gen_scenes,
@@ -21,11 +24,19 @@ from fermatpath import (
     solve_stationary_system,
     vjp_solution,
 )
-from fermatpath import batching
+from fermatpath import batching, implicit_diff
+from fermatpath.batching import (
+    BatchScene,
+    checked_segments,
+    hessian_from_segments,
+    member_rows,
+    solve_active,
+    unit_directions,
+)
 from fermatpath.bench import fd_resolve_vjp, _scene_vector
 from fermatpath.objective import gradient, hessian
 
-from _oracles import perturb_params, perturb_scene
+from _oracles import perturb_params, perturb_scene, where_pinned
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +78,13 @@ class TestVjpSolution:
             analytic = vjp_solution(spec, Tstar, v).flat()[_scene_vector(spec)[1]]
             fd = fd_resolve_vjp(spec, v)
             assert np.linalg.norm(analytic - fd) < 1e-3 * max(np.linalg.norm(fd), 1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_complex_cotangent(self):
+        # A float cast would drop the imaginary part and return a zero gradient.
+        spec = gen_scenes(1, 2, Kinds.MIXED, 1)[0]
+        with pytest.raises(ShapeMismatch, match="real"):
+            vjp_solution(spec, reference_solve(spec), 1j * np.ones((2, 2)))
 
 
 class TestEnvelope:
@@ -119,18 +137,76 @@ class TestOneEmbedding:
         ids=["solve_stationary_system", "vjp_solution", "grad_length_wrt_params"],
     )
     def test_each_call_embeds_the_path_once(self, stationary_cases, monkeypatch, call):
-        real = batching.embed_batch
+        # ... and divides its segments by their norms once: every derivative
+        # takes the unit directions from one `unit_directions` call.
+        real_embed, real_directions = batching.embed_batch, batching.unit_directions
         calls = []
 
-        def counting(sc, T):
-            calls.append(T.shape)
-            return real(sc, T)
+        def counting_embed(sc, T):
+            calls.append(("embed", T.shape))
+            return real_embed(sc, T)
 
-        monkeypatch.setattr(batching, "embed_batch", counting)
+        def counting_directions(s, norms):
+            calls.append(("directions", s.shape))
+            return real_directions(s, norms)
+
+        monkeypatch.setattr(batching, "embed_batch", counting_embed)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fermatpath") and hasattr(module, "unit_directions"):
+                monkeypatch.setattr(module, "unit_directions", counting_directions)
         for spec, Tstar in stationary_cases[-3:]:
             calls.clear()
             call(spec, Tstar, np.ones((spec.n, 2)) * spec.active_mask)
-            assert calls == [(2, spec.n, 1)]
+            assert calls == [("embed", (2, spec.n, 1)), ("directions", (3, spec.n + 1, 1))]
+
+
+def _hessian_batch(B):
+    """(H, rhs, active) of B mixed n=4 paths near their optima; the rhs has inert entries."""
+    rng = np.random.default_rng(B)
+    specs = gen_scenes(31, 4, Kinds.MIXED, B)
+    sc = BatchScene.from_specs(specs)
+    T = np.stack([perturb_params(s, rng, 0.1) for s in specs])
+    _, s, norms = checked_segments(sc, T.T)
+    H = hessian_from_segments(sc, unit_directions(s, norms)[0], norms)
+    return H, rng.normal(size=(B, 8)), member_rows(sc.active)
+
+
+class TestSolveActive:
+    """Pinning in place solves the `np.where`-pinned matrix, byte for byte."""
+
+    @pytest.mark.parametrize("B", [1, 20])
+    def test_plain_and_tikhonov_solves_equal_the_where_pinned_solve(self, B):
+        H, rhs, active = _hessian_batch(B)
+        inert = ~active[:, :, None] | ~active[:, None, :]
+        # The premise: inert entries of the fresh Hessian include -0.0, which
+        # the pinned matrix holds as +0.0.
+        assert np.signbit(H[inert]).any() and not np.all(active)
+        tikhonov = implicit_diff.TIKHONOV_SCALE * np.einsum("bii->b", H)
+        pinned = H.copy()
+        for shift in (np.zeros(B), tikhonov):
+            # The Tikhonov solve reuses the matrix the zero-shift solve pinned.
+            x = solve_active(pinned, rhs, active, shift)
+            want = where_pinned(H, active, shift)
+            rhs0 = np.where(active, rhs, 0.0)[..., None]
+            assert x.tobytes() == np.linalg.solve(want, rhs0)[..., 0].tobytes()
+            assert pinned.tobytes() == want.tobytes()
+            assert not np.signbit(x[~active]).any() and np.all(x[~active] == 0.0)
+
+    def test_the_fallback_solves_the_fresh_hessian_with_the_tikhonov_shift(
+        self, stationary_cases, monkeypatch
+    ):
+        # A negative residual bound fails every gate, so each call retries.
+        monkeypatch.setattr(implicit_diff, "RESIDUAL_TOL", -1.0)
+        rng = np.random.default_rng(3)
+        for spec, Tstar in stationary_cases:
+            v = rng.normal(size=(spec.n, 2))
+            H = hessian(spec, Tstar)[None]
+            active = spec.active_mask.reshape(1, -1)
+            shift = implicit_diff.TIKHONOV_SCALE * np.einsum("bii->b", H)
+            rhs = np.where(active, -v.reshape(1, -1), 0.0)[..., None]
+            want = np.linalg.solve(where_pinned(H, active, shift), rhs)[0, :, 0]
+            got = solve_stationary_system(spec, Tstar, v)
+            assert got.tobytes() == want.reshape(spec.n, 2).tobytes()
 
 
 class TestInertCoordinates:

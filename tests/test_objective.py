@@ -24,6 +24,7 @@ from fermatpath.batching import (
     length_param_gradient_from_segments,
     param_vjp_from_segments,
     path_length_batch,
+    unit_directions,
 )
 from fermatpath.objective import (
     SceneGradient,
@@ -124,7 +125,7 @@ class TestHessianMatchesLoopOracle:
             for dtype in (np.float64, np.float32):
                 sc = BatchScene.from_specs(specs).astype(dtype)
                 _, s, norms = checked_segments(sc, T.astype(dtype).T)
-                H = hessian_from_segments(sc, s, norms)
+                H = hessian_from_segments(sc, unit_directions(s, norms)[0], norms)
                 want = looped_hessian_from_segments(sc, s, norms)
                 assert (H.dtype, H.shape) == (want.dtype, want.shape), (label, dtype)
                 assert H.tobytes() == want.tobytes(), (label, dtype)
@@ -145,8 +146,9 @@ class TestBatchedKernelsPerMember:
 
         def kernels(sc, T, u):
             _, s, norms = checked_segments(sc, T)
-            parts = param_vjp_from_segments(sc, T, s, norms, u)
-            return gradient_batch(sc, T), hessian_from_segments(sc, s, norms), parts
+            dirs, q = unit_directions(s, norms)
+            parts = param_vjp_from_segments(sc, T, dirs, q, norms, u)
+            return gradient_batch(sc, T), hessian_from_segments(sc, dirs, norms), parts
 
         G, H, vjp = kernels(sc, T, u)
         for b in range(len(specs)):
@@ -173,9 +175,10 @@ class TestBatchOfOne:
             u = rng.normal(size=T.shape)
             _, s, norms = checked_segments(sc, T.T)
             G, L = gradient_batch(sc, T.T), path_length_batch(sc, T.T)
-            H = hessian_from_segments(sc, s, norms)
-            dL = length_param_gradient_from_segments(T.T, s, norms)
-            vjp = param_vjp_from_segments(sc, T.T, s, norms, u.T)
+            dirs, q = unit_directions(s, norms)
+            H = hessian_from_segments(sc, dirs, norms)
+            dL = length_param_gradient_from_segments(T.T, dirs, q)
+            vjp = param_vjp_from_segments(sc, T.T, dirs, q, norms, u.T)
             for b, (spec, Tb) in enumerate(group):
                 assert gradient(spec, Tb).tobytes() == G[..., b].T.tobytes()
                 assert hessian(spec, Tb).tobytes() == H[b].tobytes()

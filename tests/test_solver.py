@@ -35,6 +35,7 @@ from fermatpath.batching import (
     path_length_batch,
     segment_norms,
     stationary_from_segments,
+    unit_directions,
 )
 from fermatpath.implicit_diff import STATIONARITY_TOL
 from fermatpath import solver as solver_module
@@ -551,6 +552,14 @@ class TestSolver:
             with pytest.raises(ShapeMismatch, match="batch member 2 "):
                 solve(specs, T0s)
 
+    @pytest.mark.filterwarnings("error")
+    def test_batch_entry_points_reject_complex_guesses(self):
+        specs = gen_scenes(8, 2, Kinds.MIXED, 4)
+        T0s = [init_params(s).astype(complex) for s in specs]
+        for solve in (batch_solve, reference_solve_batch):
+            with pytest.raises(ShapeMismatch, match="real"):
+                solve(specs, T0s)
+
     @pytest.mark.parametrize(
         "bad",
         [lambda T0s: T0s[:2] + [T0s[2][:1]] + T0s[3:], lambda T0s: []],
@@ -787,7 +796,8 @@ class TestBatchOfOne:
 def _failed_stationarity(sc, T):
     """(B,) members whose |g| is not below STATIONARITY_TOL (1 + L) at T."""
     s, norms = segment_norms(embed_batch(sc, T.T))
-    return ~stationary_from_segments(sc, s, norms, STATIONARITY_TOL)
+    _, q = unit_directions(s, np.maximum(norms, sc.eps))
+    return ~stationary_from_segments(sc, q, norms, STATIONARITY_TOL)
 
 
 class TestNoiseFloorStop:
