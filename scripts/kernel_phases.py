@@ -91,7 +91,7 @@ def run_cell(solver, sc, T0, opts, reps):
         for rep in range(reps):
             tracer.begin(rep)
             t0 = time.perf_counter()
-            ran = solver._bfgs_kernel(sc, T0, opts)[3]
+            ran = solver._bfgs_kernel(sc, T0, opts)[-1]
             kernel.append(time.perf_counter() - t0)
             tracer.end()
     finally:

@@ -7,8 +7,9 @@ identity (`batching.solve_active`, shared with implicit differentiation),
 which leaves them exactly untouched. It embeds each iterate once and takes
 the gradient, the Hessian and the length from those segments. The
 reference is one long BFGS run of the batch kernel, stopped per member at
-the gradient noise floor, then certified by the stationarity test, on a
-`BatchScene` (`_reference_kernel`); `reference_solve_batch` takes specs.
+the gradient noise floor, then certified by the stationarity test on the
+kernel's g and L, on a `BatchScene` (`_reference_kernel`). Every kernel
+returns (T, g, L) of its last iterate, and nothing embeds it again.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from .batching import (
     BatchScene,
+    clamped_segments,
     member_rows,
     einsum,
     embed_batch,
-    gradient_batch,
     gradient_from_segments,
     hessian_from_segments,
     path_length_batch,
@@ -30,7 +31,6 @@ from .batching import (
     segment_sum,
     solve_active,
     stack_params,
-    stationary_from_segments,
     unit_directions,
 )
 from .errors import (
@@ -102,18 +102,20 @@ def image_method(spec: PathSpec) -> np.ndarray:
 
 
 def _gd_kernel(sc: BatchScene, T0, opts: SolveOptions):
+    """Fixed-step gradient descent from T0 (B, n, 2); returns (T, g, L) of the last iterate."""
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
     T = np.ascontiguousarray(np.asarray(T0, dtype=dtype).T)
-    g = gradient_batch(sc, T)
+    _, s, norms = clamped_segments(sc, T)
+    g = gradient_from_segments(sc, unit_directions(s, norms)[1])
     g0 = member_rows(g)
-    g0_norm = np.sqrt(einsum("bi,bi->b", g0, g0))
     scale = np.sqrt(einsum("ib,ib->b", sc.end - sc.start, sc.end - sc.start))
-    eta = 0.1 * scale / (1.0 + g0_norm)
+    eta = 0.1 * scale / (1.0 + np.sqrt(einsum("bi,bi->b", g0, g0)))
     for _ in range(opts.iterations):
         T = T - eta * g
-        g = gradient_batch(sc, T)
-    return np.ascontiguousarray(T.T), np.ascontiguousarray(g.T)
+        _, s, norms = clamped_segments(sc, T)
+        g = gradient_from_segments(sc, unit_directions(s, norms)[1])
+    return np.ascontiguousarray(T.T), np.ascontiguousarray(g.T), segment_sum(norms)
 
 
 def gradient_descent(
@@ -121,9 +123,8 @@ def gradient_descent(
 ) -> SolveReport:
     """Fixed-step gradient descent baseline (step from the initial gradient)."""
     T0 = check_params(spec, T0)
-    sc = spec.batch
-    T, g = _gd_kernel(sc, T0[None], opts)
-    return _reports_from_state(sc, T, g, None, opts.iterations)[0]
+    T, g, L = _gd_kernel(spec.batch, T0[None], opts)
+    return _reports_from_state(T, g, L, None, opts.iterations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +135,11 @@ NEWTON_MAX_HALVINGS = 20
 
 
 def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions):
-    """Masked, damped Newton over opts.iterations steps from T0 (B, n, 2); returns (T, g).
+    """Masked, damped Newton over opts.iterations steps from T0 (B, n, 2); returns (T, g, L).
 
     Each iterate is embedded once: the clamped segment norms give g and H,
-    and the raw norms the length that step halving compares against.
+    and the raw norms its length L, which step halving compares against and
+    the final pass returns.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
@@ -146,6 +148,7 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions):
     dim = active.sum(axis=1).astype(dtype)
     for it in range(opts.iterations + 1):
         s, norms = segment_norms(embed_batch(sc, T))
+        L = segment_sum(norms)
         clamped = np.maximum(norms, sc.eps)
         u, q = unit_directions(s, clamped)
         g = gradient_from_segments(sc, q)
@@ -159,27 +162,25 @@ def _newton_kernel(sc: BatchScene, T0, opts: SolveOptions):
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("regularized Newton solve failed") from exc
         step = step.reshape(T.shape[::-1]).T
-        L0 = segment_sum(norms)
         scale = np.ones(T.shape[2], dtype=dtype)
         cand = T + step
         Lc = path_length_batch(sc, cand)
         for _ in range(NEWTON_MAX_HALVINGS):
-            worse = Lc > L0
+            worse = Lc > L
             if not np.any(worse):
                 break
             scale = np.where(worse, scale * 0.5, scale)
             cand = T + scale * step
             Lc = path_length_batch(sc, cand)
-        T = np.where(Lc <= L0, cand, T)
-    return np.ascontiguousarray(T.T), np.ascontiguousarray(g.T)
+        T = np.where(Lc <= L, cand, T)
+    return np.ascontiguousarray(T.T), np.ascontiguousarray(g.T), L
 
 
 def newton_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Damped Newton on active coordinates with step halving."""
     T0 = check_params(spec, T0)
-    sc = spec.batch
-    T, g = _newton_kernel(sc, T0[None], opts)
-    return _reports_from_state(sc, T, g, None, opts.iterations)[0]
+    T, g, L = _newton_kernel(spec.batch, T0[None], opts)
+    return _reports_from_state(T, g, L, None, opts.iterations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +193,17 @@ def _reference_kernel(sc: BatchScene, T0):
     The batch kernel's schedule, as `batch_solve` runs it, with longer
     budgets: each member stops at the noise floor or at a bitwise fixed
     point. T is (B, n, 2) float64 and `converged` a boolean mask of paths
-    whose gradient norm is below REFERENCE_GRAD_TOL (1 + L).
+    whose gradient norm is below REFERENCE_GRAD_TOL (1 + L), from the
+    kernel's g and L.
     """
     opts = SolveOptions(
         iterations=REFERENCE_BFGS_ITERS,
         fixed_point_iters=REFERENCE_FP_ITERS,
         precision=Precision.DOUBLE,
     )
-    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
-    s, norms = segment_norms(embed_batch(sc, T.T))
-    _, q = unit_directions(s, np.maximum(norms, sc.eps))
-    return T, stationary_from_segments(sc, q, norms, REFERENCE_GRAD_TOL)
+    T, g, L, _, _ = _bfgs_kernel(sc, T0, opts)
+    g = g.reshape(len(T), -1)
+    return T, np.sqrt(einsum("bi,bi->b", g, g)) < REFERENCE_GRAD_TOL * (1.0 + L)
 
 
 def reference_solve_batch(specs: Sequence[PathSpec], T0s=None):

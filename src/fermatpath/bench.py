@@ -109,8 +109,8 @@ class BenchRecord:
     wall_time_ms: float
 
 
-# One CSV column per field, in field order; floats are written by `repr`,
-# which round-trips them exactly.
+# One CSV column per field, in field order; floats, numpy's included, are
+# written as `repr(float(v))`, which round-trips them exactly.
 CSV_HEADER = [f.name for f in fields(BenchRecord)]
 _COLUMN_TYPES = [get_type_hints(BenchRecord)[name] for name in CSV_HEADER]
 
@@ -120,7 +120,9 @@ def write_records(records: Sequence[BenchRecord], fileobj) -> None:
     w.writerow(CSV_HEADER)
     for r in records:
         values = (getattr(r, name) for name in CSV_HEADER)
-        w.writerow([repr(v) if kind is float else v for v, kind in zip(values, _COLUMN_TYPES)])
+        w.writerow(
+            [repr(float(v)) if kind is float else v for v, kind in zip(values, _COLUMN_TYPES)]
+        )
 
 
 def read_records(fileobj) -> list[BenchRecord]:
@@ -317,17 +319,17 @@ def _run_solver(solver: str, sc: BatchScene, T0, config: BenchConfig):
         return image_points_batch(sc), 0
     if solver == "gd":
         opts = SolveOptions(iterations=config.iterations, precision=config.precision)
-        T, _ = _gd_kernel(sc, T0, opts)
+        T = _gd_kernel(sc, T0, opts)[0]
         return _interaction_points(sc, T), 0
     if solver == "newton":
         opts = SolveOptions(iterations=config.iterations, precision=config.precision)
-        T, _ = _newton_kernel(sc, T0, opts)
+        T = _newton_kernel(sc, T0, opts)[0]
         return _interaction_points(sc, T), 0
     fp = 64 if solver == "ours-64" else config.fixed_point_iters
     opts = SolveOptions(
         iterations=config.iterations, fixed_point_iters=fp, precision=config.precision
     )
-    T, _, _, _ = _bfgs_kernel(sc, T0, opts)
+    T = _bfgs_kernel(sc, T0, opts)[0]
     return _interaction_points(sc, T), fp
 
 

@@ -60,9 +60,6 @@ from .batching import (
     direction_segments,
     einsum,
     gradient_from_segments,
-    path_length_batch,
-    segment_norms,
-    segment_sum,
     stack_params,
     unit_directions,
 )
@@ -259,8 +256,7 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     when P moves no interaction point and DegenerateSegment when a trial
     point lands on a neighbouring path point.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     T = check_params(spec, T)
     P = check_params(spec, P)
     sc = spec.batch
@@ -330,13 +326,15 @@ def _inverse_hessian_update(H, step, y, out):
 
 
 def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
-    """Run the batch BFGS schedule from T0 (B, n, 2); returns (T, grad, traces, iterations).
+    """Run the batch BFGS schedule from T0 (B, n, 2); returns (T, g, L, traces, iterations).
 
+    Each iterate, T0 included, is embedded once; its |g| and its length L,
+    summed from the clamped segment norms, are computed once, after its
+    gradient, and the floor test, the trace and the write-out read them.
     A member leaves the schedule at the first of two exits. At the noise
-    floor: the first iterate, T0 included, whose |g| < NOISE_FLOOR_TOL
-    (1 + L), L summed from the clamped segment norms; a member whose optimum
-    sits at a parameter of 0 reaches it without ever repeating bitwise. At a
-    fixed point: a step that leaves T bitwise unchanged, so that g is
+    floor: the first iterate whose |g| < NOISE_FLOOR_TOL (1 + L); a member
+    whose optimum sits at a parameter of 0 reaches it without ever repeating
+    bitwise. At a fixed point: a step that leaves T bitwise unchanged, so that g is
     recomputed at the same T, y = 0, the curvature gate keeps H, and every
     later iteration would repeat exactly. Such members are written out and
     dropped from the working batch; no member's arithmetic depends on which
@@ -348,7 +346,7 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
     The parameters, segments and directions are worked on batch last, as
     the scene is; the inverse Hessians stay (B, 2n, 2n), and g and p cross
     between the two layouts with one contiguous copy each per iteration.
-    T and grad come back C-contiguous, (B, n, 2).
+    T and g come back C-contiguous, (B, n, 2), and L (B,) holds each T's length.
     """
     dtype = opts.precision.dtype
     sc = sc.astype(dtype)
@@ -363,32 +361,31 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
     _, s, norms = checked_segments(sc, T)
     g = member_rows(gradient_from_segments(sc, unit_directions(s, norms)[1]))
     norms = np.ascontiguousarray(norms.T)
+    gnorm, L = np.sqrt(einsum("bi,bi->b", g, g)), einsum("bk->b", norms)
     H = np.broadcast_to(np.eye(m, dtype=dtype), (B, m, m)).copy()
     # The update and compaction write into `spare`, which then swaps roles
     # with H: these are the kernel's only two (B, m, m) arrays.
     spare = np.empty_like(H)
     live = np.arange(B)  # batch index of each working member
     bits = f"u{T.itemsize}"  # integer view for bit-for-bit comparison
-    T_out, g_out = np.empty_like(T), np.empty_like(g)
+    T_out, g_out, L_out = np.empty_like(T), np.empty_like(g), np.empty_like(L)
     ran = np.full(B, opts.iterations)
     still = np.zeros(B, dtype=bool)  # the last step left T bitwise unchanged
     if opts.record_trace:
         # (L, |g|) of every member after each iteration; retired members
         # keep their last values, as the full schedule would record, and a
         # member that stops at T0 keeps T0's.
-        L0 = einsum("bk->b", norms)
-        row = np.array([L0, np.sqrt(einsum("bi,bi->b", g, g))], dtype=float)
+        row = np.array([L, gnorm], dtype=float)
         hist = np.empty((opts.iterations, 2, B))
 
     for it in range(opts.iterations):
-        gnorm = np.sqrt(einsum("bi,bi->b", g, g))
-        done = still | (gnorm < NOISE_FLOOR_TOL * (1.0 + einsum("bk->b", norms)))
+        done = still | (gnorm < NOISE_FLOOR_TOL * (1.0 + L))
         if done.any():
             gone, kept = np.flatnonzero(done), np.flatnonzero(~done)
             T_out[..., live[gone]] = T[..., gone]
-            g_out[live[gone]] = g[gone]
+            g_out[live[gone]], L_out[live[gone]] = g[gone], L[gone]
             ran[live[gone]] = it
-            live, g, norms = live[kept], g[kept], norms[kept]
+            live, g, norms, gnorm, L = live[kept], g[kept], norms[kept], gnorm[kept], L[kept]
             T, s = np.take(T, kept, axis=-1), np.take(s, kept, axis=-1)
             H, spare = np.take(H, kept, axis=0, out=spare[: kept.size], mode="clip"), H
             sc = sc.take(kept)
@@ -405,37 +402,37 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
         T_new = T + alpha * P
         still = (T_new.view(bits) == T.view(bits)).all(axis=(0, 1))
         T = T_new
-        x, s, norms = clamped_segments(sc, T)
+        _, s, norms = clamped_segments(sc, T)
         g_new = member_rows(gradient_from_segments(sc, unit_directions(s, norms)[1]))
         norms = np.ascontiguousarray(norms.T)
         H, spare = _inverse_hessian_update(H, step, g_new - g, spare[:k]), H
         g = g_new
-
+        gnorm, L = np.sqrt(einsum("bi,bi->b", g, g)), einsum("bk->b", norms)
         if opts.record_trace:
-            # The path length at T, from the points embedded above.
-            row[0, live] = segment_sum(segment_norms(x)[1])
-            row[1, live] = np.sqrt(einsum("bi,bi->b", g, g))
+            row[:, live] = L, gnorm
             hist[it] = row
 
     T_out[..., live] = T
-    g_out[live] = g
+    g_out[live], L_out[live] = g, L
     traces = None
     if opts.record_trace:
         traces = [
             list(zip(range(opts.iterations), lengths, gnorms))
             for lengths, gnorms in zip(hist[:, 0].T.tolist(), hist[:, 1].T.tolist())
         ]
-    return np.ascontiguousarray(T_out.T), g_out.reshape(B, n, 2), traces, ran
+    return np.ascontiguousarray(T_out.T), g_out.reshape(B, n, 2), L_out, traces, ran
 
 
-def _reports_from_state(sc: BatchScene, T, g, traces, iterations) -> list[SolveReport]:
-    """One report per member of (B, n, 2) T and g; `iterations` is per member, or one for all."""
-    lengths = path_length_batch(sc.astype(T.dtype), T.T).tolist()
+def _reports_from_state(T, g, L, traces, iterations) -> list[SolveReport]:
+    """One report per member of a kernel's (B, n, 2) T and g and (B,) lengths L.
+
+    `iterations` is per member, or one for all; nothing is embedded again.
+    """
     gnorms = np.linalg.norm(g.reshape(T.shape[0], -1), axis=1).tolist()
     iterations = np.broadcast_to(iterations, T.shape[:1]).tolist()
     traces = traces if traces is not None else [None] * T.shape[0]
     # Fields in SolveReport's order; each solution is a row view of the float64 array.
-    return list(map(SolveReport, np.asarray(T, dtype=float), lengths, gnorms, iterations, traces))
+    return list(map(SolveReport, np.asarray(T, float), L.tolist(), gnorms, iterations, traces))
 
 
 def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -445,8 +442,7 @@ def bfgs_solve(spec: PathSpec, T0, opts: SolveOptions = SolveOptions()) -> Solve
     fixed point, and its result equals the fixed schedule's run to that exit.
     """
     T0 = check_params(spec, T0)
-    sc = spec.batch
-    return _reports_from_state(sc, *_bfgs_kernel(sc, T0[None], opts))[0]
+    return _reports_from_state(*_bfgs_kernel(spec.batch, T0[None], opts))[0]
 
 
 def batch_solve(
@@ -455,4 +451,4 @@ def batch_solve(
     """Solve many paths with identical n; each leaves the schedule at its own exit."""
     sc = BatchScene.from_specs(specs)
     T0 = stack_params(specs, T0s)
-    return _reports_from_state(sc, *_bfgs_kernel(sc, T0, opts))
+    return _reports_from_state(*_bfgs_kernel(sc, T0, opts))

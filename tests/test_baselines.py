@@ -32,7 +32,10 @@ from fermatpath import baselines, batching
 from fermatpath.batching import (
     BatchScene,
     checked_segments,
+    embed_batch,
     hessian_from_segments,
+    segment_norms,
+    stationary_from_segments,
     unit_directions,
 )
 from fermatpath.geometry import params_from_points
@@ -57,6 +60,29 @@ def _count_calls(monkeypatch, *names):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     return counts
+
+
+def _count_embeddings(monkeypatch, kernel):
+    """`_count_calls` of embed_batch and path_length_batch, and the list of
+    embed_batch counts at each return of `baselines.<kernel>`."""
+    counts = _count_calls(monkeypatch, "embed_batch", "path_length_batch")
+    at_return = []
+    real = getattr(baselines, kernel)
+
+    def counting(*args):
+        out = real(*args)
+        at_return.append(counts["embed_batch"])
+        return out
+
+    monkeypatch.setattr(baselines, kernel, counting)
+    return counts, at_return
+
+
+def _stationary(sc, T, tol):
+    """(B,) |g| < tol (1 + L) at (B, n, 2) T from a fresh embedding, L from the raw norms."""
+    s, norms = segment_norms(embed_batch(sc, T.T))
+    _, q = unit_directions(s, np.maximum(norms, sc.eps))
+    return stationary_from_segments(sc, q, norms, tol)
 
 
 REFERENCE_OPTIONS = SolveOptions(
@@ -140,6 +166,17 @@ class TestGradientDescent:
             rep = gradient_descent(spec, T0, SolveOptions(iterations=100))
             assert rep.final_length < path_length(spec, T0)
 
+    @pytest.mark.parametrize("iterations", [1, 6])
+    def test_one_embedding_per_iterate(self, monkeypatch, iterations):
+        # The start and each step's iterate are embedded once; the report
+        # takes the last one's length from the kernel, embedding nothing.
+        counts, at_return = _count_embeddings(monkeypatch, "_gd_kernel")
+        spec = gen_scenes(20, 3, Kinds.MIXED, 1)[0]
+        rep = gradient_descent(spec, init_params(spec), SolveOptions(iterations=iterations))
+        assert counts["embed_batch"] == iterations + 1
+        assert at_return == [counts["embed_batch"]]
+        assert rep.final_length == path_length(spec, rep.solution)
+
 
 class TestNewton:
     def test_converges_to_stationary_point(self):
@@ -161,12 +198,14 @@ class TestNewton:
     @pytest.mark.parametrize("iterations", [1, 6])
     def test_one_embedding_per_iterate(self, monkeypatch, iterations):
         # Each iterate is embedded once for g, H and the length; the rest
-        # are the step-halving trial lengths.
-        counts = _count_calls(monkeypatch, "embed_batch", "path_length_batch")
+        # are the step-halving trial lengths, and the report embeds nothing.
+        counts, at_return = _count_embeddings(monkeypatch, "_newton_kernel")
         spec = gen_scenes(21, 3, Kinds.MIXED, 1)[0]
-        newton_solve(spec, perturb_params(spec, np.random.default_rng(3), 0.3),
-                     SolveOptions(iterations=iterations))
+        rep = newton_solve(spec, perturb_params(spec, np.random.default_rng(3), 0.3),
+                           SolveOptions(iterations=iterations))
         assert counts["embed_batch"] - counts["path_length_batch"] == iterations + 1
+        assert at_return == [counts["embed_batch"]]
+        assert rep.final_length == path_length(spec, rep.solution)
 
 
 class TestReference:
@@ -179,7 +218,7 @@ class TestReference:
         )
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
-        _, _, _, ran = _bfgs_kernel(sc, T0, REFERENCE_OPTIONS)
+        ran = _bfgs_kernel(sc, T0, REFERENCE_OPTIONS)[-1]
         want = T0.copy()
         # Members that stopped at the noise floor rather than at a bitwise fixed point.
         floor_stops = 0
@@ -195,10 +234,22 @@ class TestReference:
         assert floor_stops > 0
         T, conv = reference_solve_batch(specs)
         assert T.tobytes() == want.tobytes()
+        assert conv.tolist() == _stationary(sc, T, baselines.REFERENCE_GRAD_TOL).tolist()
         if batch == "near-parallel":
             assert conv.tolist() == [False, True] * 4 + [True, True]
         else:
             assert conv.all()
+
+    def test_one_embedding_per_pass(self, monkeypatch):
+        # The start and each iteration run are embedded once; the converged
+        # flags come from the kernel's g and L, without embedding T again.
+        specs = gen_scenes(105, 5, Kinds.MIXED, 20)
+        sc = BatchScene.from_specs(specs)
+        ran = _bfgs_kernel(sc, np.stack([init_params(s) for s in specs]), REFERENCE_OPTIONS)[-1]
+        counts, at_return = _count_embeddings(monkeypatch, "_bfgs_kernel")
+        reference_solve_batch(specs)
+        assert counts["embed_batch"] == ran.max() + 1
+        assert at_return == [counts["embed_batch"]]
 
     def test_stop_ends_a_member_that_never_repeats_bitwise(self, monkeypatch):
         # A member that never reaches a bitwise fixed point runs the whole

@@ -185,6 +185,18 @@ class TestResultFiles:
         assert back[0] == records[0]
         assert math.isnan(back[1].mean_error)
 
+    def test_csv_roundtrip_of_numpy_floats(self):
+        # numpy scalars' repr is "np.float64(0.1)"; the file holds plain floats.
+        record = BenchRecord(
+            "ours", 3, "mixed", 2, 100, 1, "double", np.float64(0.1), np.float32(17.3)
+        )
+        buf = io.StringIO()
+        write_records([record], buf)
+        buf.seek(0)
+        (back,) = read_records(buf)
+        assert back == record
+        assert back.wall_time_ms == float(np.float32(17.3)) != 17.3
+
     def test_header_is_the_documented_layout(self):
         header = "solver,n,kinds,d,iterations,fp_iters,precision,mean_error,wall_time_ms"
         buf = io.StringIO()

@@ -192,8 +192,9 @@ class TestLineSearch:
             line_search_alpha(spec, T, P, k=2)
 
     def test_bad_k(self):
-        with pytest.raises(ValueError):
-            line_search_alpha(_v_spec(), np.zeros((1, 2)), np.ones((1, 2)), k=0)
+        for k in (0, 1.5):
+            with pytest.raises(ValueError):
+                line_search_alpha(_v_spec(), np.zeros((1, 2)), np.ones((1, 2)), k=k)
 
 
 def _step_size_batch(dtype):
@@ -523,9 +524,9 @@ class TestSolver:
         monkeypatch.setattr(batching, "embed_batch", lambda *a: calls.append(1) or real(*a))
         rep = bfgs_solve(spec, init_params(spec), SolveOptions(iterations=100, **extra))
         assert rep.iterations < 100
-        # The start is embedded once, each iteration run embeds once, and
-        # the report takes the final length.
-        assert len(calls) == rep.iterations + 2
+        # The start is embedded once and each iteration run once; the report
+        # takes the final length from the kernel, not a further embedding.
+        assert len(calls) == rep.iterations + 1
 
     def test_kernel_holds_two_inverse_hessian_arrays(self):
         # H and the spare buffer the update and the compaction write into.
@@ -536,7 +537,7 @@ class TestSolver:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, _, _, ran = _bfgs_kernel(sc, T0, SolveOptions(iterations=5))
+            ran = _bfgs_kernel(sc, T0, SolveOptions(iterations=5))[-1]
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -663,11 +664,15 @@ def _half_warm_batch(kinds, n, B=12):
 
 def _assert_kernel_matches_fixed_schedule(sc, T0, opts):
     """The kernel equals the fixed schedule run to each member's exit; returns the iterations."""
-    T, g, traces, ran = _bfgs_kernel(sc, T0, opts)
+    T, g, L, traces, ran = _bfgs_kernel(sc, T0, opts)
     T_ref, g_ref, traces_ref, ran_ref, _, _ = stopped_schedule_bfgs(sc, T0, opts)
     bits = f"u{T.itemsize}"
     assert np.array_equal(T.view(bits), T_ref.view(bits))
     assert np.array_equal(g.view(bits), g_ref.view(bits))
+    # L is each result's length, summed from its clamped segment norms.
+    norms = clamped_segments(sc.astype(T.dtype), T_ref.T)[2]
+    L_ref = np.einsum("bk->b", np.ascontiguousarray(norms.T))
+    assert np.array_equal(L.view(bits), L_ref.view(bits))
     assert traces == traces_ref
     # Each member stops where the floor test first passes, or after its first still step.
     assert np.array_equal(ran, ran_ref)
@@ -714,7 +719,7 @@ class TestFixedPointExits:
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
         opts = SolveOptions(iterations=5, fixed_point_iters=1, record_trace=True)
-        T, g, traces, ran = _bfgs_kernel(sc, T0, opts)
+        T, g, _, traces, ran = _bfgs_kernel(sc, T0, opts)
         T_ref, g_ref, traces_ref, _, floor_at = fixed_schedule_bfgs(sc, T0, opts)
         assert ran.tolist() == [0, opts.iterations] and floor_at.tolist() == [0, -1]
         assert T[0].tobytes() == T0[0].tobytes() and not g[0].any()
@@ -784,12 +789,13 @@ class TestBatchOfOne:
         sc = BatchScene.from_specs(specs)
         T0 = np.stack([init_params(s) for s in specs])
         opts = SolveOptions(iterations=40, fixed_point_iters=fp, precision=precision)
-        T, g, _, ran = _bfgs_kernel(sc, T0, opts)
+        T, g, L, _, ran = _bfgs_kernel(sc, T0, opts)
         assert T.flags.c_contiguous and T.shape == T0.shape == g.shape
         for b in range(len(specs)):
-            Tb, gb, _, ran_b = _bfgs_kernel(sc.take([b]), T0[b : b + 1], opts)
+            Tb, gb, Lb, _, ran_b = _bfgs_kernel(sc.take([b]), T0[b : b + 1], opts)
             assert Tb.tobytes() == T[b : b + 1].tobytes()
             assert gb.tobytes() == g[b : b + 1].tobytes()
+            assert Lb.tobytes() == L[b : b + 1].tobytes()
             assert ran_b.tolist() == [ran[b]]
 
 
