@@ -12,6 +12,7 @@ minimum and the image method would not apply.
 from __future__ import annotations
 
 import csv
+import re
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -161,9 +162,7 @@ def scene_from_dict(doc: dict) -> PathSpec:
     surfaces = []
     for s in doc.get("surfaces", []):
         kind = SurfaceKind(s["kind"])
-        surfaces.append(
-            Surface(basis=np.asarray(s["basis"], dtype=float), anchor=s["anchor"], kind=kind)
-        )
+        surfaces.append(Surface(basis=s["basis"], anchor=s["anchor"], kind=kind))
     return PathSpec(start=doc["start"], end=doc["end"], surfaces=tuple(surfaces))
 
 
@@ -171,9 +170,132 @@ def save_scenes(specs: Sequence[PathSpec], fileobj) -> None:
     yaml.safe_dump_all([scene_to_dict(s) for s in specs], fileobj, sort_keys=False)
 
 
-# libyaml's parser where PyYAML was built with it; the constructor, and so
-# every parsed value, is the pure-Python SafeLoader's either way.
+# libyaml's parser where PyYAML was built with it. `_documents` reads its
+# event stream; every value it builds is the one the SafeLoader's resolver
+# and constructor give (see there).
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# The plain scalars YAML 1.1's first implicit resolver for "-" and the digits
+# tags as floats, for which `SafeConstructor.construct_yaml_float` returns
+# sign * float(rest): bitwise float(value), -0.0 included.
+_PLAIN_FLOAT = re.compile(r"-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
+_STR_TAG = "tag:yaml.org,2002:str"
+_COLLECTION_TAGS = {
+    yaml.MappingStartEvent: (None, "!", "tag:yaml.org,2002:map"),
+    yaml.SequenceStartEvent: (None, "!", "tag:yaml.org,2002:seq"),
+}
+
+
+class _Composed(Exception):
+    """The document needs PyYAML's composer: see `_documents`."""
+
+
+class _Replay(yaml.composer.Composer, yaml.constructor.SafeConstructor, yaml.resolver.Resolver):
+    """PyYAML's composer and SafeConstructor, fed one document's recorded events."""
+
+    def __init__(self, events):
+        yaml.composer.Composer.__init__(self)
+        yaml.constructor.SafeConstructor.__init__(self)
+        yaml.resolver.Resolver.__init__(self)
+        self._events = iter(events)
+        self._event = next(self._events)
+
+    def peek_event(self):
+        return self._event
+
+    def check_event(self, *choices):
+        return isinstance(self._event, choices)
+
+    def get_event(self):
+        event, self._event = self._event, next(self._events, None)
+        return event
+
+
+def _plain_document(loader, events):
+    """The value of the document whose DocumentStartEvent ends `events`.
+
+    Walks the loader's events to the DocumentEndEvent, appending each to
+    `events`, and builds plain dicts, lists and scalars with a list per
+    open collection. A plain untagged scalar that `_PLAIN_FLOAT` matches is
+    float(value); every other scalar goes through the loader's `resolve`
+    and constructor. Raises _Composed at an anchor, an alias, another
+    collection tag, a collection key or a scalar its constructor rejects,
+    merge (`<<`) and value (`=`) keys among them.
+    """
+    get_event, resolve, construct = loader.get_event, loader.resolve, loader.construct_object
+    items, is_map = [], False
+    stack = []  # (items, is_map) of each enclosing collection; the root collects the document
+    while True:
+        event = get_event()
+        events.append(event)
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None:
+                raise _Composed
+            value = event.value
+            if event.implicit[0] and _PLAIN_FLOAT(value):
+                items.append(float(value))
+                continue
+            tag = event.tag
+            if tag is None or tag == "!":
+                tag = resolve(yaml.ScalarNode, value, event.implicit)
+            if tag != _STR_TAG:
+                node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark, event.style)
+                try:
+                    value = construct(node, deep=True)
+                except Exception as exc:
+                    # The merge and value tags have no constructor: the composer path
+                    # flattens such keys, and re-raises any other error once the
+                    # document has parsed, in PyYAML's construction order.
+                    raise _Composed from exc
+            items.append(value)
+        elif kind is yaml.SequenceEndEvent:
+            done = items
+            items, is_map = stack.pop()
+            items.append(done)
+        elif kind is yaml.MappingEndEvent:
+            done = dict(zip(items[::2], items[1::2]))
+            items, is_map = stack.pop()
+            items.append(done)
+        elif kind in _COLLECTION_TAGS:
+            if (
+                event.anchor is not None
+                or event.tag not in _COLLECTION_TAGS[kind]
+                or (is_map and not len(items) % 2)
+            ):
+                raise _Composed
+            stack.append((items, is_map))
+            items, is_map = [], kind is yaml.MappingStartEvent
+        elif kind is yaml.DocumentEndEvent:
+            return items[0]
+        else:
+            raise _Composed  # an alias
+
+
+def _documents(fileobj):
+    """Each document of a YAML stream, as `yaml.load_all(fileobj, yaml.SafeLoader)` gives it.
+
+    Reads the stream's events once (`_plain_document`). A document the walk
+    does not take has its remaining events read and is built by PyYAML's
+    composer and SafeConstructor from all of them (`_Replay`), so its
+    value, or its error, is theirs. Parse and decode errors propagate from
+    the event that meets them, as they do from `yaml.load_all`.
+    """
+    loader = _SAFE_LOADER(fileobj)
+    try:
+        loader.get_event()  # StreamStartEvent
+        while not isinstance(event := loader.get_event(), yaml.StreamEndEvent):
+            events = [event]
+            try:
+                doc = _plain_document(loader, events)
+            except _Composed:
+                while not isinstance(events[-1], yaml.DocumentEndEvent):
+                    events.append(loader.get_event())
+                replay = _Replay(events)
+                doc = replay.construct_document(replay.compose_document())
+            yield doc
+    finally:
+        loader.dispose()
 
 
 def load_scenes(fileobj) -> list[PathSpec]:
@@ -185,7 +307,7 @@ def load_scenes(fileobj) -> list[PathSpec]:
     specs = []
     index = 0
     try:
-        for doc in yaml.load_all(fileobj, Loader=_SAFE_LOADER):
+        for doc in _documents(fileobj):
             if doc is not None:
                 if not isinstance(doc, dict):
                     raise TypeError(f"expected a mapping, got {type(doc).__name__}")

@@ -83,12 +83,37 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
+def _holds_bool(items) -> bool:
+    """Whether nested lists and tuples hold a bool or a bool array; floats and arrays,
+    the usual entries, are passed first."""
+    for x in items:
+        kind = type(x)
+        if kind is float:
+            continue
+        if kind is np.ndarray:
+            if x.dtype.kind == "b":
+                return True
+        elif kind is list or kind is tuple:
+            if _holds_bool(x):
+                return True
+        elif isinstance(x, (bool, np.bool_)):
+            return True
+    return False
+
+
 def real_array(a, name: str) -> np.ndarray:
-    """`a` as an array; complex values raise, as a float cast would drop their imaginary part."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise ShapeMismatch(f"{name} must be real, got {a.dtype}")
-    return a
+    """`a` as an array of real numbers; anything a float cast would silently change raises.
+
+    Complex values (the cast drops the imaginary part), booleans and strings
+    raise ShapeMismatch, also a boolean or boolean array that numpy would
+    fold into the numbers of a list.
+    """
+    arr = np.asarray(a)
+    if arr.dtype.kind in "bcSU":
+        raise ShapeMismatch(f"{name} must be real numbers, got {arr.dtype}")
+    if isinstance(a, (list, tuple)) and _holds_bool(a):
+        raise ShapeMismatch(f"{name} must be real numbers, got a bool")
+    return arr
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -282,16 +307,16 @@ class PathSpec:
         return len(self.surfaces)
 
 
-def check_params(spec: PathSpec, T) -> np.ndarray:
-    """Validate an n x 2 parameter array against its spec and return it as float."""
+def check_params(spec: PathSpec, T, name: str = "params") -> np.ndarray:
+    """Validate an n x 2 array (parameters, or the `name`d cotangent) and return it as float."""
     try:
-        T = np.asarray(real_array(T, "params"), dtype=float)
+        T = np.asarray(real_array(T, name), dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(f"params are not a float array: {exc}") from exc
+        raise ShapeMismatch(f"{name} must be a float array: {exc}") from exc
     if T.shape != (spec.n, 2):
-        raise ShapeMismatch(f"params must have shape ({spec.n}, 2), got {T.shape}")
+        raise ShapeMismatch(f"{name} must have shape ({spec.n}, 2), got {T.shape}")
     if not np.isfinite(T).all():
-        raise ShapeMismatch("params have non-finite entries")
+        raise ShapeMismatch(f"{name} must be finite")
     return T
 
 

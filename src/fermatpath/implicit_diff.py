@@ -73,14 +73,14 @@ def _adjoint(sc, u, norms, v) -> np.ndarray:
 
 def solve_stationary_system(spec: PathSpec, Tstar, v) -> np.ndarray:
     """Solve H u = -v on active coordinates; inert entries of u are zero."""
-    v = check_params(spec, v)
+    v = check_params(spec, v, "cotangent")
     sc, _, norms, u, _ = _at_solution(spec, Tstar)
     return _adjoint(sc, u, norms, v.T[..., None])[..., 0].T
 
 
 def vjp_solution(spec: PathSpec, Tstar, v) -> SceneGradient:
     """v^T d(T*)/d(theta): adjoint solve followed by the mixed-derivative VJP."""
-    v = check_params(spec, v)
+    v = check_params(spec, v, "cotangent")
     sc, T, norms, u, q = _at_solution(spec, Tstar)
     x = _adjoint(sc, u, norms, v.T[..., None])
     return SceneGradient.of(param_vjp_from_segments(sc, T, u, q, norms, x))

@@ -100,5 +100,5 @@ def length_param_gradient(spec: PathSpec, T) -> SceneGradient:
 def param_vjp(spec: PathSpec, T, u) -> SceneGradient:
     """u^T d(grad L)/d(theta) for a cotangent `u` (n x 2), theta = (bases, anchors, start, end)."""
     sc, T, norms, dirs, q = _checked(spec, T)
-    u = check_params(spec, u)  # same shape contract as params
+    u = check_params(spec, u, "cotangent")
     return SceneGradient.of(param_vjp_from_segments(sc, T, dirs, q, norms, u.T[..., None]))

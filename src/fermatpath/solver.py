@@ -95,8 +95,11 @@ class SolveOptions:
 
 
 def _check_count(name: str, value, lowest: int, highest: int | None = None) -> None:
-    """Raise ValueError unless `value` is an integer in lowest..highest (unbounded if None)."""
-    ok = isinstance(value, Integral) and value >= lowest
+    """Raise ValueError unless `value` is an integer in lowest..highest (unbounded if None).
+
+    A bool is an Integral, but True is no count.
+    """
+    ok = isinstance(value, Integral) and not isinstance(value, bool) and value >= lowest
     if not ok or (highest is not None and value > highest):
         bounds = f"in {lowest}..{highest}" if highest else f">= {lowest}"
         raise ValueError(f"{name} must be an integer {bounds}")

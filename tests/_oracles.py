@@ -525,12 +525,23 @@ def stopped_schedule_bfgs(sc, T0, opts):
     return T, g, traces, ran, still_at, floor_at
 
 
+# A float array cast to each dtype kind that a float cast would silently read
+# back: complex (the cast drops the imaginary part), bool and the string kinds.
+NON_REAL_CASTS = {
+    "complex": lambda a: a * (1.0 + 1e-3j),
+    "bool": lambda a: a != 0.0,
+    "str": lambda a: a.astype(str),
+    "bytes": lambda a: a.astype(bytes),
+}
+
+
 def _real(a, name: str) -> np.ndarray:
-    """`a` as an array; complex values raise, as a float cast would drop their imaginary part."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        raise ShapeMismatch(f"{name} must be real")
-    return a
+    """`a` as an array; a complex, boolean or string entry raises: a float cast would change it."""
+    arr = np.asarray(a)
+    leaves = np.asarray(a, dtype=object).ravel().tolist()
+    if any(isinstance(x, (complex, bool, np.bool_, str, bytes)) for x in leaves):
+        raise ShapeMismatch(f"{name} must be real numbers")
+    return arr
 
 
 def vec3(v, name: str) -> np.ndarray:

@@ -18,6 +18,7 @@ import yaml
 from fermatpath import (
     BenchConfig,
     Kinds,
+    FermatPathError,
     NoConvergence,
     Precision,
     SceneFileError,
@@ -88,8 +89,10 @@ class TestGenScenes:
             gen_scenes(0, 0, Kinds.MIXED, 1)
         with pytest.raises(ValueError):
             gen_scenes(0, 2.5, Kinds.MIXED, 1)
+        with pytest.raises(ValueError):
+            gen_scenes(0, True, Kinds.MIXED, 1)
 
-    @pytest.mark.parametrize("batch", [0, -3, 2.5])
+    @pytest.mark.parametrize("batch", [0, -3, 2.5, True])
     def test_bad_batch(self, batch):
         with pytest.raises(ValueError):
             gen_scenes(0, 2, Kinds.MIXED, batch)
@@ -169,6 +172,171 @@ class TestSceneFiles:
                          (a.anchor_tensor, b.anchor_tensor)]:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
             assert [s.kind for s in a.surfaces] == [s.kind for s in b.surfaces]
+
+
+_PLANE = "- kind: plane\n  anchor: [0.0, 0.0, 0.0]\n  basis: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]\n"
+_SCENE = "start: [0.0, 0.0, 1.0]\nend: [1.0, 0.0, 1.0]\nsurfaces:\n" + _PLANE
+_ENDS = "start: [0.0, 0.0, 1.0]\nend: [1.0, 0.0, 1.0]\n"
+
+# Scene files that each use one YAML feature. Some are valid scenes, some are
+# refused by the scene checks, and some are not YAML a safe loader takes.
+YAML_FEATURES = {
+    "flow": "{start: [0.0, -0.0, 1.0], end: [1.0, 0.0, 1.0], surfaces: [{kind: edge,"
+            " anchor: [0.5, 0.0, 0.0], basis: [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}]}\n",
+    "block": "start:\n- 0.0\n- -0.0\n- 1.0\nend:\n- 1.0\n- 0.0\n- 1.0\nsurfaces:\n- kind: edge\n"
+             "  anchor:\n  - 0.5\n  - 0.0\n  - 0.0\n  basis:\n  - - 0.0\n    - 0.0\n"
+             "  - [1.0, 0.0]\n  - [0.0, 0.0]\n",
+    "comments": "# a scene\nstart: [0.0, 0.0, 1.0]  # start\n# between\nend: [1.0, 0.0, 1.0]\n"
+                "surfaces:  # one\n" + _PLANE + "# end\n",
+    "markers": "%YAML 1.1\n---\n" + _SCENE
+               + "...\n--- {start: [0.0, 0.0, 2.0], end: [1.0, 0.0, 2.0]}\n...\n",
+    "empty-documents": "---\n---\n" + _SCENE + "---\n...\n--- ~\n--- null\n",
+    "anchors-and-aliases": "start: &s [0.0, 0.0, 1.0]\nend: [1.0, 0.0, &z 1.0]\nsurfaces:\n- &p\n"
+                           "  kind: plane\n  anchor: &a [0.0, 0.0, 0.0]\n"
+                           "  basis: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]\n- *p\n",
+    "scalar-alias": "start: [0.0, &z 0.0, 1.0]\nend: [1.0, *z, 1.0]\n",
+    "alias-to-an-earlier-document": _SCENE + "---\nstart: *s\nend: [1.0, 0.0, 1.0]\n",
+    "duplicate-anchor": "a: &x 1.0\nb: &x 2.0\n" + _SCENE,
+    "explicit-tags": "start: [!!float 0, !!float '0.5', 1.0]\n"
+                     "end: [!!int 1, !!float 0.0, !!float 1]\n"
+                     "surfaces: !!seq\n- !!map {kind: !!str plane, anchor: [0.0, 0.0, 0.0],"
+                     " basis: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}\n",
+    "non-specific-tags": "start: [! 0.5, ! 0.0, 1.0]\nend: ! [1.0, 0.0, 1.0]\n",
+    "quoted-numbers": "start: ['0.5', \"0.0\", 1.0]\nend: [1.0, 0.0, 1.0]\n",
+    "1e5-is-a-string": "start: [1e5, 0.0, 0.0]\nend: [1.0, 0.0, 1.0]\n",
+    "unsigned-exponent-is-a-string": "start: [1.0e5, 0.0, 0.0]\nend: [1.0, 0.0, 1.0]\n",
+    "float-forms": "start: [+1.5, .5, -1.e-3]\nend: [1.0E+5, 1_000.5, 1:30.5]\n"
+                   "x: [10., -0.0e+0, 190:20:30.15, 1.0e-400, 1.0e+400]\n",
+    "octal-hex-underscore-sexagesimal-ints": "start: [017, 0x1F, 1_000]\nend: [1:30, 0b101, -0]\n",
+    "ints-and-floats": "start: [0, 0, 1]\nend: [1, 0, 1.5]\n",
+    "inf": "start: [.inf, 0.0, 0.0]\nend: [1.0, 0.0, 1.0]\n",
+    "nan": "start: [.nan, -.inf, .NaN]\nend: [1.0, 0.0, 1.0]\n",
+    "duplicate-keys": "start: [9.0, 9.0, 9.0]\nend: [1.0, 0.0, 1.0]\nstart: [0.0, 0.0, 1.0]\n",
+    "merge-key": "base: &b {kind: plane, anchor: [0.0, 0.0, 0.0]}\n" + _ENDS
+                 + "surfaces:\n- <<: *b\n  basis: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]\n",
+    "merge-as-a-value": "x: <<\n" + _ENDS,
+    "value-key": "=: 1.0\n" + _ENDS,
+    "value-as-a-value": "x: =\n" + _ENDS,
+    "complex-key": "? [1.0, 2.0]\n: x\n" + _ENDS,
+    "mapping-key": "? {a: 1}\n: x\n" + _SCENE,
+    "scalar-keys": "1: a\n1.5: b\ntrue: c\n~: d\n2001-12-14: e\n" + _SCENE,
+    "other-scalars": "a: [yes, no, on, off, ~, null, '', 2001-12-14,"
+                     " 2001-12-14t21:59:43.10-05:00]\n"
+                     "b: !!binary aGVsbG8=\n" + _SCENE,
+    "other-collections": "a: !!set {x, y}\nb: !!omap [{x: 1}, {y: 2}]\nc: !!pairs [{x: 1}]\n"
+                         + _SCENE,
+    "bools": "start: [true, 0, 0]\nend: [1.0, 0.0, 1.0]\n",
+    "bad-int": "start: [!!int abc, 0.0, 0.0]\nend: [1.0, 0.0, 1.0]\n",
+    "bad-bool": "start: [!!bool abc, 0.0, 0.0]\nend: [1.0, 0.0, 1.0]\n",
+    "bad-scalar-then-parse-error": "start: [!!int abc, 0.0, 0.0]\nend: [1.0, 0.0, 1.0\n",
+    "unknown-tag": "start: !point [0.0, 0.0, 1.0]\nend: [1.0, 0.0, 1.0]\n",
+    "unknown-scalar-tag": "start: [!x 0.0, 0.0, 1.0]\nend: [1.0, 0.0, 1.0]\n",
+    "sequence-tag-on-a-scalar": "start: !!seq 0.0\nend: [1.0, 0.0, 1.0]\n",
+    "sequence-tag-on-a-mapping": "start: !!seq {a: 1}\nend: [1.0, 0.0, 1.0]\n",
+    "parse-error-in-document-2": _SCENE + "---\n" + _SCENE + "---\nstart: [0.0, 0.0, 1.0\n",
+    "scanner-error": _SCENE + "---\nstart: [0.0, 0.0, 1.0]\n\tend: x\n",
+    "scalar-and-list-documents": "0\n--- []\n--- hello\n",
+    "empty-mapping": _SCENE + "---\n{}\n",
+    "unknown-kind": _SCENE.replace("plane", "mirror"),
+    "undecodable-bytes": (_SCENE + "---\n" + _ENDS).encode() + b"x: \xff\xfe\n",
+}
+
+
+def _loaded(load):
+    """What a scene-file load gives: every array's bytes and the kinds, or the error's
+    document index and cause type."""
+    try:
+        specs = load()
+    except SceneFileError as exc:
+        return int(str(exc).split(":")[0].split()[-1]), type(exc.__cause__)
+    return [
+        [(a.dtype, a.shape, a.tobytes()) for a in (s.start, s.end, s.basis_tensor, s.anchor_tensor)]
+        + [s.kind for s in s.surfaces]
+        for s in specs
+    ]
+
+
+def _safe_loader_scenes(stream):
+    """The scenes `yaml.load_all` with PyYAML's pure-Python SafeLoader gives, with the
+    errors `load_scenes` raises."""
+    specs, index = [], 0
+    try:
+        for doc in yaml.load_all(stream, Loader=yaml.SafeLoader):
+            if doc is not None:
+                if not isinstance(doc, dict):
+                    raise TypeError(f"expected a mapping, got {type(doc).__name__}")
+                specs.append(bench.scene_from_dict(doc))
+            index += 1
+    except (KeyError, yaml.YAMLError, TypeError, ValueError, FermatPathError) as exc:
+        raise SceneFileError(f"scene file document {index}: {exc}") from exc
+    return specs
+
+
+def _stream(data):
+    return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+
+
+class TestSceneEvents:
+    """`load_scenes` reads libyaml's event stream; each file still loads as PyYAML's
+    SafeLoader, composer and constructor would load it."""
+
+    @pytest.mark.parametrize("events", ["default", "pure-python"])
+    @pytest.mark.parametrize("data", YAML_FEATURES.values(), ids=YAML_FEATURES.keys())
+    def test_feature_loads_as_the_safe_loader_loads_it(self, monkeypatch, data, events):
+        if events == "pure-python":
+            # Its plain scalars have style None where libyaml's have ''.
+            monkeypatch.setattr(bench, "_SAFE_LOADER", yaml.SafeLoader)
+        want = _loaded(lambda: _safe_loader_scenes(_stream(data)))
+        assert _loaded(lambda: load_scenes(_stream(data))) == want
+
+        def documents(load):
+            try:
+                return repr(list(load()))
+            except Exception as exc:  # compared by type only
+                return type(exc)
+
+        assert documents(lambda: bench._documents(_stream(data))) == documents(
+            lambda: yaml.load_all(_stream(data), Loader=yaml.SafeLoader)
+        )
+
+    def test_undecodable_text_file(self, tmp_path):
+        path = tmp_path / "scenes.yaml"
+        path.write_bytes(YAML_FEATURES["undecodable-bytes"])
+        with open(path, encoding="utf-8") as fh:
+            got = _loaded(lambda: load_scenes(fh))
+        with open(path, encoding="utf-8") as fh:
+            assert got == _loaded(lambda: _safe_loader_scenes(fh)) == (0, UnicodeDecodeError)
+
+    def test_a_written_scene_file_calls_no_constructor(self, tmp_path, monkeypatch):
+        # `yaml.load_all` constructs each of the `deep-file` file's 2,332 nodes.
+        text = Path(_deep_scene_file(tmp_path)).read_text()
+        calls = []
+        real = yaml.constructor.SafeConstructor.construct_object
+
+        def construct_object(self, node, deep=False):
+            calls.append(node)
+            return real(self, node, deep)
+
+        monkeypatch.setattr(yaml.constructor.SafeConstructor, "construct_object", construct_object)
+        list(yaml.load_all(text, Loader=bench._SAFE_LOADER))
+        assert len(calls) == 2332
+        calls.clear()
+        assert len(load_scenes(io.StringIO(text))) == 4
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [None, *range(1, 11)], ids=["golden", *map(str, range(1, 11))])
+    def test_golden_and_deep_files_equal_the_safe_loader_bitwise(self, tmp_path, seed):
+        # The golden file is `TestGeneratorStream.test_scene_file_text`'s; the
+        # others are the `deep-file` benchmark's at seeds 1-10.
+        if seed is None:
+            buf = io.StringIO()
+            save_scenes(gen_scenes(7, 5, Kinds.MIXED, 40), buf)
+            text = buf.getvalue()
+        else:
+            text = Path(_deep_scene_file(tmp_path, seed)).read_text()
+        got = _loaded(lambda: load_scenes(io.StringIO(text)))
+        assert len(got) == (40 if seed is None else 4)
+        assert got == _loaded(lambda: _safe_loader_scenes(io.StringIO(text)))
 
 
 class TestResultFiles:
@@ -254,11 +422,13 @@ class TestBenchConfig:
         [
             {"iterations": 0}, {"fixed_point_iters": 0}, {"n_range": (0,)}, {"n_range": (3, 65)},
             {"iterations": 2.5}, {"batch": 2.5}, {"n_range": (2.0,)}, {"kinds": "bogus"},
-            {"precision": "half"}, {"n_range": ()}, {"solvers": ()},
+            {"precision": "half"}, {"n_range": ()}, {"solvers": ()}, {"iterations": True},
+            {"batch": True}, {"n_range": (True,)},
         ],
         ids=[
             "iterations", "fp-iters", "n-zero", "n-too-large", "float-iterations",
             "float-batch", "float-n", "unknown-kinds", "unknown-precision", "no-n", "no-solvers",
+            "bool-iterations", "bool-batch", "bool-n",
         ],
     )
     def test_bad_counts_rejected_before_any_solve(self, monkeypatch, bad):
@@ -579,10 +749,16 @@ class TestCli:
             ("0\n", 0, TypeError),
             ("[]\n", 0, TypeError),
             ("start: [0.0, 0.0, 0.0]\nend: [1.0, 0.0, 0.0]\n---\n{}\n", 1, KeyError),
+            ("start: [0.0, 0.0, 0.0]\nend: [1.0, 0.0, 0.0]\n---\nstart: [true, 0, 0]\n"
+             "end: [1.0, 0.0, 0.0]\n", 1, ShapeMismatch),
+            ("start: ['1.5', '0', '0']\nend: [1.0, 0.0, 0.0]\n", 0, ShapeMismatch),
+            ("start: [0.0, 0.0, 1.0]\nend: [1.0, 0.0, 1.0]\nsurfaces:\n- kind: plane\n"
+             "  anchor: [0.0, 0.0, 0.0]\n  basis: [[1.0, 0.0], [0.0, 1.0], [0.0, no]]\n",
+             0, ShapeMismatch),
         ],
         ids=[
             "bad-yaml", "unknown-kind", "missing-end", "coincident-endpoints", "zero",
-            "empty-list", "empty-mapping",
+            "empty-list", "empty-mapping", "bool-coordinate", "string-coordinates", "bool-basis",
         ],
     )
     def test_malformed_scene_file(self, tmp_path, text, index, cause):

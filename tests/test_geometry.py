@@ -35,6 +35,11 @@ from fermatpath.geometry import (
 import _oracles as oracle
 
 
+_each_non_real_cast = pytest.mark.parametrize(
+    "cast", oracle.NON_REAL_CASTS.values(), ids=oracle.NON_REAL_CASTS.keys()
+)
+
+
 def _simple_spec():
     return PathSpec(
         start=[-1.0, 1.0, 0.0],
@@ -85,9 +90,10 @@ class TestSurface:
         assert s.kind is SurfaceKind(kind)
 
     @pytest.mark.filterwarnings("error")
-    def test_complex_basis_rejected(self):
-        basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]) * (1.0 + 1e-3j)
-        with pytest.raises(ShapeMismatch, match="real"):
+    @_each_non_real_cast
+    def test_non_real_basis_rejected(self, cast):
+        basis = cast(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ShapeMismatch, match="basis must be real"):
             Surface(basis=basis, anchor=[0, 0, 0], kind=SurfaceKind.PLANE)
 
     def test_unknown_kind_rejected(self):
@@ -106,10 +112,18 @@ class TestPathSpec:
             PathSpec(start=[0, 0, 0], end=[0, 0, 1e-12], surfaces=())
 
     @pytest.mark.filterwarnings("error")
-    def test_complex_point_rejected(self):
-        # Every 3-vector (start, end, anchors and plane or edge directions) is checked alike.
+    @pytest.mark.parametrize(
+        "start",
+        [[0, 0, 1j], [True, False, True], [True, 0, 0], [0.5, True, 0.0], ["1", "0", "0"],
+         ["1.5", 0, 0], np.array([b"1", b"0", b"0"])],
+        ids=["complex", "bools", "bool-among-ints", "bool-among-floats", "strings",
+             "string-among-ints", "bytes"],
+    )
+    def test_non_real_point_rejected(self, start):
+        # Every 3-vector (start, end, anchors and plane or edge directions) is checked
+        # alike; a float cast would read True as 1 and "1.5" as 1.5.
         with pytest.raises(ShapeMismatch, match="start must be real"):
-            PathSpec(start=[0, 0, 1j], end=[1, 1, 1], surfaces=())
+            PathSpec(start=start, end=[1, 1, 1], surfaces=())
 
     def test_interaction_limit(self):
         edge = make_edge([0, 0, 0], [1, 0, 0])
@@ -161,9 +175,10 @@ class TestCheckParams:
             check_params(_simple_spec(), T)
 
     @pytest.mark.filterwarnings("error")
-    def test_complex(self):
-        with pytest.raises(ShapeMismatch, match="real"):
-            check_params(_simple_spec(), np.zeros((2, 2), dtype=complex))
+    @_each_non_real_cast
+    def test_non_real(self, cast):
+        with pytest.raises(ShapeMismatch, match="params must be real"):
+            check_params(_simple_spec(), cast(np.ones((2, 2))))
 
     def test_non_numeric(self):
         with pytest.raises(ShapeMismatch):
@@ -225,9 +240,10 @@ class TestParamsFromPoints:
             params_from_points(_simple_spec(), np.zeros((3, 3)))
 
     @pytest.mark.filterwarnings("error")
-    def test_complex_points_rejected(self):
-        with pytest.raises(ShapeMismatch, match="real"):
-            params_from_points(_simple_spec(), [[0, 0, 1j], [0, 0, 0]])
+    @_each_non_real_cast
+    def test_non_real_points_rejected(self, cast):
+        with pytest.raises(ShapeMismatch, match="points must be real"):
+            params_from_points(_simple_spec(), cast(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])))
 
     def test_matches_per_surface_lstsq(self):
         rng = np.random.default_rng(17)

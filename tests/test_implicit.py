@@ -34,9 +34,9 @@ from fermatpath.batching import (
     unit_directions,
 )
 from fermatpath.bench import fd_resolve_vjp, _scene_vector
-from fermatpath.objective import gradient, hessian
+from fermatpath.objective import gradient, hessian, param_vjp
 
-from _oracles import perturb_params, perturb_scene, where_pinned
+from _oracles import NON_REAL_CASTS, perturb_params, perturb_scene, where_pinned
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +80,41 @@ class TestVjpSolution:
             assert np.linalg.norm(analytic - fd) < 1e-3 * max(np.linalg.norm(fd), 1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_rejects_a_complex_cotangent(self):
-        # A float cast would drop the imaginary part and return a zero gradient.
+    @pytest.mark.parametrize("cast", NON_REAL_CASTS.values(), ids=NON_REAL_CASTS.keys())
+    def test_rejects_a_non_real_cotangent(self, cast):
+        # A float cast would drop an imaginary part (a zero gradient), read True as 1
+        # and "1.0" as 1.0.
         spec = gen_scenes(1, 2, Kinds.MIXED, 1)[0]
-        with pytest.raises(ShapeMismatch, match="real"):
-            vjp_solution(spec, reference_solve(spec), 1j * np.ones((2, 2)))
+        with pytest.raises(ShapeMismatch, match="cotangent must be real"):
+            vjp_solution(spec, reference_solve(spec), cast(np.ones((2, 2))))
+
+
+class TestCotangentChecks:
+    """Each entry point that takes a cotangent names it, not the params, when it is bad."""
+
+    ENTRY_POINTS = {
+        "vjp_solution": vjp_solution,
+        "solve_stationary_system": solve_stationary_system,
+        "param_vjp": param_vjp,
+    }
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        spec = gen_scenes(1, 2, Kinds.MIXED, 1)[0]
+        return spec, reference_solve(spec)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_non_finite(self, solved, entry):
+        v = np.ones((2, 2))
+        v[1, 0] = np.nan
+        with pytest.raises(ShapeMismatch, match="^cotangent must be finite$"):
+            entry(*solved, v)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_misshapen(self, solved, entry):
+        shape = r"^cotangent must have shape \(2, 2\), got \(3, 2\)$"
+        with pytest.raises(ShapeMismatch, match=shape):
+            entry(*solved, np.ones((3, 2)))
 
 
 class TestEnvelope:

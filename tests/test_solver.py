@@ -43,6 +43,7 @@ from fermatpath.solver import _bfgs_kernel, _fixed_point_alpha, _inverse_hessian
 from fermatpath.objective import embed, gradient
 
 from _oracles import (
+    NON_REAL_CASTS,
     bisection_alpha,
     direction_segments,
     dot3,
@@ -79,6 +80,11 @@ class TestOptions:
             SolveOptions(iterations=2.5)
         with pytest.raises(ValueError):
             SolveOptions(fixed_point_iters=2.0)
+        # bool is an Integral, but True is no count.
+        with pytest.raises(ValueError):
+            SolveOptions(iterations=True)
+        with pytest.raises(ValueError):
+            SolveOptions(fixed_point_iters=True)
         with pytest.raises(ValueError):
             SolveOptions(precision="bogus")
 
@@ -192,7 +198,7 @@ class TestLineSearch:
             line_search_alpha(spec, T, P, k=2)
 
     def test_bad_k(self):
-        for k in (0, 1.5):
+        for k in (0, 1.5, True):
             with pytest.raises(ValueError):
                 line_search_alpha(_v_spec(), np.zeros((1, 2)), np.ones((1, 2)), k=k)
 
@@ -554,12 +560,29 @@ class TestSolver:
                 solve(specs, T0s)
 
     @pytest.mark.filterwarnings("error")
-    def test_batch_entry_points_reject_complex_guesses(self):
+    @pytest.mark.parametrize("cast", NON_REAL_CASTS.values(), ids=NON_REAL_CASTS.keys())
+    def test_batch_entry_points_reject_non_real_guesses(self, cast):
         specs = gen_scenes(8, 2, Kinds.MIXED, 4)
-        T0s = [init_params(s).astype(complex) for s in specs]
+        T0s = [cast(init_params(s)) for s in specs]
         for solve in (batch_solve, reference_solve_batch):
             with pytest.raises(ShapeMismatch, match="real"):
                 solve(specs, T0s)
+
+    def test_batch_entry_points_reject_one_bool_guess(self):
+        # np.array folds one bool array among float arrays into floats.
+        specs = gen_scenes(8, 2, Kinds.MIXED, 4)
+        T0s = [init_params(s) for s in specs]
+        T0s[2] = T0s[2] != 0.0
+        for solve in (batch_solve, reference_solve_batch):
+            with pytest.raises(ShapeMismatch, match="params must be real"):
+                solve(specs, T0s)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cast", NON_REAL_CASTS.values(), ids=NON_REAL_CASTS.keys())
+    def test_scalar_entry_point_rejects_non_real_guesses(self, cast):
+        spec = gen_scenes(8, 2, Kinds.MIXED, 1)[0]
+        with pytest.raises(ShapeMismatch, match="params must be real"):
+            bfgs_solve(spec, cast(np.ones((2, 2))))
 
     @pytest.mark.parametrize(
         "bad",
