@@ -12,6 +12,7 @@ minimum and the image method would not apply.
 from __future__ import annotations
 
 import csv
+import io
 import re
 import time
 from dataclasses import dataclass, fields
@@ -170,144 +171,83 @@ def save_scenes(specs: Sequence[PathSpec], fileobj) -> None:
     yaml.safe_dump_all([scene_to_dict(s) for s in specs], fileobj, sort_keys=False)
 
 
-# libyaml's parser where PyYAML was built with it. `_documents` reads its
-# event stream; every value it builds is the one the SafeLoader's resolver
-# and constructor give (see there).
+# The loader of every file `_written_documents` does not take: libyaml's
+# parser where PyYAML was built with it. The constructor, and so every value
+# it gives, is the pure-Python SafeLoader's either way.
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# The plain scalars YAML 1.1's first implicit resolver for "-" and the digits
-# tags as floats, for which `SafeConstructor.construct_yaml_float` returns
-# sign * float(rest): bitwise float(value), -0.0 included.
-_PLAIN_FLOAT = re.compile(r"-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
-_STR_TAG = "tag:yaml.org,2002:str"
-_COLLECTION_TAGS = {
-    yaml.MappingStartEvent: (None, "!", "tag:yaml.org,2002:map"),
-    yaml.SequenceStartEvent: (None, "!", "tag:yaml.org,2002:seq"),
-}
+# `save_scenes`' block layout, one match per document head and per surface.
+# Each value is a plain scalar that YAML 1.1's first implicit resolver for "-"
+# and the digits tags as a float, for which `SafeConstructor.construct_yaml_float`
+# returns sign * float(rest): bitwise float(value), -0.0 included.
+_FLOAT = r"(-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)\n"
+_POINT = ("- " + _FLOAT) * 3
+_HEAD = re.compile("start:\n" + _POINT + "end:\n" + _POINT + r"surfaces:( \[\])?\n")
+_SURFACE = re.compile(
+    "- kind: (edge|plane)\n  anchor:\n" + ("  - " + _FLOAT) * 3
+    + "  basis:\n" + ("  - - " + _FLOAT + "    - " + _FLOAT) * 3
+)
 
 
-class _Composed(Exception):
-    """The document needs PyYAML's composer: see `_documents`."""
+def _written_documents(text: str) -> list[dict] | None:
+    """The documents of `text` if the layout matches it from start to end, else None.
 
-
-class _Replay(yaml.composer.Composer, yaml.constructor.SafeConstructor, yaml.resolver.Resolver):
-    """PyYAML's composer and SafeConstructor, fed one document's recorded events."""
-
-    def __init__(self, events):
-        yaml.composer.Composer.__init__(self)
-        yaml.constructor.SafeConstructor.__init__(self)
-        yaml.resolver.Resolver.__init__(self)
-        self._events = iter(events)
-        self._event = next(self._events)
-
-    def peek_event(self):
-        return self._event
-
-    def check_event(self, *choices):
-        return isinstance(self._event, choices)
-
-    def get_event(self):
-        event, self._event = self._event, next(self._events, None)
-        return event
-
-
-def _plain_document(loader, events):
-    """The value of the document whose DocumentStartEvent ends `events`.
-
-    Walks the loader's events to the DocumentEndEvent, appending each to
-    `events`, and builds plain dicts, lists and scalars with a list per
-    open collection. A plain untagged scalar that `_PLAIN_FLOAT` matches is
-    float(value); every other scalar goes through the loader's `resolve`
-    and constructor. Raises _Composed at an anchor, an alias, another
-    collection tag, a collection key or a scalar its constructor rejects,
-    merge (`<<`) and value (`=`) keys among them.
+    Each is the dict `yaml.load_all` gives: the layout's keys, kinds and
+    floats have no other reading. A bare "surfaces:" would be null, so it
+    must open at least one surface.
     """
-    get_event, resolve, construct = loader.get_event, loader.resolve, loader.construct_object
-    items, is_map = [], False
-    stack = []  # (items, is_map) of each enclosing collection; the root collects the document
-    while True:
-        event = get_event()
-        events.append(event)
-        kind = type(event)
-        if kind is yaml.ScalarEvent:
-            if event.anchor is not None:
-                raise _Composed
-            value = event.value
-            if event.implicit[0] and _PLAIN_FLOAT(value):
-                items.append(float(value))
-                continue
-            tag = event.tag
-            if tag is None or tag == "!":
-                tag = resolve(yaml.ScalarNode, value, event.implicit)
-            if tag != _STR_TAG:
-                node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark, event.style)
-                try:
-                    value = construct(node, deep=True)
-                except Exception as exc:
-                    # The merge and value tags have no constructor: the composer path
-                    # flattens such keys, and re-raises any other error once the
-                    # document has parsed, in PyYAML's construction order.
-                    raise _Composed from exc
-            items.append(value)
-        elif kind is yaml.SequenceEndEvent:
-            done = items
-            items, is_map = stack.pop()
-            items.append(done)
-        elif kind is yaml.MappingEndEvent:
-            done = dict(zip(items[::2], items[1::2]))
-            items, is_map = stack.pop()
-            items.append(done)
-        elif kind in _COLLECTION_TAGS:
-            if (
-                event.anchor is not None
-                or event.tag not in _COLLECTION_TAGS[kind]
-                or (is_map and not len(items) % 2)
-            ):
-                raise _Composed
-            stack.append((items, is_map))
-            items, is_map = [], kind is yaml.MappingStartEvent
-        elif kind is yaml.DocumentEndEvent:
-            return items[0]
-        else:
-            raise _Composed  # an alias
+    docs, pos = [], 0
+    while head := _HEAD.match(text, pos):
+        *ends, empty = head.groups()
+        ends = list(map(float, ends))
+        surfaces = []
+        pos = head.end()
+        while empty is None and (surface := _SURFACE.match(text, pos)):
+            kind, *values = surface.groups()
+            v = list(map(float, values))
+            surfaces.append({"kind": kind, "anchor": v[:3], "basis": [v[3:5], v[5:7], v[7:]]})
+            pos = surface.end()
+        if empty is None and not surfaces:
+            return None
+        docs.append({"start": ends[:3], "end": ends[3:], "surfaces": surfaces})
+        if pos == len(text):
+            return docs
+        if not text.startswith("---\n", pos):
+            return None
+        pos += 4
+    return None
 
 
-def _documents(fileobj):
-    """Each document of a YAML stream, as `yaml.load_all(fileobj, yaml.SafeLoader)` gives it.
+def _scene_documents(fileobj):
+    """The documents of a scene file, as `yaml.load_all(fileobj, yaml.SafeLoader)` gives them.
 
-    Reads the stream's events once (`_plain_document`). A document the walk
-    does not take has its remaining events read and is built by PyYAML's
-    composer and SafeConstructor from all of them (`_Replay`), so its
-    value, or its error, is theirs. Parse and decode errors propagate from
-    the event that meets them, as they do from `yaml.load_all`.
+    Reads the whole file. Text that `_written_documents` takes needs no
+    parser; anything else, bytes among it, goes whole to `yaml.load_all`
+    under the file's name, so its values, errors and error marks are PyYAML's.
     """
-    loader = _SAFE_LOADER(fileobj)
-    try:
-        loader.get_event()  # StreamStartEvent
-        while not isinstance(event := loader.get_event(), yaml.StreamEndEvent):
-            events = [event]
-            try:
-                doc = _plain_document(loader, events)
-            except _Composed:
-                while not isinstance(events[-1], yaml.DocumentEndEvent):
-                    events.append(loader.get_event())
-                replay = _Replay(events)
-                doc = replay.construct_document(replay.compose_document())
-            yield doc
-    finally:
-        loader.dispose()
+    data = fileobj.read()
+    docs = _written_documents(data) if isinstance(data, str) else None
+    if docs is None:
+        stream = (io.StringIO if isinstance(data, str) else io.BytesIO)(data)
+        stream.name = getattr(fileobj, "name", "<file>")
+        docs = yaml.load_all(stream, Loader=_SAFE_LOADER)
+    return docs
 
 
 def load_scenes(fileobj) -> list[PathSpec]:
     """The scenes of a YAML scene file, one per non-empty document.
 
-    Raises SceneFileError, naming the document (counted from 0), when the
-    file is not YAML or a document does not describe a valid scene.
+    A file in `save_scenes`' own layout is read without a YAML parser, any
+    other by `yaml.load_all`; both give the documents PyYAML's SafeLoader
+    gives (`_scene_documents`). Raises SceneFileError, naming the document
+    (counted from 0), when the file is not YAML or a document does not
+    describe a valid scene. The file is read whole first, so a text file
+    that does not decode fails at document 0.
     """
     specs = []
     index = 0
     try:
-        for doc in _documents(fileobj):
+        for doc in _scene_documents(fileobj):
             if doc is not None:
                 if not isinstance(doc, dict):
                     raise TypeError(f"expected a mapping, got {type(doc).__name__}")

@@ -261,7 +261,7 @@ def line_search_alpha(spec: PathSpec, T, P, k: int = 1) -> float:
     """
     _check_count("k", k, 1)
     T = check_params(spec, T)
-    P = check_params(spec, P)
+    P = check_params(spec, P, name="direction")
     sc = spec.batch
     # Every checked norm is above the floor, so these are the clamped norms.
     _, s, norms = checked_segments(sc, T.T[..., None])

@@ -4,27 +4,33 @@ import hashlib
 import io
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from fermatpath import (
     BenchConfig,
     Kinds,
     FermatPathError,
     NoConvergence,
+    PathSpec,
     Precision,
     SceneFileError,
     ShapeMismatch,
     SingularHessian,
     SolveOptions,
+    Surface,
     SurfaceKind,
     bfgs_solve,
     gen_scenes,
@@ -40,6 +46,7 @@ from fermatpath import bench, cli, implicit_diff, solver
 from fermatpath.batching import BatchScene, path_length_batch
 from fermatpath.bench import BenchRecord, CSV_HEADER, GradCheckReport
 from fermatpath.cli import main
+from fermatpath.geometry import MAX_INTERACTIONS
 
 from _oracles import perturbed_specs, stopped_schedule_bfgs
 
@@ -256,12 +263,12 @@ def _loaded(load):
     ]
 
 
-def _safe_loader_scenes(stream):
-    """The scenes `yaml.load_all` with PyYAML's pure-Python SafeLoader gives, with the
-    errors `load_scenes` raises."""
+def _safe_loader_scenes(stream, loader=yaml.SafeLoader):
+    """The scenes `yaml.load_all` with PyYAML's pure-Python SafeLoader (or `loader`)
+    gives, with the errors `load_scenes` raises."""
     specs, index = [], 0
     try:
-        for doc in yaml.load_all(stream, Loader=yaml.SafeLoader):
+        for doc in yaml.load_all(stream, Loader=loader):
             if doc is not None:
                 if not isinstance(doc, dict):
                     raise TypeError(f"expected a mapping, got {type(doc).__name__}")
@@ -277,8 +284,7 @@ def _stream(data):
 
 
 class TestSceneEvents:
-    """`load_scenes` reads libyaml's event stream; each file still loads as PyYAML's
-    SafeLoader, composer and constructor would load it."""
+    """Each file loads as PyYAML's SafeLoader, composer and constructor would load it."""
 
     @pytest.mark.parametrize("events", ["default", "pure-python"])
     @pytest.mark.parametrize("data", YAML_FEATURES.values(), ids=YAML_FEATURES.keys())
@@ -295,7 +301,7 @@ class TestSceneEvents:
             except Exception as exc:  # compared by type only
                 return type(exc)
 
-        assert documents(lambda: bench._documents(_stream(data))) == documents(
+        assert documents(lambda: bench._scene_documents(_stream(data))) == documents(
             lambda: yaml.load_all(_stream(data), Loader=yaml.SafeLoader)
         )
 
@@ -337,6 +343,110 @@ class TestSceneEvents:
         got = _loaded(lambda: load_scenes(io.StringIO(text)))
         assert len(got) == (40 if seed is None else 4)
         assert got == _loaded(lambda: _safe_loader_scenes(io.StringIO(text)))
+
+
+# Values whose written form is each shape of `repr`: a signed zero, and a
+# small, a tiny and a large exponent, which the dumper writes as 1.0e-05,
+# -2.5e-300 and 1.0e+16.
+_SPECIAL_VALUES = [-0.0, 0.0, 1e-05, -2.5e-300, 1e16, -1.5]
+
+
+@st.composite
+def _hand_built_specs(draw):
+    """A PathSpec of up to 3 surfaces, every coordinate drawn from `_SPECIAL_VALUES`."""
+    value = st.sampled_from(_SPECIAL_VALUES)
+    triple = st.lists(value, min_size=3, max_size=3)
+    surfaces = []
+    for kind in draw(st.lists(st.sampled_from(list(SurfaceKind)), max_size=3)):
+        u = draw(triple)
+        v = [0.0, 0.0, 0.0] if kind is SurfaceKind.EDGE else draw(triple)
+        try:
+            surfaces.append(Surface(basis=np.array([u, v]).T, anchor=draw(triple), kind=kind))
+        except FermatPathError:
+            pass
+    try:
+        return PathSpec(start=draw(triple), end=draw(triple), surfaces=tuple(surfaces))
+    except FermatPathError:
+        assume(False)
+
+
+def _written_text(specs):
+    buf = io.StringIO()
+    save_scenes(specs, buf)
+    return buf.getvalue()
+
+
+class TestWrittenSceneFiles:
+    """A file in `save_scenes`' layout is read without a YAML parser; every change to
+    one, or any other encoding of it, is read by `yaml.load_all`."""
+
+    # Writing a file of 64 surfaces takes about 30 ms, so shrinking a failure
+    # would take minutes: a failing example is reported as drawn.
+    @settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(
+        generated=st.tuples(
+            st.integers(0, 2**16), st.integers(1, MAX_INTERACTIONS), st.sampled_from(list(Kinds)),
+            st.integers(0, 2),
+        ),
+        hand_built=st.lists(_hand_built_specs(), max_size=3),
+    )
+    def test_takes_the_strict_path_and_equals_the_safe_loader_bitwise(self, generated, hand_built):
+        seed, n, kinds, batch = generated
+        specs = (gen_scenes(seed, n, kinds, batch) if batch else []) + hand_built
+        assume(specs)
+        text = _written_text(specs)
+        documents = list(yaml.load_all(text, Loader=bench._SAFE_LOADER))
+        want = _loaded(lambda: [bench.scene_from_dict(doc) for doc in documents])
+        with mock.patch.object(yaml, "load_all", side_effect=AssertionError("parsed")):
+            assert repr(bench._scene_documents(io.StringIO(text))) == repr(documents)
+            assert _loaded(lambda: load_scenes(io.StringIO(text))) == want
+        assert len(want) == len(specs)
+
+    def test_single_character_mutants_load_as_the_safe_loader_loads_them(self):
+        spec = gen_scenes(3, 1, Kinds.MIXED, 1)[0]
+        text = _written_text([spec, PathSpec(start=[1e-05, -0.0, 1e16], end=spec.end, surfaces=())])
+        assert bench._written_documents(text) is not None
+        lines = text.splitlines(keepends=True)
+        mutants = {
+            text[:i] + c + text[i + j:]
+            for i in range(len(text) + 1)
+            for c in ["", " ", "\n", "-", "0", "7", ".", "e", "+", ":", "x", "[", "#", "\t"]
+            for j in (0, 1)
+        }
+        # Each line dropped; the surface dropped from under its "surfaces:", or
+        # left under a "surfaces: []".
+        mutants |= {"".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))}
+        mutants.add(re.sub(r"(?m)^(surfaces:\n)(?:[- ] .*\n)+", r"\1", text))
+        mutants.add(text.replace("surfaces:\n", "surfaces: []\n", 1))
+        strict = 0
+        for mutant in mutants - {text}:
+            got = _loaded(lambda: load_scenes(io.StringIO(mutant)))
+            want = _loaded(lambda: _safe_loader_scenes(io.StringIO(mutant), bench._SAFE_LOADER))
+            assert got == want, repr(mutant)
+            strict += bench._written_documents(mutant) is not None
+        # Digit, sign and exponent changes keep the layout; the rest leave it.
+        assert strict > 0
+
+    @pytest.mark.parametrize("encoding", ["bom", "bytes", "bytes-with-bom"])
+    def test_other_encodings_load_as_the_safe_loader_loads_them(self, monkeypatch, encoding):
+        text = _written_text(gen_scenes(5, 3, Kinds.MIXED, 2))
+        data = {"bom": "\ufeff" + text, "bytes": text.encode(),
+                "bytes-with-bom": b"\xef\xbb\xbf" + text.encode()}[encoding]
+        want = _loaded(lambda: _safe_loader_scenes(_stream(data)))
+        assert len(want) == 2
+        real, taken = bench._written_documents, []
+        monkeypatch.setattr(bench, "_written_documents", lambda t: taken.append(real(t)) or taken[-1])
+        assert _loaded(lambda: load_scenes(_stream(data))) == want
+        # Only text is offered to the strict reader, and a BOM is not its layout.
+        assert taken == ([None] if isinstance(data, str) else [])
+
+    def test_a_parse_error_names_the_file(self, tmp_path):
+        scene_file = tmp_path / "scenes.yaml"
+        scene_file.write_text(_written_text(gen_scenes(5, 1, Kinds.MIXED, 1)) + "---\nstart: [\n")
+        with open(scene_file) as fh, pytest.raises(SceneFileError) as info:
+            load_scenes(fh)
+        assert str(info.value).startswith("scene file document 1: ")
+        assert f'in "{scene_file}", line ' in str(info.value)
 
 
 class TestResultFiles:

@@ -202,6 +202,16 @@ class TestLineSearch:
             with pytest.raises(ValueError):
                 line_search_alpha(_v_spec(), np.zeros((1, 2)), np.ones((1, 2)), k=k)
 
+    @pytest.mark.parametrize(
+        "P, message",
+        [(np.zeros((2, 2)), r"direction must have shape \(1, 2\)"),
+         (np.full((1, 2), np.nan), "direction must be finite")],
+        ids=["shape", "finiteness"],
+    )
+    def test_bad_direction_is_named(self, P, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            line_search_alpha(_v_spec(), np.zeros((1, 2)), P)
+
 
 def _step_size_batch(dtype):
     """An n=3 batch reaching every branch of the step-size loop.
