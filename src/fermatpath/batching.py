@@ -72,12 +72,15 @@ def embed_batch(sc: BatchScene, T: np.ndarray) -> np.ndarray:
     return np.concatenate([sc.start[:, None], mid, sc.end[:, None]], axis=1)
 
 
-def direction_segments(sc: BatchScene, P: np.ndarray) -> np.ndarray:
-    """(3, n+1, B) segment change along P (2, n, B): point i moves by A_i p_i, the ends stay."""
-    w = einsum("ijnb,jnb->inb", sc.basis, P)
-    ends = np.zeros((3, 1, P.shape[2]), dtype=w.dtype)
-    x = np.concatenate([ends, w, ends], axis=1)
-    return x[:, 1:] - x[:, :-1]
+def direction_segments(sc: BatchScene, P: np.ndarray, out=None) -> np.ndarray:
+    """(3, n+1, B) segment change along P (2, n, B): point i moves by A_i p_i, the ends stay.
+
+    Written into `out` if given (the step size's stacked operand), else a fresh array.
+    """
+    n, B = P.shape[1], P.shape[2]
+    x = np.zeros((3, n + 2, B), dtype=np.result_type(sc.basis, P))  # the moves, ends fixed
+    einsum("ijnb,jnb->inb", sc.basis, P, out=x[:, 1:-1])
+    return np.subtract(x[:, 1:], x[:, :-1], out=out)
 
 
 def segment_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -358,7 +358,7 @@ def _gen_one(rng, n: int, kinds: Kinds) -> PathSpec:
 
 def gen_scenes(seed: int, n: int, kinds: Kinds, batch: int) -> list[PathSpec]:
     """Deterministic batch of random scenes with n interactions each."""
-    _check_count("n", n, 1)
+    _check_count("n", n, 1, MAX_INTERACTIONS)
     _check_count("batch", batch, 1)
     kinds = Kinds(kinds)
     kind_code = list(Kinds).index(kinds)

@@ -272,7 +272,11 @@ class PathSpec:
     def __post_init__(self):
         start = _as_vec3(self.start, "start")
         end = _as_vec3(self.end, "end")
-        if norm3(end - start) <= MIN_ENDPOINT_SEPARATION:
+        with np.errstate(over="ignore"):
+            separation = norm3(end - start)
+        if not math.isfinite(separation):
+            raise ShapeMismatch("start and end points are so far apart that their separation overflows")
+        if separation <= MIN_ENDPOINT_SEPARATION:
             raise ShapeMismatch("start and end points (nearly) coincide")
         surfaces = tuple(self.surfaces)
         if len(surfaces) > MAX_INTERACTIONS:

@@ -30,14 +30,17 @@ and directions (2, n, B), segments (3, n+1, B), and per-segment scalars
 as (B, n+1) copies wherever they are summed over a member's segments.
 The inverse Hessians stay (B, 2n, 2n), so g and p cross between the
 layouts with one contiguous copy each per iteration; `_bfgs_kernel`
-takes and returns (B, n, 2). The step size is one function of plain
-numpy on fresh arrays. At B=1 the cost is the number of numpy calls, so
-`einsum` is numpy's C kernel called directly, without the dispatch layer
-that `np.einsum` adds (see `batching`). The inverse-Hessian update is the
+takes and returns (B, n, 2). At B=1 the cost of an iteration is the
+number of numpy calls, so `einsum` is numpy's C kernel called directly,
+without the dispatch layer that `np.einsum` adds (see `batching`), and the
+step size and the update stack their operands so that one call does the
+work of two. Each step-size call writes [s, dAp] into one (2, 3, n+1, B)
+array and its per-segment dot products into one (3, B, n+1) array, and
+reuses both for every evaluation. The inverse-Hessian update is the
 rank-two product H + U W^T, one batched `matmul` into the kernel's spare
-(B, 2n, 2n) buffer, so the kernel holds two such arrays; it keeps H
-bitwise symmetric and rounds differently from the textbook three-term
-form. The step size and
+(B, 2n, 2n) buffer, so the kernel holds two such arrays; U and W^T come
+from one (2, B, 2n) stack [a, Hy]. It keeps H bitwise symmetric and
+rounds differently from the textbook three-term form. The step size and
 the update equal the plain expressions in `tests/_oracles.py` bitwise.
 The scalar entry point is the batch kernel applied to a batch of one, so
 batched and per-path results agree bitwise.
@@ -70,6 +73,11 @@ from .errors import DegenerateSegment, ZeroDirection
 from .geometry import PathSpec, check_params, params_from_points_batch
 
 NOISE_FLOOR_TOL = 1e-15  # about 4.5 float64 epsilons
+
+# 0-d float64 operands of the step size's Newton pass, which runs in double
+# precision only: a ufunc converts a Python float operand on every call.
+_ZERO, _HALF, _INF, _NEG_INF = (np.full((), v) for v in (0.0, 0.5, np.inf, -np.inf))
+_SLOPE_ULPS, _STEP_ULPS = (np.full((), v * np.finfo(np.float64).eps) for v in (8, 4))
 
 
 class Precision(Enum):
@@ -142,10 +150,15 @@ def _fixed_point_alpha(sc: BatchScene, s, den, P, iters: int):
     den_k = |s_k + alpha d_k|. `iters` caps the evaluations of phi'.
     Members whose direction moves no point (`zero`) keep alpha 0, and a
     trial segment that collapses below the floor `sc.eps` is clamped
-    (`clamped`), so batch control flow stays uniform. Every evaluation is
-    plain numpy on fresh arrays. The per-segment terms are (B, n+1)
-    C-contiguous, so each sum over a member's segments runs the same
-    algorithm at every batch size (see `batching`).
+    (`clamped`), so batch control flow stays uniform. Each call fills two
+    stacks that every evaluation reuses: `sd` = [s, dAp], whose slot 0 the
+    Newton pass overwrites with its trial segments, and `dots`, the
+    per-segment dot products of one contraction on `sd`, so that one
+    division and one reduction give phi' and D1. The per-segment terms are
+    (B, n+1) C-contiguous, so each sum over a member's segments runs the
+    same algorithm at every batch size (see `batching`). A contraction
+    streams over the batch and is copied to that layout afterwards, which
+    at B=1000 is faster than writing it there.
 
     The first evaluation is the paper's fixed-point step from alpha = 0,
     alpha - phi'/D1 with D1 = sum_k |d_k|^2 / den_k, so a budget of one is
@@ -182,9 +195,16 @@ def _fixed_point_alpha(sc: BatchScene, s, den, P, iters: int):
     result depends on the batch.
     """
     dtype = s.dtype
-    dAp = direction_segments(sc, P)
-    a2 = np.ascontiguousarray(einsum("ikb,ikb->kb", dAp, dAp).T)
-    c = np.ascontiguousarray(einsum("ikb,ikb->kb", dAp, s).T)
+    # [s, dAp]: once the Newton pass runs, slot 0 holds its trial segments.
+    sd = np.empty((2,) + s.shape, dtype=dtype)
+    sd[0] = s
+    dAp = direction_segments(sc, P, out=sd[1])
+    # Per-segment dot products, each (B, n+1) C-contiguous: [c, a2] in slots
+    # 1-2; the Newton pass writes [|seg|^2, e] into slots 0-1, so that one
+    # division gives e / den and a2 / den.
+    dots = np.empty((3,) + den.shape, dtype=dtype)
+    dots[1:] = einsum("ikb,xikb->xkb", dAp, sd).transpose(0, 2, 1)
+    a2 = dots[2]
     zero = einsum("bk->b", a2) <= np.finfo(dtype).tiny
 
     alpha = np.zeros(P.shape[2], dtype=dtype)
@@ -192,7 +212,7 @@ def _fixed_point_alpha(sc: BatchScene, s, den, P, iters: int):
     lowest = den  # smallest trial segment norms
     single = dtype == np.float32
     # A zero direction divides 0 by 0; its step is discarded below.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(iters if single else 1):
             if it:
                 # Trial points may transiently collapse a segment when the
@@ -202,50 +222,51 @@ def _fixed_point_alpha(sc: BatchScene, s, den, P, iters: int):
                 den = np.ascontiguousarray(np.sqrt(einsum("ikb,ikb->kb", seg, seg)).T)
                 lowest = np.fmin(lowest, den)
                 den = np.maximum(den, floor)
-            num = einsum("bk->b", c / den)
-            new = num / -einsum("bk->b", a2 / den)
+            num, dsum = einsum("xbk->xb", dots[1:] / den)
+            new = num / -dsum
             keep = np.isfinite(new) & ~zero
             new = np.where(keep, new, alpha)
             # Given s and dAp the update depends on alpha alone, so once no
             # alpha changes, every further iteration would repeat this one.
-            if new.tobytes() == alpha.tobytes():
+            if single and new.tobytes() == alpha.tobytes():
                 break
             alpha = new
-    if single or iters == 1:
-        return alpha, zero, (lowest <= floor).any(axis=1)
+        if single or iters == 1:
+            return alpha, zero, (lowest <= floor).any(axis=1)
 
-    ulp = np.finfo(dtype).eps
-    tol = 8 * ulp * einsum("bk->b", np.sqrt(a2))
-    # num is phi'(0): the first evaluation's slope brackets the root.
-    lo = np.where(num < 0, 0.0, -np.inf)
-    hi = np.where(num > 0, 0.0, np.inf)
-    active = keep
-    lowest = lowest.copy()  # the caller's norms stay as they are
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(iters - 1):
+        tol = _SLOPE_ULPS * einsum("bk->b", np.sqrt(a2))
+        # num is phi'(0): the first evaluation's slope brackets the root.
+        lo = np.where(num < _ZERO, _ZERO, _NEG_INF)
+        hi = np.where(num > _ZERO, _ZERO, _INF)
+        active = keep
+        lowest = lowest.copy()  # the caller's norms stay as they are
+        seg = sd[0]
+        for it in range(1, iters):
             if not np.count_nonzero(active):
                 break
-            seg = alpha * dAp + s
-            norms = np.ascontiguousarray(np.sqrt(einsum("ikb,ikb->kb", seg, seg)).T)
-            e = np.ascontiguousarray(einsum("ikb,ikb->kb", seg, dAp).T)
+            np.multiply(alpha, dAp, out=seg)
+            seg += s
+            dots[:2] = einsum("ikb,xikb->xkb", seg, sd).transpose(0, 2, 1)
+            norms = np.sqrt(dots[0], out=dots[0])
             np.fmin(lowest, norms, out=lowest, where=active[:, None])
             den = np.maximum(norms, floor)
-            ratio = e / den
-            slope = einsum("bk->b", ratio)
-            d1 = einsum("bk->b", a2 / den)
+            ratios = dots[1:] / den  # [e / den, a2 / den]
+            slope, d1 = einsum("xbk->xb", ratios)
+            ratio = ratios[0]
             curvature = d1 - einsum("bk->b", ratio * ratio / den)
             newton = alpha - slope / curvature
-            lo = np.where(slope < 0, alpha, lo)
-            hi = np.where(slope > 0, alpha, hi)
+            lo = np.where(slope < _ZERO, alpha, lo)
+            hi = np.where(slope > _ZERO, alpha, hi)
             size = np.abs(slope)
             width = hi - lo
             # Newton's value, else the midpoint, which is not finite while
             # the bracket is open on one side: that member stops.
-            new = np.where(size <= width * curvature, newton, lo + 0.5 * width)
+            new = np.where(size <= width * curvature, newton, lo + _HALF * width)
             step = np.abs(new - alpha)
             moves = active & (size > tol) & np.isfinite(step)
             alpha = np.where(moves, new, alpha)
-            active = moves & (step > 4 * ulp * np.abs(alpha))
+            if it < iters - 1:  # no evaluation follows the last
+                active = moves & (step > _STEP_ULPS * np.abs(alpha))
     return alpha, zero, (lowest <= floor).any(axis=1)
 
 
@@ -290,8 +311,10 @@ def _inverse_hessian_update(H, step, y, out):
     rho t aa^T - (rho / t) Hy Hy^T = sign(t) (PP^T - QQ^T), where
     P = sqrt|rho t| a and Q = sqrt|rho / t| Hy. So U = [P, Q] and
     W = sign(t) [P, -Q], and entries (i, j) and (j, i) are sums of the same
-    two products. The result equals `np.where(ok, H + U @ W^T, H)`, with
-    `ok` including `np.all(np.isfinite(...))`, bitwise. A finite sum over a
+    two products. U and W^T are two multiplies of one (2, k, m) stack
+    [a, Hy], by [r, q] = [sqrt|rho t|, sqrt|rho / t|] and by sign(t) [r, -q].
+    The result equals `np.where(ok, H + U @ W^T, H)`, with `ok` including
+    `np.all(np.isfinite(...))`, bitwise. A finite sum over a
     member's entries implies every entry is finite, so the entrywise test
     runs only on members whose sum is not (an update of finite entries
     whose sum overflows still passes it).
@@ -302,28 +325,33 @@ def _inverse_hessian_update(H, step, y, out):
     s_norm = np.sqrt(einsum("bi,bi->b", step, step))
     y_norm = np.sqrt(einsum("bi,bi->b", y, y))
     ok = sy > dtype(1e-12) * s_norm * y_norm
-    rho = np.where(ok, np.ones_like(sy) / np.where(ok, sy, np.ones_like(sy)), 0.0)
+    rho = np.divide(1, sy, out=np.zeros(k, H.dtype), where=ok)
+    aHy = np.empty((2, k, m), dtype=H.dtype)  # [a, Hy]
+    rq, signs = np.empty((2, 2, k), dtype=H.dtype)  # [r, q] and [sign(t), -sign(t)]
     U = np.empty((k, m, 2), dtype=H.dtype)
     Wt = np.empty((k, 2, m), dtype=H.dtype)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Hy = einsum("bij,bj->bi", H, y)
+        Hy = einsum("bij,bj->bi", H, y, out=aHy[1])
         t = rho * einsum("bi,bi->b", y, Hy) + dtype(1)
-        sign = np.sign(t)
-        r, q = np.sqrt(np.abs(rho * t)), np.sqrt(np.abs(rho / t))
-        a = step - Hy / t[:, None]
-        np.multiply(r[:, None], a, out=U[:, :, 0])
-        np.multiply(q[:, None], Hy, out=U[:, :, 1])
-        # sign(t) P and -sign(t) Q, bitwise: scaling by +-1 is exact.
-        np.multiply((sign * r)[:, None], a, out=Wt[:, 0])
-        np.multiply((-sign * q)[:, None], Hy, out=Wt[:, 1])
+        np.subtract(step, Hy / t[:, None], out=aHy[0])
+        np.multiply(rho, t, out=rq[0])
+        np.divide(rho, t, out=rq[1])
+        np.sqrt(np.abs(rq, out=rq), out=rq)
+        np.sign(t, out=signs[0])
+        np.negative(signs[0], out=signs[1])
+        # [P, Q] into U, and sign(t) P and -sign(t) Q into W^T, bitwise:
+        # scaling by +-1 is exact.
+        np.multiply(rq[:, :, None], aHy, out=U.transpose(2, 0, 1))
+        np.multiply((signs * rq)[:, :, None], aHy, out=Wt.transpose(1, 0, 2))
         np.matmul(U, Wt, out=out)
         out += H
         # Near-zero curvature can overflow the rank-two terms in single
         # precision; treat those updates as skipped.
-        unsure = np.flatnonzero(ok & ~np.isfinite(einsum("bij->b", out)))
-    if unsure.size:
+        finite = np.isfinite(einsum("bij->b", out))
+    if np.count_nonzero(finite) < k:
+        unsure = np.flatnonzero(ok & ~finite)
         ok[unsure] = np.isfinite(out[unsure]).all(axis=(1, 2))
-    if not ok.all():
+    if np.count_nonzero(ok) < k:
         np.copyto(out, H, where=~ok[:, None, None])
     return out
 
@@ -383,7 +411,7 @@ def _bfgs_kernel(sc: BatchScene, T0: np.ndarray, opts: SolveOptions):
 
     for it in range(opts.iterations):
         done = still | (gnorm < NOISE_FLOOR_TOL * (1.0 + L))
-        if done.any():
+        if np.count_nonzero(done):
             gone, kept = np.flatnonzero(done), np.flatnonzero(~done)
             T_out[..., live[gone]] = T[..., gone]
             g_out[live[gone]], L_out[live[gone]] = g[gone], L[gone]

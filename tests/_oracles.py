@@ -593,7 +593,11 @@ def path_spec(start, end, surfaces):
     Returns (start, end, basis, anchor, active, eps), eps the (1,) segment floor.
     """
     start, end = vec3(start, "start"), vec3(end, "end")
-    if np.linalg.norm(end - start) <= MIN_ENDPOINT_SEPARATION:
+    with np.errstate(over="ignore"):
+        separation = np.linalg.norm(end - start)
+    if not np.isfinite(separation):
+        raise ShapeMismatch("start and end points are so far apart that their separation overflows")
+    if separation <= MIN_ENDPOINT_SEPARATION:
         raise ShapeMismatch("start and end points (nearly) coincide")
     surfaces = tuple(surfaces)
     if len(surfaces) > MAX_INTERACTIONS:

@@ -104,6 +104,13 @@ class TestGenScenes:
         with pytest.raises(ValueError):
             gen_scenes(0, 2, Kinds.MIXED, batch)
 
+    @pytest.mark.parametrize("n", [0, MAX_INTERACTIONS + 1])
+    def test_n_out_of_range_is_refused_before_any_draw(self, monkeypatch, n):
+        # Beyond MAX_INTERACTIONS the surfaces were all drawn, and PathSpec refused them.
+        monkeypatch.setattr(bench, "_gen_one", lambda *args: pytest.fail("a scene was drawn"))
+        with pytest.raises(ValueError, match=rf"^n must be an integer in 1\.\.{MAX_INTERACTIONS}$"):
+            gen_scenes(0, n, Kinds.MIXED, 1)
+
     def test_kinds_from_their_value(self):
         for kinds in Kinds:
             assert _scene_digest(gen_scenes(7, 3, kinds.value, 2)) == _scene_digest(

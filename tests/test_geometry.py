@@ -113,6 +113,23 @@ class TestPathSpec:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
+        "start, end",
+        [([1e200, 0, 0], [0, 0, 1]), ([1.7e308, 0, 0], [-1.7e308, 0, 0])],
+        ids=["squares", "difference"],
+    )
+    def test_endpoints_whose_separation_overflows_rejected(self, start, end):
+        # Before, the floor read inf and a solve reported coincident path points.
+        plane = make_plane([1, 0, 0], [1, 0, 0], [0, 1, 0])
+        with pytest.raises(ShapeMismatch, match="separation overflows"):
+            PathSpec(start=start, end=end, surfaces=(plane,))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_large_finite_separation_is_kept(self):
+        spec = PathSpec(start=[1e150, 0, 0], end=[0, 0, 1], surfaces=())
+        assert np.isfinite(spec.batch.eps).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
         "start",
         [[0, 0, 1j], [True, False, True], [True, 0, 0], [0.5, True, 0.0], ["1", "0", "0"],
          ["1.5", 0, 0], np.array([b"1", b"0", b"0"])],

@@ -256,7 +256,7 @@ class TestStepSizeLoop:
     """The step-size loop equals the plain loop of the oracle byte for byte."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("k", [1, 7, 64])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
     @pytest.mark.parametrize("precision", list(Precision))
     def test_matches_oracle_bytes(self, precision, k):
         sc, s, den, P, eps = _step_size_batch(precision.dtype)
@@ -305,6 +305,37 @@ class TestStepSizeLoop:
                 sc.take([b]), s[..., b : b + 1].copy(), den[b : b + 1], P[..., b : b + 1].copy(), 64
             )
             assert [a.tobytes() for a in one] == [a[b : b + 1].tobytes() for a in batch]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(
+        seed=st.integers(0, 2**16),
+        B=st.integers(1, 64),
+        n=st.integers(1, 64),
+        iters=st.sampled_from([1, 2, 7]),
+        precision=st.sampled_from(list(Precision)),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_member_equals_its_batch_of_one(self, seed, B, n, iters, precision, data):
+        # The contractions and reductions run on stacked operands; neither may
+        # round a member differently at another batch size.
+        dtype = precision.dtype
+        specs = gen_scenes(seed, n, Kinds.MIXED, B)
+        sc = BatchScene.from_specs(specs)
+        T = init_params_batch(sc)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-2, 2, size=(B, 1, 1))
+        P = rng.normal(size=T.shape) * np.stack([s.active_mask for s in specs]) * scale
+        sc = sc.astype(dtype)
+        _, s, norms = clamped_segments(sc, T.astype(dtype).T)
+        den, P = np.ascontiguousarray(norms.T), np.ascontiguousarray(P.astype(dtype).T)
+        b = data.draw(st.integers(0, B - 1), label="member")
+        batch = _fixed_point_alpha(sc, s, den, P, iters)
+        one = _fixed_point_alpha(
+            sc.take([b]), s[..., b : b + 1].copy(), den[b : b + 1].copy(), P[..., b : b + 1].copy(),
+            iters,
+        )
+        assert [a.tobytes() for a in one] == [a[b : b + 1].tobytes() for a in batch]
 
 
 EPS64 = np.finfo(np.float64).eps
