@@ -44,15 +44,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSegment, ShapeMismatch
-from .geometry import BatchScene, PathSpec, einsum, real_array
+from .geometry import BatchScene, PathSpec, einsum, float_array
 
 
 def stack_params(specs: Sequence[PathSpec], T0s) -> np.ndarray:
     """Stack per-path n x 2 parameter arrays into a (B, n, 2) array of finite values."""
-    try:
-        T = np.array(real_array(T0s, "params"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(f"params do not stack into a float array: {exc}") from exc
+    T = float_array(T0s, "params").copy()
     if T.shape != (len(specs), specs[0].n, 2):
         raise ShapeMismatch(f"bad stacked parameter shape {T.shape}")
     finite = np.isfinite(T).reshape(len(T), -1).all(axis=1)

@@ -35,12 +35,11 @@ from .geometry import (
     PathSpec,
     Surface,
     SurfaceKind,
-    cross3,
-    make_edge,
-    make_plane,
+    cross_rows,
     norm3,
     row_norms,
     segment_floor,
+    specs_from_arrays,
 )
 from .implicit_diff import vjp_solution
 from .objective import SceneGradient, gradient, length_param_gradient
@@ -222,8 +221,9 @@ def _scene_documents(fileobj):
     """The documents of a scene file, as `yaml.load_all(fileobj, yaml.SafeLoader)` gives them.
 
     Reads the whole file. Text that `_written_documents` takes needs no
-    parser; anything else, bytes among it, goes whole to `yaml.load_all`
-    under the file's name, so its values, errors and error marks are PyYAML's.
+    parser, and its documents come back as a list; anything else, bytes
+    among it, goes whole to `yaml.load_all` under the file's name, so its
+    values, errors and error marks are PyYAML's.
     """
     data = fileobj.read()
     docs = _written_documents(data) if isinstance(data, str) else None
@@ -234,20 +234,52 @@ def _scene_documents(fileobj):
     return docs
 
 
+def _written_scenes(docs: list[dict]) -> list[PathSpec]:
+    """The scenes of `_written_documents`' documents, in order: one `specs_from_arrays`
+    call per interaction count."""
+    groups = {}
+    for i, doc in enumerate(docs):
+        groups.setdefault(len(doc["surfaces"]), []).append(i)
+    specs = [None] * len(docs)
+    for n, members in groups.items():
+        surfaces = [s for i in members for s in docs[i]["surfaces"]]
+        B = len(members)
+        built = specs_from_arrays(
+            [docs[i]["start"] for i in members],
+            [docs[i]["end"] for i in members],
+            np.reshape([v for s in surfaces for row in s["basis"] for v in row], (B, n, 3, 2)),
+            np.reshape([s["anchor"] for s in surfaces], (B, n, 3)),
+            np.reshape([s["kind"] == "plane" for s in surfaces], (B, n)),
+        )
+        for i, spec in zip(members, built):
+            specs[i] = spec
+    return specs
+
+
 def load_scenes(fileobj) -> list[PathSpec]:
     """The scenes of a YAML scene file, one per non-empty document.
 
     A file in `save_scenes`' own layout is read without a YAML parser, any
     other by `yaml.load_all`; both give the documents PyYAML's SafeLoader
-    gives (`_scene_documents`). Raises SceneFileError, naming the document
-    (counted from 0), when the file is not YAML or a document does not
-    describe a valid scene. The file is read whole first, so a text file
+    gives (`_scene_documents`). The documents of the layout hold Python
+    floats only, and their scenes are built from stacked arrays
+    (`_written_scenes`). Every other document, and every document of a
+    layout file that any check refuses, is built by `scene_from_dict`, so its
+    errors are the scalar constructors'. Raises SceneFileError, naming the
+    document (counted from 0), when the file is not YAML or a document does
+    not describe a valid scene. The file is read whole first, so a text file
     that does not decode fails at document 0.
     """
     specs = []
     index = 0
     try:
-        for doc in _scene_documents(fileobj):
+        docs = _scene_documents(fileobj)
+        if isinstance(docs, list):
+            try:
+                return _written_scenes(docs)
+            except FermatPathError:
+                pass  # the loop below raises the first refused document's error
+        for doc in docs:
             if doc is not None:
                 if not isinstance(doc, dict):
                     raise TypeError(f"expected a mapping, got {type(doc).__name__}")
@@ -284,13 +316,17 @@ def _unit_orthogonal(rng, q: np.ndarray) -> np.ndarray:
             return v / nv
 
 
-def _gen_one(rng, n: int, kinds: Kinds) -> PathSpec:
-    """One random scene; every draw and every rounding fixed by the generator's stream.
+def _gen_one(rng, n: int, kinds: Kinds):
+    """One random scene's draws: (start, end, anchor, normal, direction, plane).
 
-    The waypoint checks run on (k, 3) arrays, but each norm is still a BLAS
-    dot per vector (`row_norms`, `norm3`): a norm that summed the squares
-    any other way would round differently and, near a threshold, accept a
-    different scene.
+    start and end are 3-vectors; anchor, normal and direction are (n, 3), and
+    plane holds n bools. A plane spans its direction and normal x direction
+    (`gen_scenes`); an edge runs along its direction, and in a
+    diffraction-only scene the normals are zero. Every draw and every
+    rounding is fixed by the generator's stream. The waypoint checks run on
+    (k, 3) arrays, but each norm is still a BLAS dot per vector (`row_norms`,
+    `norm3`): a norm that summed the squares any other way would round
+    differently and, near a threshold, accept a different scene.
     """
     half = BOX_SIDE / 2.0
     while True:
@@ -329,21 +365,17 @@ def _gen_one(rng, n: int, kinds: Kinds) -> PathSpec:
         break
     else:
         raise RuntimeError("scene generation failed to place waypoints")
+    normal = bend if turns else np.zeros((n, 3))
 
-    surfaces = []
+    direction = np.empty((n, 3))
     for i, kind in enumerate(kind_seq):
-        p = stations[i]
-        if kind is SurfaceKind.PLANE:
-            # Mirror normal along u_in - u_out: the waypoint is specular.
-            e1 = _unit_orthogonal(rng, bend[i])
-            surfaces.append(make_plane(p, e1, cross3(bend[i], e1)))
-        elif kinds is Kinds.MIXED:
-            # Make the waypoint polyline stationary at the edge too:
-            # directions orthogonal to u_in - u_out keep the diffraction
-            # point at the waypoint, so mixed scenes stay smooth at the
-            # optimum (infinite planes would otherwise often drag the
-            # solution onto a neighbouring edge, a nonsmooth kink).
-            surfaces.append(make_edge(p, _unit_orthogonal(rng, bend[i])))
+        if kind is SurfaceKind.PLANE or kinds is Kinds.MIXED:
+            # A plane's normal is u_in - u_out, so the waypoint is specular.
+            # A mixed scene's edge runs orthogonal to u_in - u_out, which
+            # keeps the diffraction point at the waypoint: mixed scenes stay
+            # smooth at the optimum (infinite planes would otherwise often
+            # drag the solution onto a neighbouring edge, a nonsmooth kink).
+            direction[i] = _unit_orthogonal(rng, normal[i])
         else:
             while True:
                 d = rng.normal(size=3)
@@ -352,18 +384,33 @@ def _gen_one(rng, n: int, kinds: Kinds) -> PathSpec:
                     d = d / nd
                     if abs(d.dot(chord)) < _MAX_EDGE_CHORD_ALIGN:
                         break
-            surfaces.append(make_edge(p, d))
-    return PathSpec(start=start, end=end, surfaces=tuple(surfaces))
+            direction[i] = d
+    plane = [kind is SurfaceKind.PLANE for kind in kind_seq]
+    return start, end, stations, normal, direction, plane
 
 
 def gen_scenes(seed: int, n: int, kinds: Kinds, batch: int) -> list[PathSpec]:
-    """Deterministic batch of random scenes with n interactions each."""
+    """Deterministic batch of random scenes with n interactions each.
+
+    Each member's draws come from `_gen_one`, in turn from one stream, so the
+    first k members are the same whatever the batch size. Their stacked
+    arrays are checked and built by one `specs_from_arrays` call.
+    """
     _check_count("n", n, 1, MAX_INTERACTIONS)
     _check_count("batch", batch, 1)
     kinds = Kinds(kinds)
     kind_code = list(Kinds).index(kinds)
     rng = np.random.default_rng([int(seed), int(n), kind_code])
-    return [_gen_one(rng, n, kinds) for _ in range(batch)]
+    # Stacked as drawn, so that no member's draws outlive it.
+    start, end = np.empty((batch, 3)), np.empty((batch, 3))
+    anchor, normal, direction = np.empty((3, batch, n, 3))
+    plane = np.empty((batch, n), dtype=bool)
+    for b in range(batch):
+        start[b], end[b], anchor[b], normal[b], direction[b], plane[b] = _gen_one(rng, n, kinds)
+    basis = np.zeros((batch, n, 3, 2))
+    basis[..., 0] = direction
+    basis[..., 1] = np.where(plane[..., None], cross_rows(normal, direction), 0.0)
+    return specs_from_arrays(start, end, basis, anchor, plane)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,24 @@ Straight edges keep an exactly-zero second basis column so that every path
 with n interactions has a uniform n x 2 unknown shape, regardless of the
 mix of reflections and diffractions.
 
-The constructors run once per surface of every generated or loaded scene,
-on 3-vectors, where numpy's wrappers cost more than the arithmetic. So
-they take a norm as `sqrt(v.dot(v))` on a contiguous vector, which is
-what `np.linalg.norm` computes internally, and a cross product with the
-float operations `np.cross` performs. The dot product must stay the BLAS
-`dot`: summing the three products in Python floats rounds differently
-(OpenBLAS fuses multiply and add), and that would change which random
-scenes `bench.gen_scenes` accepts.
+Generated scenes, and scenes read from `bench.save_scenes`' layout, are
+built as arrays: `specs_from_arrays` takes the stacked endpoints, bases,
+anchors and plane mask of B paths, tests every rule of `Surface` and
+`PathSpec` on the whole stack at once, and gives each accepted member its
+arrays as read-only views of member-major stacks. The scalar constructors
+(`Surface`, `make_plane`, `make_edge`, `PathSpec`) build every other
+scene, and they are the only error path: the first member the stacked
+checks refuse is built again by them, so its error is theirs. They work
+on 3-vectors, where numpy's wrappers cost more than the arithmetic. Both
+paths take a norm as `sqrt(v.dot(v))` on a contiguous vector, which is
+what `np.linalg.norm` computes internally (`norm3`, and `row_norms` per
+row), and a cross product with the float operations `np.cross` performs
+(`cross3`, and `cross_rows` elementwise). The dot product must stay the
+BLAS `dot`: summing the three products in Python floats rounds
+differently (OpenBLAS fuses multiply and add), and that would change
+which random scenes `bench.gen_scenes` accepts.
 
-A `PathSpec` stacks its surfaces' arrays once and carries them as a
+A `PathSpec` carries its surfaces' arrays, stacked once, as a
 `BatchScene` of one (`spec.batch`), the one array form that every
 derivative and solver reads; `BatchScene.from_specs` concatenates the
 members' batches. A `BatchScene` keeps the batch axis last: every array is
@@ -79,6 +87,12 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`cross3` of each pair of rows of two (..., 3) arrays, bitwise: its products elementwise."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
 def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
@@ -101,24 +115,28 @@ def _holds_bool(items) -> bool:
     return False
 
 
-def real_array(a, name: str) -> np.ndarray:
-    """`a` as an array of real numbers; anything a float cast would silently change raises.
+def float_array(a, name: str) -> np.ndarray:
+    """`a` as a float array, not copied when it is one; anything a float cast would
+    change or cannot make raises ShapeMismatch.
 
     Complex values (the cast drops the imaginary part), booleans and strings
-    raise ShapeMismatch, also a boolean or boolean array that numpy would
-    fold into the numbers of a list.
+    raise, also a boolean or boolean array that numpy would fold into the
+    numbers of a list; so do a ragged list and an object that is no number.
     """
-    arr = np.asarray(a)
-    if arr.dtype.kind in "bcSU":
-        raise ShapeMismatch(f"{name} must be real numbers, got {arr.dtype}")
-    if isinstance(a, (list, tuple)) and _holds_bool(a):
-        raise ShapeMismatch(f"{name} must be real numbers, got a bool")
-    return arr
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind in "bcSU":
+            raise ShapeMismatch(f"{name} must be real numbers, got {arr.dtype}")
+        if isinstance(a, (list, tuple)) and _holds_bool(a):
+            raise ShapeMismatch(f"{name} must be real numbers, got a bool")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"{name} must be a float array: {exc}") from exc
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
     """A validated, read-only float copy of a 3-vector."""
-    a = np.array(real_array(v, name), dtype=float)
+    a = float_array(v, name).copy()
     if a.shape != (3,):
         raise ShapeMismatch(f"{name} must have shape (3,), got {a.shape}")
     if not _all_finite(a):
@@ -140,7 +158,7 @@ class Surface:
             kind = SurfaceKind(self.kind)
         except ValueError:
             raise ShapeMismatch(f"kind must be 'plane' or 'edge', got {self.kind!r}")
-        basis = np.array(real_array(self.basis, "basis"), dtype=float)
+        basis = float_array(self.basis, "basis").copy()
         if basis.shape != (3, 2):
             raise ShapeMismatch(f"basis must have shape (3, 2), got {basis.shape}")
         if not _all_finite(basis):
@@ -262,8 +280,9 @@ class PathSpec:
     end: np.ndarray
     surfaces: tuple[Surface, ...]
     # Stacked once and read-only. `batch` is the path as a batch of one that
-    # every derivative reads; these (n, ...) tensors are transposed views of
-    # its arrays.
+    # every derivative reads; these (n, ...) tensors hold its arrays' values,
+    # as transposed views of them or, from `specs_from_arrays`, as views of
+    # its member-major stacks.
     basis_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3, 2)
     anchor_tensor: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
     active_mask: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2) non-inert
@@ -278,7 +297,13 @@ class PathSpec:
             raise ShapeMismatch("start and end points are so far apart that their separation overflows")
         if separation <= MIN_ENDPOINT_SEPARATION:
             raise ShapeMismatch("start and end points (nearly) coincide")
-        surfaces = tuple(self.surfaces)
+        try:
+            surfaces = tuple(self.surfaces)
+        except TypeError as exc:
+            raise ShapeMismatch(f"surfaces must be a sequence of Surface objects: {exc}") from exc
+        for s in surfaces:
+            if not isinstance(s, Surface):
+                raise ShapeMismatch(f"surfaces must be Surface objects, got {type(s).__name__}")
         if len(surfaces) > MAX_INTERACTIONS:
             raise ShapeMismatch(f"too many interactions: {len(surfaces)}")
         object.__setattr__(self, "start", start)
@@ -311,12 +336,85 @@ class PathSpec:
         return len(self.surfaces)
 
 
+def specs_from_arrays(start, end, basis, anchor, plane) -> list[PathSpec]:
+    """The `PathSpec`s of B paths of n interactions each, from their stacked arrays.
+
+    start and end are (B, 3), basis (B, n, 3, 2) and anchor (B, n, 3); plane
+    (B, n) is true where a surface is a plane and false where it is an edge.
+    Every rule of `Surface` and `PathSpec` is tested on the whole stack at
+    once, in their arithmetic: `row_norms` for `norm3` and `cross3`'s products
+    elementwise. The first member that a rule refuses is built again by
+    `Surface` and `PathSpec`, which raise its error. An accepted member is
+    not checked again: its batch of one, its tensors and its surfaces' arrays
+    are read-only views of C-contiguous member-major stacks.
+    """
+    start, end = np.array(start, dtype=float), np.array(end, dtype=float)
+    basis, anchor = np.array(basis, dtype=float), np.array(anchor, dtype=float)
+    plane = np.array(plane, dtype=bool)
+    B, n = plane.shape if plane.ndim == 2 else (-1, -1)
+    shapes = start.shape, end.shape, basis.shape, anchor.shape
+    if B < 0 or shapes != ((B, 3), (B, 3), (B, n, 3, 2), (B, n, 3)):
+        raise ShapeMismatch(f"inconsistent stacked scene shapes {shapes} and plane {plane.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The columns as contiguous rows, so that each norm is `norm3`'s BLAS dot.
+        nu, nv = row_norms(basis.transpose(3, 0, 1, 2).reshape(-1, 3)).reshape(2, B, n)
+        cross = cross_rows(basis[..., 0], basis[..., 1]).reshape(-1, 3)
+        parallel = row_norms(cross).reshape(B, n) <= PLANE_DEGENERACY_TOL * nu * nv
+        separation = row_norms(end - start)
+    values = np.concatenate([start, end, basis.reshape(B, -1), anchor.reshape(B, -1)], axis=1)
+    surfaces_held = (nu != 0.0) & np.where(plane, (nv != 0.0) & ~parallel, nv == 0.0)
+    ok = (
+        np.isfinite(values).all(axis=1) & surfaces_held.all(axis=1) & np.isfinite(separation)
+        & (separation > MIN_ENDPOINT_SEPARATION) & (n <= MAX_INTERACTIONS)
+    )
+    kinds = [SurfaceKind.EDGE, SurfaceKind.PLANE]
+    if not ok.all():
+        b = int(np.argmin(ok))
+        surfaces = zip(basis[b], anchor[b], plane[b].tolist())
+        PathSpec(
+            start=start[b], end=end[b],
+            surfaces=[Surface(basis=x, anchor=a, kind=kinds[p]) for x, a, p in surfaces],
+        )
+        raise RuntimeError(f"member {b}'s stacked checks refused what the constructors accept")
+
+    # The member-major stacks: the (n, ...) tensors and the batch-of-one layouts.
+    mask = np.ones((B, n, 2), dtype=bool)
+    mask[..., 1] = plane
+    batch_basis = np.ascontiguousarray(basis.transpose(0, 2, 3, 1))[..., None]  # (B, 3, 2, n, 1)
+    batch_anchor = np.ascontiguousarray(anchor.transpose(0, 2, 1))[..., None]  # (B, 3, n, 1)
+    batch_active = np.ascontiguousarray(mask.transpose(0, 2, 1))[..., None]  # (B, 2, n, 1)
+    eps = segment_floor(start.T, end.T)
+    for a in (start, end, basis, anchor, mask, batch_basis, batch_anchor, batch_active, eps):
+        a.setflags(write=False)
+    put = object.__setattr__
+    specs = []
+    for b, planes in enumerate(plane.tolist()):
+        surfaces = []
+        for x, a, p in zip(basis[b], anchor[b], planes):
+            surface = object.__new__(Surface)
+            put(surface, "basis", x)
+            put(surface, "anchor", a)
+            put(surface, "kind", kinds[p])
+            surfaces.append(surface)
+        batch = BatchScene(
+            batch_basis[b], batch_anchor[b], start[b, :, None], end[b, :, None], eps[b:b + 1],
+            batch_active[b],
+        )
+        spec = object.__new__(PathSpec)
+        put(spec, "start", start[b])
+        put(spec, "end", end[b])
+        put(spec, "surfaces", tuple(surfaces))
+        put(spec, "basis_tensor", basis[b])
+        put(spec, "anchor_tensor", anchor[b])
+        put(spec, "active_mask", mask[b])
+        put(spec, "batch", batch)
+        specs.append(spec)
+    return specs
+
+
 def check_params(spec: PathSpec, T, name: str = "params") -> np.ndarray:
     """Validate an n x 2 array (parameters, or the `name`d cotangent) and return it as float."""
-    try:
-        T = np.asarray(real_array(T, name), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(f"{name} must be a float array: {exc}") from exc
+    T = float_array(T, name)
     if T.shape != (spec.n, 2):
         raise ShapeMismatch(f"{name} must have shape ({spec.n}, 2), got {T.shape}")
     if not np.isfinite(T).all():
@@ -362,7 +460,7 @@ def params_from_points_batch(sc: BatchScene, points: np.ndarray) -> np.ndarray:
 
 def params_from_points(spec: PathSpec, points) -> np.ndarray:
     """`params_from_points_batch` of one path's (n, 3) points."""
-    points = np.asarray(real_array(points, "points"), dtype=float)
+    points = float_array(points, "points")
     if points.shape != (spec.n, 3):
         raise ShapeMismatch(f"points must have shape ({spec.n}, 3), got {points.shape}")
     return params_from_points_batch(spec.batch, points.T[..., None])[..., 0].T

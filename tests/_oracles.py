@@ -536,17 +536,21 @@ NON_REAL_CASTS = {
 
 
 def _real(a, name: str) -> np.ndarray:
-    """`a` as an array; a complex, boolean or string entry raises: a float cast would change it."""
-    arr = np.asarray(a)
-    leaves = np.asarray(a, dtype=object).ravel().tolist()
-    if any(isinstance(x, (complex, bool, np.bool_, str, bytes)) for x in leaves):
-        raise ShapeMismatch(f"{name} must be real numbers")
-    return arr
+    """`a` as a float array. A complex, boolean or string entry raises ShapeMismatch, since
+    a float cast would change it, and so does anything the cast cannot make, such as a
+    ragged list."""
+    try:
+        leaves = np.asarray(a, dtype=object).ravel().tolist()
+        if any(isinstance(x, (complex, bool, np.bool_, str, bytes)) for x in leaves):
+            raise ShapeMismatch(f"{name} must be real numbers")
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"{name} must be a float array: {exc}") from exc
 
 
 def vec3(v, name: str) -> np.ndarray:
     """The 3-vector check in its plain numpy form: a float copy, or the exception."""
-    a = np.asarray(_real(v, name), dtype=float)
+    a = _real(v, name)
     if a.shape != (3,):
         raise ShapeMismatch(f"{name} must have shape (3,), got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -556,7 +560,7 @@ def vec3(v, name: str) -> np.ndarray:
 
 def surface(basis, anchor, kind):
     """`Surface` validation in its plain numpy form; returns (basis, anchor)."""
-    basis = np.asarray(_real(basis, "basis"), dtype=float)
+    basis = _real(basis, "basis")
     if basis.shape != (3, 2):
         raise ShapeMismatch(f"basis must have shape (3, 2), got {basis.shape}")
     if not np.all(np.isfinite(basis)):

@@ -151,6 +151,16 @@ class TestGeneratorStream:
     def test_scene_arrays(self, seed, n, kinds, batch, digest):
         assert _scene_digest(gen_scenes(seed, n, kinds, batch)) == digest
 
+    @pytest.mark.parametrize("n", [1, 5, MAX_INTERACTIONS])
+    @pytest.mark.parametrize("kinds", list(Kinds))
+    def test_a_member_does_not_depend_on_its_batch(self, kinds, n):
+        # gen_scenes checks and builds the whole stack at once.
+        few, many = gen_scenes(11, n, kinds, 3), gen_scenes(11, n, kinds, 50)[:3]
+        assert _scene_digest(few) == _scene_digest(many)
+        for a, b in zip(few, many):
+            for f in fields(BatchScene):
+                assert getattr(a.batch, f.name).tobytes() == getattr(b.batch, f.name).tobytes()
+
     def test_scene_file_text(self):
         buf = io.StringIO()
         save_scenes(gen_scenes(7, 5, Kinds.MIXED, 40), buf)
@@ -433,6 +443,43 @@ class TestWrittenSceneFiles:
             strict += bench._written_documents(mutant) is not None
         # Digit, sign and exponent changes keep the layout; the rest leave it.
         assert strict > 0
+
+    @pytest.mark.parametrize(
+        "case", ["start", "anchor", "basis", "no-surfaces", "65-surfaces", "bad-plane"]
+    )
+    def test_overflow_and_extreme_counts_load_as_the_safe_loader_loads_them(self, case):
+        # `_FLOAT` matches 1.0e+400, which float() reads as inf, as YAML does.
+        first = gen_scenes(3, 2, Kinds.MIXED, 1)[0]
+        if case == "no-surfaces":
+            second = PathSpec(start=first.start, end=first.end, surfaces=())
+        else:
+            second = gen_scenes(4, MAX_INTERACTIONS, Kinds.MIXED, 1)[0]
+        head, tail = _written_text([first]), _written_text([second, first])
+        if case in ("start", "anchor", "basis"):
+            line = {"start": "start:\n- ", "anchor": "  anchor:\n  - ",
+                    "basis": "  basis:\n  - - "}[case]
+            tail = re.sub(f"(?<={re.escape(line)})[^\n]+", "1.0e+400", tail, count=1)
+        elif case == "65-surfaces":
+            surface = re.search(r"(?m)^- kind: [^\0]*?(?=^- kind: )", tail).group()
+            tail = tail.replace(surface, surface * 2, 1)
+        elif case == "bad-plane":
+            tail = tail.replace("- kind: edge", "- kind: plane", 1)
+        text = head + "---\n" + tail
+        assert bench._written_documents(text) is not None
+        safe_loader = lambda stream: _safe_loader_scenes(stream, bench._SAFE_LOADER)
+        with mock.patch.object(yaml, "load_all", side_effect=AssertionError("parsed")):
+            got = _loaded(lambda: load_scenes(io.StringIO(text)))
+        assert got == _loaded(lambda: safe_loader(io.StringIO(text)))
+        if case == "no-surfaces":
+            assert len(got) == 3 and got[1][2] == (np.dtype(float), (0, 3, 2), b"")
+            return
+        assert got[0] == 1
+        messages = []
+        for load in (load_scenes, safe_loader):
+            with pytest.raises(SceneFileError) as info:
+                load(io.StringIO(text))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("encoding", ["bom", "bytes", "bytes-with-bom"])
     def test_other_encodings_load_as_the_safe_loader_loads_them(self, monkeypatch, encoding):

@@ -1,6 +1,7 @@
 """Surface/path construction, the parametric embedding, and its exactness."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fermatpath import (
     DegenerateBasis,
+    FermatPathError,
     Kinds,
     PathSpec,
     ShapeMismatch,
@@ -28,8 +30,10 @@ from fermatpath.geometry import (
     basis_pinv,
     check_params,
     cross3,
+    cross_rows,
     norm3,
     row_norms,
+    specs_from_arrays,
 )
 
 import _oracles as oracle
@@ -96,6 +100,18 @@ class TestSurface:
         with pytest.raises(ShapeMismatch, match="basis must be real"):
             Surface(basis=basis, anchor=[0, 0, 0], kind=SurfaceKind.PLANE)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: make_plane([0, 0, 0], [1, 0, 0], object()),
+         lambda: make_edge([[1, 2], [3]], [1, 0, 0]),
+         lambda: Surface(basis=[[1.0, 0.0], [0.0]], anchor=[0, 0, 0], kind=SurfaceKind.EDGE)],
+        ids=["object-column", "ragged-anchor", "ragged-basis"],
+    )
+    def test_input_that_is_no_float_array_rejected(self, build):
+        # Before, the float cast's TypeError or ValueError escaped untyped.
+        with pytest.raises(ShapeMismatch, match="must be a float array"):
+            build()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeMismatch, match="kind"):
             Surface(basis=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], anchor=[0, 0, 0], kind="wedge")
@@ -141,6 +157,21 @@ class TestPathSpec:
         # alike; a float cast would read True as 1 and "1.5" as 1.5.
         with pytest.raises(ShapeMismatch, match="start must be real"):
             PathSpec(start=start, end=[1, 1, 1], surfaces=())
+
+    @pytest.mark.parametrize(
+        "surfaces, message",
+        [([1], "got int"), ([None], "got NoneType"), (["plane"], "got str"),
+         ((make_edge([0, 0, 0], [1, 0, 0]), 2.0), "got float"), (5, "a sequence of Surface")],
+        ids=["int", "none", "str", "after-a-surface", "not-a-sequence"],
+    )
+    def test_surfaces_that_are_no_surfaces_rejected(self, surfaces, message):
+        # Before, these raised AttributeError or TypeError.
+        with pytest.raises(ShapeMismatch, match=message):
+            PathSpec(start=[0, 0, 0], end=[1, 1, 1], surfaces=surfaces)
+
+    def test_ragged_point_rejected(self):
+        with pytest.raises(ShapeMismatch, match="^start must be a float array"):
+            PathSpec(start=[[1, 2], [3]], end=[1, 1, 1], surfaces=())
 
     def test_interaction_limit(self):
         edge = make_edge([0, 0, 0], [1, 0, 0])
@@ -455,6 +486,120 @@ class TestConstructorsMatchOracle:
         assert _bytes(np.array([norm3(r) for r in v])) == _bytes(norms)
         crosses = np.array([cross3(a, b) for a, b in zip(v, w)])
         assert _bytes(crosses) == _bytes(np.cross(v, w))
+        assert _bytes(cross_rows(v.reshape(40, 100, 3), w.reshape(40, 100, 3))) == _bytes(
+            crosses.reshape(40, 100, 3)
+        )
+
+
+_FLAWS = ["zero column", "near-parallel", "edge second column", "non-finite", "coincident",
+          "overflowing separation"]
+
+
+@st.composite
+def _stacked_member(draw, n):
+    """(start, end, basis (n, 3, 2), anchor (n, 3), plane (n,)): a valid member, or one
+    with one of `_FLAWS`. The valid values come from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start, anchor = rng.normal(size=3) * 5.0, rng.normal(size=(n, 3)) * 5.0
+    end = start + rng.normal(size=3) + 20.0
+    plane = rng.integers(2, size=n).astype(bool)
+    basis = np.zeros((n, 3, 2))
+    basis[..., 0] = rng.normal(size=(n, 3))
+    basis[plane, :, 1] = np.cross(basis[plane, :, 0], rng.normal(size=(plane.sum(), 3)))
+    flaw = draw(st.sampled_from([None, None, None, *_FLAWS]))
+    i = draw(st.integers(0, max(n - 1, 0)))
+    if flaw == "zero column" and n:
+        basis[i, :, draw(st.integers(0, int(plane[i])))] = 0.0
+    elif flaw == "near-parallel" and n:
+        plane[i] = True
+        basis[i, :, 0], basis[i, :, 1] = draw(_near_parallel())
+    elif flaw == "edge second column" and n:
+        plane[i] = False
+        basis[i, :, 1] = draw(st.sampled_from([1e-170, 1e-150, 1.0]))
+    elif flaw == "non-finite":
+        targets = [start, end] + ([basis[i], anchor[i]] if n else [])
+        target = targets[draw(st.integers(0, len(targets) - 1))]
+        target.flat[draw(st.integers(0, target.size - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan])
+        )
+    elif flaw == "coincident":
+        end = start + rng.normal(size=3) * 1e-10
+    elif flaw == "overflowing separation":
+        start = np.array([1.7e308, 0.0, 0.0])
+        end = np.array(draw(st.sampled_from([[-1.7e308, 0.0, 0.0], [0.0, 1e200, 0.0]])))
+    return start, end, basis, anchor, plane
+
+
+def _scalar_spec(start, end, basis, anchor, plane):
+    kinds = [SurfaceKind.PLANE if p else SurfaceKind.EDGE for p in plane]
+    surfaces = [Surface(basis=b, anchor=a, kind=k) for b, a, k in zip(basis, anchor, kinds)]
+    return PathSpec(start=start, end=end, surfaces=surfaces)
+
+
+def _spec_arrays(spec):
+    """Every array of a spec, with its read-only flag, and its surfaces' kinds."""
+    arrays = [spec.start, spec.end, spec.basis_tensor, spec.anchor_tensor, spec.active_mask]
+    arrays += [getattr(spec.batch, f.name) for f in fields(spec.batch)]
+    arrays += [a for s in spec.surfaces for a in (s.basis, s.anchor)]
+    return _bytes(*arrays), [a.flags.writeable for a in arrays], [s.kind for s in spec.surfaces]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestArrayConstructorMatchesTheScalarOnes:
+    """`specs_from_arrays` accepts exactly what `Surface` and `PathSpec` accept, and
+    `make_plane` and `make_edge` where they apply; its first refused member raises their
+    error, and every accepted array has their bytes and read-only flag."""
+
+    @given(
+        data=st.data(), B=st.integers(1, 6), n=st.sampled_from([0, 1, 2, 5, MAX_INTERACTIONS + 1])
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stack(self, data, B, n):
+        members = [data.draw(_stacked_member(n)) for _ in range(B)]
+        outcomes = []
+        for start, end, basis, anchor, plane in members:
+            try:
+                outcomes.append(_scalar_spec(start, end, basis, anchor, plane))
+            except FermatPathError as exc:
+                outcomes.append(exc)
+                continue
+            # Where `make_plane` and `make_edge` can express a surface, they accept it too.
+            for b, a, p in zip(basis, anchor, plane):
+                if p:
+                    make_plane(a, b[:, 0], b[:, 1])
+                else:
+                    make_edge(a, b[:, 0])
+        stacks = [np.array(x) for x in zip(*members)]
+        stacks[2], stacks[3] = stacks[2].reshape(B, n, 3, 2), stacks[3].reshape(B, n, 3)
+        stacks[4] = stacks[4].reshape(B, n)
+        errors = [o for o in outcomes if isinstance(o, Exception)]
+        if errors:
+            with pytest.raises(type(errors[0])) as info:
+                specs_from_arrays(*stacks)
+            assert str(info.value) == str(errors[0])
+            return
+        specs = specs_from_arrays(*stacks)
+        assert [_spec_arrays(s) for s in specs] == [_spec_arrays(s) for s in outcomes]
+        for spec in specs:
+            assert all(getattr(spec.batch, f.name).flags.c_contiguous for f in fields(spec.batch))
+
+    def test_inconsistent_shapes_rejected(self):
+        start, end = np.zeros((2, 3)), np.ones((2, 3))
+        basis, anchor, plane = np.zeros((2, 1, 3, 2)), np.zeros((2, 1, 3)), np.ones((2, 1), bool)
+        for bad in (
+            (start[:1], end, basis, anchor, plane),
+            (start, end, basis[:, :, :2], anchor, plane),
+            (start, end, basis, anchor, plane[0]),
+        ):
+            with pytest.raises(ShapeMismatch, match="inconsistent stacked scene shapes"):
+                specs_from_arrays(*bad)
+
+    def test_members_are_views_of_read_only_stacks(self):
+        specs = gen_scenes(3, 4, Kinds.MIXED, 5)
+        for spec in specs:
+            arrays = [spec.start, spec.basis_tensor, spec.batch.basis, spec.surfaces[0].basis]
+            assert all(a.base is not None and not a.flags.writeable for a in arrays)
+        assert specs[0].batch.basis.base is specs[4].batch.basis.base
 
 
 class TestBatchLastLayout:

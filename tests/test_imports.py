@@ -15,8 +15,11 @@ references outside its own definition is dead code, whatever the tests
 call, and so is a module-level UPPER_CASE constant that nothing in the
 package reads outside its own assignment. Scene objects (`PathSpec`,
 `Surface`) are built only where a scene enters the package: the surface
-constructors, the scene-file reader and the generator; past that
-boundary every scene is a `BatchScene`.
+constructors, the array constructor `specs_from_arrays` (which the
+generator and the reader of written scene files call) and the reader of
+every other scene file. A call that hands either class to another, such
+as `object.__new__(Surface)`, builds one too. Past that boundary every
+scene is a `BatchScene`.
 """
 
 import ast
@@ -169,21 +172,32 @@ def test_package_has_no_dead_constants():
 
 SCENE_OBJECTS = ("PathSpec", "Surface")
 SCENE_BOUNDARY = {
-    "geometry.make_plane", "geometry.make_edge", "bench.scene_from_dict", "bench._gen_one"
+    "geometry.make_plane", "geometry.make_edge", "geometry.specs_from_arrays",
+    "bench.scene_from_dict",
 }
+
+
+def _names(node: ast.AST) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _builds_a_scene_object(call: ast.Call) -> bool:
+    """Whether a call is `PathSpec(...)` or `Surface(...)`, or hands either class to a call
+    such as `object.__new__` (`isinstance` and `issubclass` only test)."""
+    if _names(call.func) in SCENE_OBJECTS:
+        return True
+    return _names(call.func) not in ("isinstance", "issubclass") and any(
+        _names(arg) in SCENE_OBJECTS for arg in call.args
+    )
 
 
 def scene_object_builders(sources: dict[str, str]) -> list[str]:
     """`module.name` of each module-level def, or `module.<module>` for other
-    module-level code, that calls `PathSpec` or `Surface`."""
+    module-level code, that builds a `PathSpec` or `Surface` (`_builds_a_scene_object`)."""
     found = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if any(
-                isinstance(n, ast.Call)
-                and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) in SCENE_OBJECTS
-                for n in ast.walk(node)
-            ):
+            if any(isinstance(n, ast.Call) and _builds_a_scene_object(n) for n in ast.walk(node)):
                 found.add(f"{module}.{getattr(node, 'name', '<module>')}")
     return sorted(found)
 
@@ -192,10 +206,14 @@ def test_scan_finds_a_scene_object_builder():
     sources = {
         "a": "def build():\n    return PathSpec(s, e, ())\n\n"
         "def plane():\n    return geometry.Surface(b, a, k)\n\n"
-        "def batch(spec):\n    return isinstance(spec, PathSpec), spec.batch\n",
+        "def batch(spec):\n    return isinstance(spec, PathSpec), spec.batch\n\n"
+        "def unchecked():\n    return object.__new__(geometry.Surface)\n\n"
+        "def aliased(new=object.__new__):\n    return new(PathSpec)\n",
         "b": "SPEC = PathSpec(s, e, ())\n",
     }
-    assert scene_object_builders(sources) == ["a.build", "a.plane", "b.<module>"]
+    assert scene_object_builders(sources) == [
+        "a.aliased", "a.build", "a.plane", "a.unchecked", "b.<module>"
+    ]
 
 
 def test_scene_objects_are_built_only_at_the_boundary():
